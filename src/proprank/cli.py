@@ -157,10 +157,10 @@ def _sidecar_hog_config(dataset_path: Path) -> HogConfig | None:
         return None
     try:
         meta = json.loads(meta_path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError:
-        return None
-    if isinstance(meta, dict) and isinstance(meta.get("hog_config"), dict):
-        return HogConfig.from_dict(meta["hog_config"])
+        if isinstance(meta, dict) and isinstance(meta.get("hog_config"), dict):
+            return HogConfig.from_dict(meta["hog_config"])
+    except (TypeError, ValueError) as exc:
+        raise DataError(f"{meta_path}: invalid sidecar ({exc})") from exc
     return None
 
 
@@ -173,7 +173,6 @@ def cmd_train(args: argparse.Namespace) -> int:
         epochs=args.epochs,
         eta0=args.eta0,
         step_decay=args.step_decay,
-        seed=args.seed,
         mode=args.mode,
         hard_mode_C=args.hard_mode_C,
         convergence_tol=args.convergence_tol,
@@ -369,7 +368,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epochs", type=int, default=200)
     p.add_argument("--eta0", type=float, default=None, help="initial step size (default: number of images)")
     p.add_argument("--step-decay", type=float, default=1.0)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--mode", choices=("soft", "hard"), default="soft")
     p.add_argument("--hard-mode-C", dest="hard_mode_C", type=float, default=1e6)
     p.add_argument("--convergence-tol", type=float, default=1e-6)

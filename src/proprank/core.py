@@ -47,16 +47,26 @@ class Box:
         return [self.x_min, self.y_min, self.x_max, self.y_max]
 
 
+def iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(A, B) IoU of (A, 4) and (B, 4) box arrays; 0.0 for disjoint or edge-touching pairs."""
+    a = np.asarray(a, dtype=np.float64).reshape(-1, 4)
+    b = np.asarray(b, dtype=np.float64).reshape(-1, 4)
+    iw = np.minimum(a[:, None, 2], b[None, :, 2]) - np.maximum(a[:, None, 0], b[None, :, 0])
+    ih = np.minimum(a[:, None, 3], b[None, :, 3]) - np.maximum(a[:, None, 1], b[None, :, 1])
+    inter = np.maximum(iw, 0.0) * np.maximum(ih, 0.0)
+    area_a = (a[:, 2] - a[:, 0]) * (a[:, 3] - a[:, 1])
+    area_b = (b[:, 2] - b[:, 0]) * (b[:, 3] - b[:, 1])
+    return inter / (area_a[:, None] + area_b[None, :] - inter)
+
+
+def box_array(boxes: Iterable[Box]) -> np.ndarray:
+    """Boxes stacked as an (n, 4) float array, (0, 4) when there are none."""
+    return np.array([b.as_list() for b in boxes], dtype=np.float64).reshape(-1, 4)
+
+
 def iou(a: Box, b: Box) -> float:
     """Intersection over union of two boxes; 0.0 when they do not overlap."""
-    iw = min(a.x_max, b.x_max) - max(a.x_min, b.x_min)
-    if iw <= 0.0:
-        return 0.0
-    ih = min(a.y_max, b.y_max) - max(a.y_min, b.y_min)
-    if ih <= 0.0:
-        return 0.0
-    inter = iw * ih
-    return inter / (a.area + b.area - inter)
+    return float(iou_matrix(a.as_list(), b.as_list())[0, 0])
 
 
 @dataclass(frozen=True)
@@ -205,10 +215,10 @@ def label_candidates(record: ImageRecord) -> ImageRecord:
     of them; with none it is 0.0. Candidate order is preserved and existing
     labels are recomputed.
     """
-    labeled = tuple(
-        replace(cand, iou_label=max((iou(cand.box, obj.box) for obj in record.groundtruth), default=0.0))
-        for cand in record.candidates
-    )
+    cands = box_array(c.box for c in record.candidates)
+    gts = box_array(g.box for g in record.groundtruth)
+    best = iou_matrix(cands, gts).max(axis=1, initial=0.0)
+    labeled = tuple(replace(cand, iou_label=label) for cand, label in zip(record.candidates, best.tolist()))
     return replace(record, candidates=labeled)
 
 

@@ -12,7 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
-from .core import DataError, Dataset, GroundTruthObject, ImageRecord, dataset_digest, iou
+import numpy as np
+
+from .core import DataError, Dataset, GroundTruthObject, ImageRecord, box_array, dataset_digest, iou_matrix
 
 DEFAULT_THRESHOLDS = (0.5, 0.7, 0.9)
 DEFAULT_BUDGETS = (1, 10, 50, 100, 200, 500, 800, 1000)
@@ -78,17 +80,52 @@ def identity_rankings(dataset: Dataset) -> dict[str, list[int]]:
     return {rec.image_id: list(range(rec.num_candidates)) for rec in dataset.records}
 
 
+def _prefix_best(
+    gts: Sequence[GroundTruthObject], record: ImageRecord, order: list[int], budgets: Sequence[int]
+) -> np.ndarray:
+    """The metrics kernel: each object's best overlap within the first m ranked candidates.
+
+    Returns a (len(gts), len(budgets)) array. The leading zero column is the
+    empty prefix, so an image without candidates scores 0.0.
+    """
+    if min(budgets) < 1:
+        raise DataError(f"budget must be at least 1, got {min(budgets)}")
+    overlaps = iou_matrix(box_array(g.box for g in gts), box_array(c.box for c in record.candidates))
+    running = np.maximum.accumulate(np.hstack([np.zeros((len(gts), 1)), overlaps[:, order]]), axis=1)
+    return running[:, [min(m, len(order)) for m in budgets]]
+
+
+def _object_overlaps(
+    dataset: Dataset, rankings: Mapping[str, Sequence[int]], budgets: Sequence[int], undefined: str
+) -> tuple[list[str], np.ndarray]:
+    """Class label and _prefix_best row of every groundtruth object, in dataset order."""
+    orders = _rankings_for(dataset, rankings)
+    classes = [gt.class_label for rec in dataset.records for gt in rec.groundtruth]
+    rows = [_prefix_best(rec.groundtruth, rec, order, budgets) for rec, order in zip(dataset.records, orders)]
+    if not classes:
+        raise DataError(f"{undefined}: dataset has no groundtruth objects")
+    return classes, np.concatenate(rows)
+
+
+def _covered_percent(best: np.ndarray, delta: float, strict: bool) -> float:
+    covered = int(np.count_nonzero(best > delta if strict else best >= delta))
+    return 100.0 * covered / len(best)
+
+
+def _abo_mabo(classes: Sequence[str], best: np.ndarray) -> tuple[dict[str, float], float]:
+    """Per-class mean of best overlaps (summed in dataset order, classes sorted) and their mean."""
+    sums: dict[str, float] = {}
+    counts: dict[str, int] = {}
+    for cls, value in zip(classes, best.tolist()):
+        sums[cls] = sums.get(cls, 0.0) + value
+        counts[cls] = counts.get(cls, 0) + 1
+    abo = {cls: sums[cls] / counts[cls] for cls in sorted(counts)}
+    return abo, sum(abo.values()) / len(abo)
+
+
 def best_overlap(gt: GroundTruthObject, record: ImageRecord, ranking: Sequence[int], m: int) -> float:
     """Best IoU between the object and the first m ranked candidates (0.0 if none)."""
-    if m < 1:
-        raise DataError(f"budget must be at least 1, got {m}")
-    order = _check_ranking(record, ranking)
-    best = 0.0
-    for idx in order[:m]:
-        value = iou(gt.box, record.candidates[idx].box)
-        if value > best:
-            best = value
-    return best
+    return float(_prefix_best((gt,), record, _check_ranking(record, ranking), (m,))[0, 0])
 
 
 def detection_rate(
@@ -99,18 +136,8 @@ def detection_rate(
     strict: bool = True,
 ) -> float:
     """Percentage of groundtruth objects covered within the first m candidates."""
-    orders = _rankings_for(dataset, rankings)
-    total = 0
-    covered = 0
-    for rec, order in zip(dataset.records, orders):
-        for gt in rec.groundtruth:
-            total += 1
-            best = best_overlap(gt, rec, order, m)
-            if (best > delta) if strict else (best >= delta):
-                covered += 1
-    if total == 0:
-        raise DataError("detection rate is undefined: dataset has no groundtruth objects")
-    return 100.0 * covered / total
+    classes, best = _object_overlaps(dataset, rankings, (m,), "detection rate is undefined")
+    return _covered_percent(best[:, 0], delta, strict)
 
 
 def mabo(
@@ -119,18 +146,8 @@ def mabo(
     m: int,
 ) -> tuple[dict[str, float], float]:
     """Per-class average best overlap and its unweighted mean over classes."""
-    orders = _rankings_for(dataset, rankings)
-    sums: dict[str, float] = {}
-    counts: dict[str, int] = {}
-    for rec, order in zip(dataset.records, orders):
-        for gt in rec.groundtruth:
-            best = best_overlap(gt, rec, order, m)
-            sums[gt.class_label] = sums.get(gt.class_label, 0.0) + best
-            counts[gt.class_label] = counts.get(gt.class_label, 0) + 1
-    if not counts:
-        raise DataError("MABO is undefined: dataset has no groundtruth objects")
-    abo = {cls: sums[cls] / counts[cls] for cls in sorted(counts)}
-    return abo, sum(abo.values()) / len(abo)
+    classes, best = _object_overlaps(dataset, rankings, (m,), "MABO is undefined")
+    return _abo_mabo(classes, best[:, 0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -175,52 +192,20 @@ def evaluate(
 ) -> EvalReport:
     """Detection rate and (M)ABO at every configured threshold and budget.
 
-    Computes each object's best-overlap prefix over its ranked candidates
-    once, so the result is identical to calling the single-point metrics at
-    every (threshold, budget) pair.
+    One _prefix_best pass serves every (threshold, budget) pair, with the
+    same arithmetic as the single-point metrics.
     """
-    orders = _rankings_for(dataset, rankings)
     budgets = config.proposal_budgets
-    # prefix_best[i] = best overlap within the first i+1 candidates
-    per_object: list[tuple[str, list[float]]] = []
-    for rec, order in zip(dataset.records, orders):
-        for gt in rec.groundtruth:
-            prefix: list[float] = []
-            best = 0.0
-            for idx in order:
-                value = iou(gt.box, rec.candidates[idx].box)
-                if value > best:
-                    best = value
-                prefix.append(best)
-            per_object.append((gt.class_label, prefix))
-    if not per_object:
-        raise DataError("metrics are undefined: dataset has no groundtruth objects")
-
-    def best_at(prefix: list[float], m: int) -> float:
-        if not prefix:
-            return 0.0
-        return prefix[min(m, len(prefix)) - 1]
-
-    dr: dict = {}
-    for d in config.iou_thresholds:
-        for m in budgets:
-            covered = 0
-            for _, prefix in per_object:
-                best = best_at(prefix, m)
-                if (best > d) if config.strict else (best >= d):
-                    covered += 1
-            dr[(d, m)] = 100.0 * covered / len(per_object)
-    abo: dict = {}
-    mabo_values: dict = {}
-    classes = sorted({cls for cls, _ in per_object})
-    for m in budgets:
-        means = []
-        for cls in classes:
-            values = [best_at(prefix, m) for c, prefix in per_object if c == cls]
-            abo[(cls, m)] = sum(values) / len(values)
-            means.append(abo[(cls, m)])
-        mabo_values[m] = sum(means) / len(means)
-    counts = {cls: sum(1 for c, _ in per_object if c == cls) for cls in classes}
+    classes, best = _object_overlaps(dataset, rankings, budgets, "metrics are undefined")
+    dr = {
+        (d, m): _covered_percent(best[:, j], d, config.strict)
+        for d in config.iou_thresholds
+        for j, m in enumerate(budgets)
+    }
+    per_budget = {m: _abo_mabo(classes, best[:, j]) for j, m in enumerate(budgets)}
+    abo = {(cls, m): value for m, (per_class, _) in per_budget.items() for cls, value in per_class.items()}
+    mabo_values = {m: mean for m, (_, mean) in per_budget.items()}
+    counts = {cls: classes.count(cls) for cls in sorted(set(classes))}
     return EvalReport(
         dr=dr,
         abo=abo,

@@ -60,7 +60,6 @@ class TrainingConfig:
     epochs: int = 200
     eta0: float | None = None
     step_decay: float = 1.0
-    seed: int = 0
     mode: str = "soft"
     hard_mode_C: float = 1e6
     convergence_tol: float = 1e-6
@@ -487,6 +486,7 @@ def model_to_dict(model: TrainedModel) -> dict:
         "feature_dim": model.feature_dim,
         "config": model.training_config.to_dict(),
         "final_objective": model.final_objective,
+        "objective_history": [float(v) for v in model.objective_history],
     }
     if model.hog_config is not None:
         obj["hog_config"] = model.hog_config.to_dict()
@@ -502,6 +502,7 @@ def model_from_dict(obj: dict) -> TrainedModel:
         feature_dim = int(obj["feature_dim"])
         config = TrainingConfig.from_dict(obj["config"])
         final_objective = float(obj["final_objective"])
+        history = tuple(float(v) for v in obj.get("objective_history", ()))
     except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"invalid model file: {exc}") from exc
     hog_config = HogConfig.from_dict(obj["hog_config"]) if obj.get("hog_config") else None
@@ -513,6 +514,7 @@ def model_from_dict(obj: dict) -> TrainedModel:
         hog_config=hog_config,
         provenance=dict(obj.get("provenance", {})),
         violation_report=obj.get("violation_report"),
+        objective_history=history,
     )
 
 

@@ -27,6 +27,12 @@ def test_missing_and_malformed_inputs_exit_2(tmp_path, capsys):
     bad.write_text('{"image_id": "a"}\n', encoding="utf-8")
     assert main(["label", str(bad), str(tmp_path / "out.jsonl")]) == 2
     assert not (tmp_path / "out.jsonl").exists()
+    data = tmp_path / "feats.jsonl"
+    assert main(["synth", str(data), "--num-images", "3", "--candidates", "6", "--feature-dim", "4"]) == 0
+    for sidecar in ("{", '{"hog_config": {"cell_size": "x"}}'):
+        (tmp_path / "feats.jsonl.meta.json").write_text(sidecar, encoding="utf-8")
+        assert main(["train", str(data), str(tmp_path / "model.json"), "--k", "1"]) == 2
+    assert not (tmp_path / "model.json").exists()
     capsys.readouterr()
 
 

@@ -5,7 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from conftest import make_record
-from oracles import pixel_iou
+from oracles import _iou_ref, pixel_iou
 from proprank import (
     Box,
     Candidate,
@@ -17,6 +17,7 @@ from proprank import (
     dataset_from_lines,
     dataset_to_lines,
     iou,
+    iou_matrix,
     label_candidates,
     label_dataset,
     rank_by_label,
@@ -85,6 +86,31 @@ def test_iou_matches_pixel_enumeration_on_fractional_grid():
         d = rng.integers(1, 30, size=2)
         box_b = [c[0] / 8, c[1] / 8, (c[0] + d[0]) / 8, (c[1] + d[1]) / 8]
         assert_allclose(iou(Box(*box_a), Box(*box_b)), pixel_iou(box_a, box_b, scale=8), atol=1e-12)
+
+
+def test_iou_matrix_matches_reference_bitwise():
+    rng = np.random.default_rng(17)
+    for _ in range(50):
+        a = rng.uniform(0, 60, size=(int(rng.integers(1, 8)), 2))
+        a = np.hstack([a, a + rng.uniform(0.5, 30, size=a.shape)])
+        b = rng.uniform(0, 60, size=(int(rng.integers(1, 8)), 2))
+        b = np.hstack([b, b + rng.uniform(0.5, 30, size=b.shape)])
+        # Identical, edge-touching and disjoint partners of the first box.
+        w, h = a[0, 2] - a[0, 0], a[0, 3] - a[0, 1]
+        b = np.vstack([b, a[:1], a[:1] + [w, 0, w, 0], a[:1] + [0, h, 0, h], a[:1] + 100.0])
+        got = iou_matrix(a, b)
+        assert got.shape == (len(a), len(b))
+        for i in range(len(a)):
+            for j in range(len(b)):
+                assert got[i, j] == _iou_ref(a[i].tolist(), b[j].tolist())
+        assert got[0, len(b) - 4] == 1.0
+        assert np.all(got[0, len(b) - 3:] == 0.0)
+
+
+def test_iou_matrix_empty_shapes():
+    boxes = np.array([[0.0, 0.0, 2.0, 2.0], [1.0, 1.0, 3.0, 3.0]])
+    assert iou_matrix(boxes, np.zeros((0, 4))).shape == (2, 0)
+    assert iou_matrix(np.zeros((0, 4)), boxes).shape == (0, 2)
 
 
 def test_candidate_validation():

@@ -366,6 +366,8 @@ def test_model_file_round_trip(tmp_path):
     save_model(model, path)
     back = load_model(path)
     assert np.array_equal(back.weights, model.weights)
+    assert len(model.objective_history) > 0
+    assert back.objective_history == model.objective_history
     bad = tmp_path / "bad.json"
     bad.write_text("{", encoding="utf-8")
     with pytest.raises(DataError, match="invalid model JSON"):
@@ -374,3 +376,14 @@ def test_model_file_round_trip(tmp_path):
     empty.write_text("{}", encoding="utf-8")
     with pytest.raises(DataError, match="invalid model file"):
         load_model(empty)
+
+
+def test_model_from_dict_accepts_older_files():
+    ds, _ = generate_feature_dataset(SynthConfig(seed=15, num_images=3, candidates_per_image=6, feature_dim=4))
+    obj = model_to_dict(train_soft_margin(ds, TrainingConfig(k=1, epochs=5)))
+    # Files written before the history was persisted carry a training seed and no history.
+    obj["config"]["seed"] = 7
+    del obj["objective_history"]
+    back = model_from_dict(obj)
+    assert back.training_config == TrainingConfig(k=1, epochs=5)
+    assert back.objective_history == ()
