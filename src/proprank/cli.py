@@ -14,20 +14,13 @@ import argparse
 import hashlib
 import json
 import logging
-import os
 import sys
 import time
 from dataclasses import replace
 from pathlib import Path
 
 from . import __version__
-from .core import (
-    DataError,
-    Dataset,
-    dataset_to_lines,
-    label_dataset,
-    read_dataset,
-)
+from .core import DataError, Dataset, atomic_write_text, label_dataset, read_dataset, write_dataset
 from .features import HogConfig, PgmDirectory, featurize_dataset
 from .metrics import EvalConfig, EvalReport, identity_rankings, render_csv, render_text, report
 from .ranking import (
@@ -53,17 +46,6 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _atomic_write_text(path: Path, text: str) -> None:
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text, encoding="utf-8")
-    os.replace(tmp, path)
-
-
-def _write_dataset_file(dataset: Dataset, path: Path) -> None:
-    lines = dataset_to_lines(dataset)
-    _atomic_write_text(path, "".join(line + "\n" for line in lines))
-
-
 def _sha256_file(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
@@ -84,7 +66,7 @@ def _write_manifest(args: argparse.Namespace, inputs: list[Path], outputs: list[
         "version": __version__,
     }
     path = outputs[0].with_name(outputs[0].name + ".manifest.json")
-    _atomic_write_text(path, json.dumps(manifest, indent=2) + "\n")
+    atomic_write_text(path, json.dumps(manifest, indent=2) + "\n")
 
 
 def _parse_int_list(text: str, what: str) -> tuple[int, ...]:
@@ -111,7 +93,7 @@ def cmd_label(args: argparse.Namespace) -> int:
     labeled = label_dataset(dataset)
     objects = sum(len(r.groundtruth) for r in labeled.records)
     candidates = sum(r.num_candidates for r in labeled.records)
-    _write_dataset_file(labeled, args.output)
+    write_dataset(labeled, args.output)
     logger.info(
         "labeled %d records (%d groundtruth objects, %d candidates) -> %s",
         len(labeled.records), objects, candidates, args.output,
@@ -140,9 +122,9 @@ def cmd_featurize(args: argparse.Namespace) -> int:
     featurized, failures = featurize_dataset(dataset, images, config, keep_existing=args.keep_existing)
     for failure in failures:
         logger.warning("featurize: %s", failure)
-    _write_dataset_file(featurized, args.output)
+    write_dataset(featurized, args.output)
     meta_path = args.output.with_name(args.output.name + ".meta.json")
-    _atomic_write_text(meta_path, json.dumps({"hog_config": config.to_dict()}, indent=2) + "\n")
+    atomic_write_text(meta_path, json.dumps({"hog_config": config.to_dict()}, indent=2) + "\n")
     logger.info(
         "featurized %d records (%d failures, dimension %d) -> %s",
         len(featurized.records), len(failures), config.dimension, args.output,
@@ -157,11 +139,15 @@ def _sidecar_hog_config(dataset_path: Path) -> HogConfig | None:
         return None
     try:
         meta = json.loads(meta_path.read_text(encoding="utf-8"))
-        if isinstance(meta, dict) and isinstance(meta.get("hog_config"), dict):
-            return HogConfig.from_dict(meta["hog_config"])
+        if not isinstance(meta, dict):
+            raise DataError("not a JSON object")
+        if "hog_config" not in meta:
+            return None  # a synth sidecar: no HOG features
+        if not isinstance(meta["hog_config"], dict):
+            raise DataError("hog_config is not a JSON object")
+        return HogConfig.from_dict(meta["hog_config"])
     except (TypeError, ValueError) as exc:
         raise DataError(f"{meta_path}: invalid sidecar ({exc})") from exc
-    return None
 
 
 def cmd_train(args: argparse.Namespace) -> int:
@@ -173,8 +159,6 @@ def cmd_train(args: argparse.Namespace) -> int:
         epochs=args.epochs,
         eta0=args.eta0,
         step_decay=args.step_decay,
-        mode=args.mode,
-        hard_mode_C=args.hard_mode_C,
         convergence_tol=args.convergence_tol,
         per_image_slack=not args.per_constraint_slack,
     )
@@ -185,7 +169,7 @@ def cmd_train(args: argparse.Namespace) -> int:
         "trained on %d images in %d epochs: final objective %.6g -> %s",
         len(dataset.records), len(model.objective_history), model.final_objective, args.output,
     )
-    if model.violation_report is not None:
+    if model.violation_report is not None:  # the all-pairs baseline has none
         logger.info("violation report: %s", json.dumps(model.violation_report))
     _write_manifest(args, [args.input], [args.output], started)
     return 0
@@ -211,7 +195,7 @@ def cmd_rerank(args: argparse.Namespace) -> int:
             for i in order
         )
         out_records.append(replace(rec, candidates=cands))
-    _write_dataset_file(Dataset(tuple(out_records), dataset.feature_dim), args.output)
+    write_dataset(Dataset(tuple(out_records), dataset.feature_dim), args.output)
     logger.info("reranked %d records -> %s", len(out_records), args.output)
     _write_manifest(args, [args.input, args.model], [args.output], started)
     return 0
@@ -267,9 +251,9 @@ def cmd_eval(args: argparse.Namespace) -> int:
         text_path = base.with_name(base.name + ".txt")
         csv_path = base.with_name(base.name + ".csv")
         json_path = base.with_name(base.name + ".json")
-        _atomic_write_text(text_path, comparison.text)
-        _atomic_write_text(csv_path, comparison.csv)
-        _atomic_write_text(json_path, json.dumps(comparison.to_dict(), indent=2) + "\n")
+        atomic_write_text(text_path, comparison.text)
+        atomic_write_text(csv_path, comparison.csv)
+        atomic_write_text(json_path, json.dumps(comparison.to_dict(), indent=2) + "\n")
         outputs = [text_path, csv_path, json_path]
         logger.info("wrote report to %s.{txt,csv,json}", base)
     _write_manifest(args, [args.dataset, args.reranked], outputs, started)
@@ -300,9 +284,9 @@ def cmd_synth(args: argparse.Namespace) -> int:
         dataset, planted = generate_feature_dataset(config)
     else:
         dataset = generate_geometric_dataset(config)
-    _write_dataset_file(dataset, args.output)
+    write_dataset(dataset, args.output)
     meta_path = args.output.with_name(args.output.name + ".meta.json")
-    _atomic_write_text(meta_path, json.dumps(synth_metadata(config, planted), indent=2) + "\n")
+    atomic_write_text(meta_path, json.dumps(synth_metadata(config, planted), indent=2) + "\n")
     logger.info("generated %d %s records -> %s", len(dataset.records), config.mode, args.output)
     _write_manifest(args, [], [args.output, meta_path], started)
     return 0
@@ -325,8 +309,8 @@ def cmd_report(args: argparse.Namespace) -> int:
     if args.output is not None:
         text_path = args.output.with_name(args.output.name + ".txt")
         csv_path = args.output.with_name(args.output.name + ".csv")
-        _atomic_write_text(text_path, text)
-        _atomic_write_text(csv_path, render_csv(reports, config))
+        atomic_write_text(text_path, text)
+        atomic_write_text(csv_path, render_csv(reports, config))
         outputs = [text_path, csv_path]
     _write_manifest(args, [args.input], outputs, started)
     return 0
@@ -364,12 +348,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("input", type=Path)
     p.add_argument("output", type=Path)
     p.add_argument("--k", type=int, default=20, help="positives per image")
-    p.add_argument("--C", type=float, default=1.0, help="slack penalty")
+    p.add_argument("--C", type=float, default=1.0, help="slack penalty (1e6 for hard margin)")
     p.add_argument("--epochs", type=int, default=200)
     p.add_argument("--eta0", type=float, default=None, help="initial step size (default: number of images)")
     p.add_argument("--step-decay", type=float, default=1.0)
-    p.add_argument("--mode", choices=("soft", "hard"), default="soft")
-    p.add_argument("--hard-mode-C", dest="hard_mode_C", type=float, default=1e6)
     p.add_argument("--convergence-tol", type=float, default=1e-6)
     p.add_argument("--per-constraint-slack", action="store_true",
                    help="sum a hinge per constraint instead of one slack per image")

@@ -10,6 +10,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Iterable
@@ -177,11 +178,12 @@ class Dataset:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "records", tuple(self.records))
-        seen: set[str] = set()
+        by_id: dict[str, ImageRecord] = {}
         for rec in self.records:
-            if rec.image_id in seen:
+            if rec.image_id in by_id:
                 raise DataError(f"duplicate image_id: {rec.image_id}")
-            seen.add(rec.image_id)
+            by_id[rec.image_id] = rec
+        object.__setattr__(self, "_by_id", by_id)
         dim = self.feature_dim
         for rec in self.records:
             for i, cand in enumerate(rec.candidates):
@@ -202,10 +204,7 @@ class Dataset:
         return len(self.records)
 
     def get(self, image_id: str) -> ImageRecord:
-        for rec in self.records:
-            if rec.image_id == image_id:
-                return rec
-        raise KeyError(image_id)
+        return self._by_id[image_id]
 
 
 def label_candidates(record: ImageRecord) -> ImageRecord:
@@ -345,11 +344,16 @@ def read_dataset(path: str | Path) -> Dataset:
         return dataset_from_lines(fh)
 
 
+def atomic_write_text(path: str | Path, text: str) -> None:
+    """Write text to path through a sibling .tmp file, so readers never see a partial file."""
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    tmp.write_text(text, encoding="utf-8")
+    os.replace(tmp, path)
+
+
 def write_dataset(dataset: Dataset, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for line in dataset_to_lines(dataset):
-            fh.write(line)
-            fh.write("\n")
+    atomic_write_text(path, "".join(line + "\n" for line in dataset_to_lines(dataset)))
 
 
 def dataset_digest(dataset: Dataset) -> str:

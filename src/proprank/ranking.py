@@ -9,11 +9,14 @@ image a single slack equal to its worst margin violation:
 
     J(w) = 0.5 * ||w||^2 + C * sum_j max(0, 1 - min_p s_p, 1 + max_q s_q)
 
-Hard-margin training is the same problem with a very large C plus a post-hoc
-feasibility report. A per-constraint slack variant (summing every hinge
-instead of taking the per-image maximum) is available behind a config flag
-for comparison runs. Training is plain deterministic subgradient descent and
-is bit-reproducible for a fixed dataset and config.
+Hard margin is the same problem in the limit of large C (C = 1e6 in
+practice), not a separate mode; every trained partial model carries a report
+of its residual constraint violations. A per-constraint slack variant
+(summing every hinge instead of taking the per-image maximum) is available
+behind a config flag for comparison runs. Training is plain deterministic
+subgradient descent (the 1-slack objective of Joachims, "Training Linear SVMs
+in Linear Time", KDD 2006) and is bit-reproducible for a fixed dataset and
+config.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import DataError, Dataset, ImageRecord, dataset_digest, rank_by_label
+from .core import DataError, Dataset, ImageRecord, atomic_write_text, dataset_digest, rank_by_label
 from .features import HogConfig
 
 logger = logging.getLogger(__name__)
@@ -60,37 +63,36 @@ class TrainingConfig:
     epochs: int = 200
     eta0: float | None = None
     step_decay: float = 1.0
-    mode: str = "soft"
-    hard_mode_C: float = 1e6
     convergence_tol: float = 1e-6
     per_image_slack: bool = True
 
     def __post_init__(self) -> None:
         if self.k < 1:
             raise DataError("k must be at least 1")
-        if self.C <= 0 or self.hard_mode_C <= 0:
-            raise DataError("C and hard_mode_C must be positive")
+        if self.C <= 0:
+            raise DataError("C must be positive")
         if self.epochs < 1:
             raise DataError("epochs must be at least 1")
         if self.eta0 is not None and self.eta0 <= 0:
             raise DataError("eta0 must be positive when given")
         if self.step_decay < 0:
             raise DataError("step_decay must be non-negative")
-        if self.mode not in ("soft", "hard"):
-            raise DataError(f"mode must be 'soft' or 'hard', got {self.mode!r}")
         if self.convergence_tol < 0:
             raise DataError("convergence_tol must be non-negative")
-
-    @property
-    def effective_C(self) -> float:
-        return self.hard_mode_C if self.mode == "hard" else self.C
 
     def to_dict(self) -> dict:
         return asdict(self)
 
     @classmethod
     def from_dict(cls, obj: dict) -> "TrainingConfig":
+        """Config from a model file; unknown keys are dropped.
+
+        Older files may say "mode": "hard", which trained with C = hard_mode_C
+        (default 1e6); that C is what they report.
+        """
         known = {f: obj[f] for f in cls.__dataclass_fields__ if f in obj}
+        if obj.get("mode") == "hard":
+            known["C"] = obj.get("hard_mode_C", 1e6)
         return cls(**known)
 
 
@@ -147,19 +149,19 @@ def constraint_count(n: int, k: int) -> tuple[int, int]:
 
 @dataclass(eq=False)
 class _Compiled:
-    """Per-image feature slices prepared for the solver."""
+    """P and Q feature rows of every image, stacked, with each image's start row."""
 
-    pos: list[np.ndarray]
-    neg: list[np.ndarray]
     pos_stack: np.ndarray
     neg_stack: np.ndarray
     pos_starts: np.ndarray
     neg_starts: np.ndarray
     dim: int
 
-    @property
-    def num_images(self) -> int:
-        return len(self.pos)
+    def segments(self) -> list[tuple[np.ndarray, np.ndarray]]:
+        """Per-image (P, Q) feature blocks as views of the stacks."""
+        pos = np.split(self.pos_stack, self.pos_starts[1:])
+        neg = np.split(self.neg_stack, self.neg_starts[1:])
+        return list(zip(pos, neg))
 
 
 def _compile(dataset: Dataset, partitions: list[ConstraintPartition]) -> _Compiled:
@@ -181,8 +183,6 @@ def _compile(dataset: Dataset, partitions: list[ConstraintPartition]) -> _Compil
     pos_starts = np.cumsum([0] + [p.shape[0] for p in pos[:-1]])
     neg_starts = np.cumsum([0] + [q.shape[0] for q in neg[:-1]])
     return _Compiled(
-        pos=pos,
-        neg=neg,
         pos_stack=np.concatenate(pos, axis=0),
         neg_stack=np.concatenate(neg, axis=0),
         pos_starts=pos_starts,
@@ -215,11 +215,11 @@ def objective(
     compiled = _compile(dataset, partitions)
     if w.shape != (compiled.dim,):
         raise DataError(f"weight dimension {w.shape} does not match features ({compiled.dim},)")
-    return _objective_compiled(w, compiled, config.effective_C, config.per_image_slack)
+    return _objective_compiled(w, compiled, config.C, config.per_image_slack)
 
 
 def _violation_summary(w: np.ndarray, compiled: _Compiled) -> dict:
-    """Residual constraint violations at w, for hard-mode reporting.
+    """Residual constraint violations at w.
 
     rank_violations counts (p, q) pairs where the positive fails to strictly
     outscore the negative; hinge_violations counts margin constraints
@@ -228,7 +228,7 @@ def _violation_summary(w: np.ndarray, compiled: _Compiled) -> dict:
     rank_violations = 0
     hinge_violations = 0
     max_residual = 0.0
-    for p_feats, q_feats in zip(compiled.pos, compiled.neg):
+    for p_feats, q_feats in compiled.segments():
         sp = p_feats @ w
         sq = q_feats @ w
         rank_violations += int(np.sum(sp[:, None] <= sq[None, :]))
@@ -299,7 +299,7 @@ def _descend(
     dim = dataset.feature_dim
     if dim is None:
         raise DataError("dataset has no featurized candidates")
-    C = config.effective_C
+    C = config.C
     eta0 = config.eta0 if config.eta0 is not None else float(num_images)
     decay = config.step_decay
 
@@ -373,27 +373,21 @@ def train_soft_margin(
 
     Images are visited in dataset order each epoch; per image the single most
     violated margin constraint (ties prefer the positive side, then the
-    lowest rank index) drives the step. In hard mode the same problem is
-    solved with C = hard_mode_C and the returned model carries a residual
-    violation report. The per-epoch objective history records the best value
-    seen so far and is therefore non-increasing, and final_objective never
-    exceeds the zero-weight objective C * num_images.
+    lowest rank index) drives the step. The returned model carries a report
+    of the residual constraint violations at its weights; with a large C
+    (1e6) this is the hard-margin feasibility check. The per-epoch objective
+    history records the best value seen so far and is therefore
+    non-increasing, and final_objective never exceeds the zero-weight
+    objective C * num_images.
     """
     partitions = [build_partial_constraints(rec, config) for rec in dataset.records]
     compiled = _compile(dataset, partitions)
-    segments = list(zip(compiled.pos, compiled.neg))
     kind = "max" if config.per_image_slack else "sum"
 
     def obj(w: np.ndarray) -> float:
-        return _objective_compiled(w, compiled, config.effective_C, config.per_image_slack)
+        return _objective_compiled(w, compiled, config.C, config.per_image_slack)
 
-    best_w, best_obj, history = _descend(dataset, config, segments, kind, obj, "partial")
-    report = _violation_summary(best_w, compiled) if config.mode == "hard" else None
-    if report is not None:
-        logger.info(
-            "hard mode residuals: %d rank violations, %d hinge violations, max residual %.3g",
-            report["rank_violations"], report["hinge_violations"], report["max_hinge_residual"],
-        )
+    best_w, best_obj, history = _descend(dataset, config, compiled.segments(), kind, obj, "partial")
     return TrainedModel(
         weights=best_w,
         feature_dim=compiled.dim,
@@ -401,7 +395,7 @@ def train_soft_margin(
         final_objective=best_obj,
         hog_config=hog_config,
         provenance=_provenance(dataset, "partial"),
-        violation_report=report,
+        violation_report=_violation_summary(best_w, compiled),
         objective_history=tuple(history),
     )
 
@@ -439,7 +433,7 @@ def train_full_rank_baseline(
             total = float(np.sum(hinge))
         else:
             total = 0.0
-        return 0.5 * float(w @ w) + config.effective_C * total
+        return 0.5 * float(w @ w) + config.C * total
 
     best_w, best_obj, history = _descend(dataset, config, diffs, "pairs", obj, "full-rank")
     return TrainedModel(
@@ -519,7 +513,7 @@ def model_from_dict(obj: dict) -> TrainedModel:
 
 
 def save_model(model: TrainedModel, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(model_to_dict(model), indent=2, allow_nan=False) + "\n", encoding="utf-8")
+    atomic_write_text(path, json.dumps(model_to_dict(model), indent=2, allow_nan=False) + "\n")
 
 
 def load_model(path: str | Path) -> TrainedModel:

@@ -111,7 +111,7 @@ def test_criterion_3_hard_margin_feasible_on_separable_data():
     started = time.monotonic()
     synth = SynthConfig(seed=0, num_images=50, candidates_per_image=50, feature_dim=16)
     dataset, _ = generate_feature_dataset(synth)
-    config = TrainingConfig(k=5, mode="hard", epochs=200, convergence_tol=0.0)
+    config = TrainingConfig(k=5, C=1e6, epochs=200, convergence_tol=0.0)
     model = train_soft_margin(dataset, config)
     assert model.violation_report is not None
     assert model.violation_report["rank_violations"] == 0

@@ -18,6 +18,7 @@ def test_usage_errors_exit_1(capsys):
     assert main(["train"]) == 1
     assert main(["synth", "out.jsonl", "--mode", "bogus"]) == 1
     assert main(["synth", "out.jsonl", "--objects", "1,2,3"]) == 1
+    assert main(["train", "in.jsonl", "model.json", "--mode", "hard"]) == 1
     capsys.readouterr()
 
 
@@ -29,7 +30,7 @@ def test_missing_and_malformed_inputs_exit_2(tmp_path, capsys):
     assert not (tmp_path / "out.jsonl").exists()
     data = tmp_path / "feats.jsonl"
     assert main(["synth", str(data), "--num-images", "3", "--candidates", "6", "--feature-dim", "4"]) == 0
-    for sidecar in ("{", '{"hog_config": {"cell_size": "x"}}'):
+    for sidecar in ("{", "[1]", '{"hog_config": 5}', '{"hog_config": {"cell_size": "x"}}'):
         (tmp_path / "feats.jsonl.meta.json").write_text(sidecar, encoding="utf-8")
         assert main(["train", str(data), str(tmp_path / "model.json"), "--k", "1"]) == 2
     assert not (tmp_path / "model.json").exists()

@@ -21,6 +21,7 @@ from proprank import (
     label_candidates,
     label_dataset,
     rank_by_label,
+    write_dataset,
 )
 from proprank.core import record_from_dict, record_to_dict
 
@@ -200,7 +201,7 @@ def test_rank_by_label_descending_and_stable():
     assert rank_by_label(ties) == [0, 1, 2]
 
 
-def test_jsonl_round_trip_is_exact():
+def test_jsonl_round_trip_is_exact(tmp_path):
     rec = make_record(
         "rt-1",
         labels=[0.12345678901234567, 1.0],
@@ -217,6 +218,10 @@ def test_jsonl_round_trip_is_exact():
     assert back.records[1].candidates[0].source_index == 4
     assert back.feature_dim == 2
     assert dataset_digest(back) == dataset_digest(ds)
+    path = tmp_path / "ds.jsonl"
+    write_dataset(ds, path)
+    assert path.read_text(encoding="utf-8") == "".join(line + "\n" for line in lines)
+    assert [p.name for p in tmp_path.iterdir()] == ["ds.jsonl"]
 
 
 def test_jsonl_reader_ignores_unknown_fields_and_blank_lines():

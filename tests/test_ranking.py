@@ -44,12 +44,10 @@ def test_training_config_validation():
     with pytest.raises(DataError):
         TrainingConfig(step_decay=-0.1)
     with pytest.raises(DataError):
-        TrainingConfig(mode="auto")
-    with pytest.raises(DataError):
         TrainingConfig(convergence_tol=-1e-9)
-    cfg = TrainingConfig(mode="hard", hard_mode_C=1e5)
-    assert cfg.effective_C == 1e5
-    assert TrainingConfig().effective_C == 1.0
+    with pytest.raises(TypeError):
+        TrainingConfig(mode="hard")  # hard margin is a large C, not a mode
+    cfg = TrainingConfig(C=1e5, per_image_slack=False)
     assert TrainingConfig.from_dict(cfg.to_dict()) == cfg
 
 
@@ -188,7 +186,20 @@ def test_history_is_non_increasing_and_bounded_by_zero_start():
     assert all(b <= a for a, b in zip(hist, hist[1:]))
     assert model.final_objective == hist[-1]
     assert model.final_objective <= 1.5 * len(ds.records)
-    assert model.violation_report is None
+    rank = hinge = 0
+    residual = 0.0
+    for rec in ds.records:
+        part = build_partial_constraints(rec, cfg)
+        s = score(model, rec)
+        sp, sq = s[list(part.positives)], s[list(part.negatives)]
+        rank += sum(int(p <= q) for p in sp for q in sq)
+        hinge += sum(int(p < 1.0) for p in sp) + sum(int(q > -1.0) for q in sq)
+        residual = max([residual, *(1.0 - sp), *(1.0 + sq)])
+    assert model.violation_report == {
+        "rank_violations": rank,
+        "hinge_violations": hinge,
+        "max_hinge_residual": pytest.approx(residual, rel=1e-12),
+    }
 
 
 def test_one_dimensional_analytic_case():
@@ -242,11 +253,11 @@ def test_per_constraint_slack_training_runs_and_descends():
     assert model.final_objective < at_zero
 
 
-def test_hard_mode_reaches_feasibility_on_separable_data():
+def test_large_C_reaches_feasibility_on_separable_data():
     ds, planted = generate_feature_dataset(
         SynthConfig(seed=11, num_images=6, candidates_per_image=12, feature_dim=8)
     )
-    cfg = TrainingConfig(k=2, mode="hard", epochs=1000, convergence_tol=0.0)
+    cfg = TrainingConfig(k=2, C=1e6, epochs=1000, convergence_tol=0.0)
     model = train_soft_margin(ds, cfg)
     assert model.violation_report is not None
     assert model.violation_report["rank_violations"] == 0
@@ -349,7 +360,7 @@ def test_rerank_is_scale_invariant():
 
 def test_model_json_round_trip():
     ds, _ = generate_feature_dataset(SynthConfig(seed=13, num_images=4, candidates_per_image=8, feature_dim=5))
-    cfg = TrainingConfig(k=2, mode="hard", epochs=50)
+    cfg = TrainingConfig(k=2, C=1e6, epochs=50)
     model = train_soft_margin(ds, cfg)
     back = model_from_dict(model_to_dict(model))
     assert np.array_equal(back.weights, model.weights)
@@ -364,6 +375,7 @@ def test_model_file_round_trip(tmp_path):
     model = train_soft_margin(ds, TrainingConfig(k=1, epochs=20))
     path = tmp_path / "model.json"
     save_model(model, path)
+    assert [p.name for p in tmp_path.iterdir()] == ["model.json"]
     back = load_model(path)
     assert np.array_equal(back.weights, model.weights)
     assert len(model.objective_history) > 0
@@ -381,9 +393,15 @@ def test_model_file_round_trip(tmp_path):
 def test_model_from_dict_accepts_older_files():
     ds, _ = generate_feature_dataset(SynthConfig(seed=15, num_images=3, candidates_per_image=6, feature_dim=4))
     obj = model_to_dict(train_soft_margin(ds, TrainingConfig(k=1, epochs=5)))
-    # Files written before the history was persisted carry a training seed and no history.
-    obj["config"]["seed"] = 7
+    # Files written before the history was persisted carry a training seed, a
+    # training mode and no history.
+    obj["config"].update(seed=7, mode="soft", hard_mode_C=1e6)
     del obj["objective_history"]
     back = model_from_dict(obj)
     assert back.training_config == TrainingConfig(k=1, epochs=5)
     assert back.objective_history == ()
+    # A hard-mode file trained with C = hard_mode_C and reports that C.
+    obj["config"].update(mode="hard", hard_mode_C=1e5)
+    assert model_from_dict(obj).training_config == TrainingConfig(k=1, C=1e5, epochs=5)
+    del obj["config"]["hard_mode_C"]
+    assert model_from_dict(obj).training_config == TrainingConfig(k=1, C=1e6, epochs=5)
