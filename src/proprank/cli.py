@@ -179,6 +179,13 @@ def cmd_rerank(args: argparse.Namespace) -> int:
     started = time.monotonic()
     dataset = read_dataset(args.input)
     model = load_model(args.model)
+    if model.hog_config is not None:
+        sidecar = _sidecar_hog_config(args.input)
+        if sidecar is not None and sidecar != model.hog_config:
+            raise DataError(
+                f"HOG geometry of the dataset ({sidecar.to_dict()}) does not match "
+                f"the model's ({model.hog_config.to_dict()})"
+            )
     if dataset.feature_dim is not None and dataset.feature_dim != model.feature_dim:
         raise DataError(
             f"dataset feature dimension {dataset.feature_dim} does not match "
@@ -301,8 +308,18 @@ def cmd_report(args: argparse.Namespace) -> int:
     try:
         config = EvalConfig.from_dict(obj["config"])
         reports = [EvalReport.from_dict(entry) for entry in obj["sources"]]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise DataError(f"{args.input}: malformed report file ({exc})") from exc
+    for i, rep in enumerate(reports):
+        missing = [
+            f"DR at IoU {d:g}, budget {m}"
+            for d in config.iou_thresholds
+            for m in config.proposal_budgets
+            if (d, m) not in rep.dr
+        ]
+        missing += [f"MABO at budget {m}" for m in config.proposal_budgets if m not in rep.mabo]
+        if missing:
+            raise DataError(f"{args.input}: source {i} has no {missing[0]}, which its config lists")
     text = render_text(reports, config)
     sys.stdout.write(text)
     outputs: list[Path] = []

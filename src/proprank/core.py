@@ -272,6 +272,28 @@ def _as_int(value, what: str) -> int:
     raise DataError(f"{what} must be an integer, got {value!r}")
 
 
+def _as_float(value, what: str) -> float:
+    try:
+        return float(value)
+    except (TypeError, ValueError) as exc:
+        raise DataError(f"{what} must be a number, got {value!r}") from exc
+
+
+def _as_vector(value, what: str) -> np.ndarray:
+    try:
+        return np.asarray(value, dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise DataError(f"{what} must be a list of numbers") from exc
+
+
+def _as_list(value, what: str) -> list:
+    if value is None:
+        return []
+    if not isinstance(value, list):
+        raise DataError(f"{what} must be a list, got {value!r}")
+    return value
+
+
 def _box_from_list(value, what: str) -> Box:
     if not isinstance(value, (list, tuple)) or len(value) != 4:
         raise DataError(f"{what} must be a 4-element [x_min, y_min, x_max, y_max] list")
@@ -294,14 +316,14 @@ def record_from_dict(obj: dict) -> ImageRecord:
     width = _as_int(obj["width"], f"{image_id}: width")
     height = _as_int(obj["height"], f"{image_id}: height")
     groundtruth = []
-    for i, entry in enumerate(obj.get("groundtruth", []) or []):
+    for i, entry in enumerate(_as_list(obj.get("groundtruth"), f"{image_id}: groundtruth")):
         if not isinstance(entry, dict) or "class" not in entry or "box" not in entry:
             raise DataError(f"{image_id}: groundtruth {i} needs 'class' and 'box' fields")
         groundtruth.append(
             GroundTruthObject(str(entry["class"]), _box_from_list(entry["box"], f"{image_id}: groundtruth {i} box"))
         )
     candidates = []
-    for i, entry in enumerate(obj.get("candidates", []) or []):
+    for i, entry in enumerate(_as_list(obj.get("candidates"), f"{image_id}: candidates")):
         if not isinstance(entry, dict) or "box" not in entry:
             raise DataError(f"{image_id}: candidate {i} needs a 'box' field")
         label = entry.get("iou_label")
@@ -310,8 +332,8 @@ def record_from_dict(obj: dict) -> ImageRecord:
         candidates.append(
             Candidate(
                 box=_box_from_list(entry["box"], f"{image_id}: candidate {i} box"),
-                iou_label=None if label is None else float(label),
-                features=None if feats is None else np.asarray(feats, dtype=np.float64),
+                iou_label=None if label is None else _as_float(label, f"{image_id}: candidate {i} iou_label"),
+                features=None if feats is None else _as_vector(feats, f"{image_id}: candidate {i} features"),
                 source_index=None if source is None else _as_int(source, f"{image_id}: candidate {i} source_index"),
             )
         )
@@ -339,9 +361,17 @@ def dataset_from_lines(lines: Iterable[str]) -> Dataset:
     return Dataset(tuple(records))
 
 
+def _utf8_lines(raw_lines: Iterable[bytes]) -> Iterable[str]:
+    for line_no, raw in enumerate(raw_lines, start=1):
+        try:
+            yield raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise DataError(f"line {line_no}: not valid UTF-8 ({exc.reason} at byte {exc.start})") from exc
+
+
 def read_dataset(path: str | Path) -> Dataset:
-    with open(path, "r", encoding="utf-8") as fh:
-        return dataset_from_lines(fh)
+    with open(path, "rb") as fh:
+        return dataset_from_lines(_utf8_lines(fh))
 
 
 def atomic_write_text(path: str | Path, text: str) -> None:

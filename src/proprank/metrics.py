@@ -39,6 +39,8 @@ class EvalConfig:
                 raise DataError("proposal budgets must be strictly increasing")
         if self.proposal_budgets[0] < 1:
             raise DataError("proposal budgets must be positive")
+        if not isinstance(self.strict, bool):
+            raise DataError(f"strict must be true or false, got {self.strict!r}")
 
     def to_dict(self) -> dict:
         return {
@@ -52,7 +54,7 @@ class EvalConfig:
         return cls(
             tuple(obj.get("iou_thresholds", DEFAULT_THRESHOLDS)),
             tuple(obj.get("proposal_budgets", DEFAULT_BUDGETS)),
-            bool(obj.get("strict", True)),
+            obj.get("strict", True),
         )
 
 

@@ -4,19 +4,21 @@ For each image the candidates are split by iou_label into a positive set P
 (the k best) and a negative set Q (the lowest-ranked candidates, capped at
 min(n - k, 2k)). The model is a homogeneous linear scorer w trained so that
 every positive outscores every negative; the margin form asks for scores of
-at least +1 on P and at most -1 on Q, and the soft objective charges each
-image a single slack equal to its worst margin violation:
+at least +1 on P and at most -1 on Q. Both are rows of one system A w >= 1:
+an image contributes its P feature rows and its negated Q rows [P; -Q]. The
+all-pairs baseline is the same system with one row x_p - x_q per ordered
+pair. The soft objective charges each image a single slack equal to its
+worst row violation (per-image slack), or every row its own hinge (per-row
+slack, used by the per-constraint variant and the baseline):
 
-    J(w) = 0.5 * ||w||^2 + C * sum_j max(0, 1 - min_p s_p, 1 + max_q s_q)
+    J(w) = 0.5 * ||w||^2 + C * sum_j max(0, 1 - min_{r in image j} a_r . w)
 
 Hard margin is the same problem in the limit of large C (C = 1e6 in
 practice), not a separate mode; every trained partial model carries a report
-of its residual constraint violations. A per-constraint slack variant
-(summing every hinge instead of taking the per-image maximum) is available
-behind a config flag for comparison runs. Training is plain deterministic
-subgradient descent (the 1-slack objective of Joachims, "Training Linear SVMs
-in Linear Time", KDD 2006) and is bit-reproducible for a fixed dataset and
-config.
+of its residual constraint violations. Training is plain deterministic
+subgradient descent on the stacked rows (the 1-slack objective of Joachims,
+"Training Linear SVMs in Linear Time", KDD 2006) and is bit-reproducible for
+a fixed dataset and config.
 """
 
 from __future__ import annotations
@@ -144,64 +146,80 @@ def constraint_count(n: int, k: int) -> tuple[int, int]:
 
 
 # ---------------------------------------------------------------------------
-# Objective
+# Constraint rows and the objective
 
 
 @dataclass(eq=False)
-class _Compiled:
-    """P and Q feature rows of every image, stacked, with each image's start row."""
+class _Rows:
+    """Every image's constraint rows stacked into one matrix A; the model asks A @ w >= 1.
 
-    pos_stack: np.ndarray
-    neg_stack: np.ndarray
-    pos_starts: np.ndarray
-    neg_starts: np.ndarray
-    dim: int
+    Image j owns rows starts[j]:starts[j+1]. A partial image's rows are its
+    positives, then its negated negatives, and num_pos[j] counts the
+    positives; a baseline image has one x_p - x_q row per ordered pair.
+    """
 
-    def segments(self) -> list[tuple[np.ndarray, np.ndarray]]:
-        """Per-image (P, Q) feature blocks as views of the stacks."""
-        pos = np.split(self.pos_stack, self.pos_starts[1:])
-        neg = np.split(self.neg_stack, self.neg_starts[1:])
-        return list(zip(pos, neg))
+    matrix: np.ndarray
+    starts: np.ndarray
+    num_pos: list[int] | None = None
+
+    @classmethod
+    def stack(cls, blocks: list[np.ndarray], num_pos: list[int] | None = None) -> "_Rows":
+        starts = np.cumsum([0] + [b.shape[0] for b in blocks[:-1]])
+        return cls(np.concatenate(blocks, axis=0), starts, num_pos)
+
+    @property
+    def dim(self) -> int:
+        return self.matrix.shape[1]
+
+    def blocks(self) -> list[np.ndarray]:
+        """Per-image row blocks as views of the matrix."""
+        return np.split(self.matrix, self.starts[1:])
 
 
-def _compile(dataset: Dataset, partitions: list[ConstraintPartition]) -> _Compiled:
+def _feature_dim(dataset: Dataset) -> int:
+    """Width of the constraint rows; rejects a dataset there is nothing to train on."""
+    if not dataset.records:
+        raise DataError("cannot train on an empty dataset")
+    if dataset.feature_dim is None:
+        raise DataError("dataset has no featurized candidates")
+    return dataset.feature_dim
+
+
+def _partial_rows(dataset: Dataset, partitions: list[ConstraintPartition]) -> _Rows:
+    """Rows [P; -Q] of every image: scores >= +1 on positives and <= -1 on negatives."""
+    _feature_dim(dataset)
     if len(partitions) != len(dataset.records):
         raise DataError("one partition per record is required")
-    pos, neg = [], []
+    blocks = []
     for rec, part in zip(dataset.records, partitions):
         feats = rec.features_matrix()
-        indices = set(range(rec.num_candidates))
         for idx in part.positives + part.negatives:
-            if idx not in indices:
+            if not 0 <= idx < rec.num_candidates:
                 raise DataError(f"{rec.image_id}: partition index {idx} out of range")
-        pos.append(feats[list(part.positives)])
-        neg.append(feats[list(part.negatives)])
-    dims = {p.shape[1] for p in pos} | {q.shape[1] for q in neg}
-    if len(dims) != 1:
-        raise DataError(f"inconsistent feature dimensions: {sorted(dims)}")
-    dim = dims.pop()
-    pos_starts = np.cumsum([0] + [p.shape[0] for p in pos[:-1]])
-    neg_starts = np.cumsum([0] + [q.shape[0] for q in neg[:-1]])
-    return _Compiled(
-        pos_stack=np.concatenate(pos, axis=0),
-        neg_stack=np.concatenate(neg, axis=0),
-        pos_starts=pos_starts,
-        neg_starts=neg_starts,
-        dim=dim,
-    )
+        blocks.append(np.concatenate([feats[list(part.positives)], -feats[list(part.negatives)]]))
+    return _Rows.stack(blocks, [len(part.positives) for part in partitions])
 
 
-def _objective_compiled(w: np.ndarray, compiled: _Compiled, C: float, per_image_slack: bool) -> float:
-    sp = compiled.pos_stack @ w
-    sq = compiled.neg_stack @ w
+def _pair_rows(dataset: Dataset) -> _Rows:
+    """One x_p - x_q row per ordered pair (better, worse) of every image."""
+    dim = _feature_dim(dataset)
+    blocks = []
+    for rec in dataset.records:
+        feats = rec.features_matrix()
+        pairs = build_full_constraints(rec)
+        if pairs:
+            blocks.append(feats[[p for p, _ in pairs]] - feats[[q for _, q in pairs]])
+        else:
+            blocks.append(np.zeros((0, dim), dtype=np.float64))
+    return _Rows.stack(blocks)
+
+
+def _objective(w: np.ndarray, rows: _Rows, C: float, per_image_slack: bool) -> float:
+    """0.5 ||w||^2 + C * slack, charging each image its worst row or every row its own hinge."""
+    margins = rows.matrix @ w
     if per_image_slack:
-        worst_pos = 1.0 - np.minimum.reduceat(sp, compiled.pos_starts)
-        worst_neg = 1.0 + np.maximum.reduceat(sq, compiled.neg_starts)
-        slack = np.maximum(0.0, np.maximum(worst_pos, worst_neg))
-        hinge_total = float(np.sum(slack))
-    else:
-        hinge_total = float(np.sum(np.maximum(0.0, 1.0 - sp)) + np.sum(np.maximum(0.0, 1.0 + sq)))
-    return 0.5 * float(w @ w) + C * hinge_total
+        margins = np.minimum.reduceat(margins, rows.starts)
+    return 0.5 * float(w @ w) + C * float(np.sum(np.maximum(0.0, 1.0 - margins)))
 
 
 def objective(
@@ -212,33 +230,27 @@ def objective(
 ) -> float:
     """Value of the regularized soft-margin objective at w."""
     w = np.asarray(w, dtype=np.float64)
-    compiled = _compile(dataset, partitions)
-    if w.shape != (compiled.dim,):
-        raise DataError(f"weight dimension {w.shape} does not match features ({compiled.dim},)")
-    return _objective_compiled(w, compiled, config.C, config.per_image_slack)
+    rows = _partial_rows(dataset, partitions)
+    if w.shape != (rows.dim,):
+        raise DataError(f"weight dimension {w.shape} does not match features ({rows.dim},)")
+    return _objective(w, rows, config.C, config.per_image_slack)
 
 
-def _violation_summary(w: np.ndarray, compiled: _Compiled) -> dict:
-    """Residual constraint violations at w.
+def _violation_summary(w: np.ndarray, rows: _Rows) -> dict:
+    """Residual constraint violations of a partial model at w.
 
     rank_violations counts (p, q) pairs where the positive fails to strictly
     outscore the negative; hinge_violations counts margin constraints
     (score >= +1 on P, <= -1 on Q) that are not met.
     """
+    margins = rows.matrix @ w
     rank_violations = 0
-    hinge_violations = 0
-    max_residual = 0.0
-    for p_feats, q_feats in compiled.segments():
-        sp = p_feats @ w
-        sq = q_feats @ w
-        rank_violations += int(np.sum(sp[:, None] <= sq[None, :]))
-        hinge_violations += int(np.sum(sp < 1.0)) + int(np.sum(sq > -1.0))
-        residual = max(float(np.max(1.0 - sp)), float(np.max(1.0 + sq)), 0.0)
-        max_residual = max(max_residual, residual)
+    for m, n_pos in zip(np.split(margins, rows.starts[1:]), rows.num_pos):
+        rank_violations += int(np.sum(m[:n_pos, None] <= -m[None, n_pos:]))
     return {
         "rank_violations": rank_violations,
-        "hinge_violations": hinge_violations,
-        "max_hinge_residual": max_residual,
+        "hinge_violations": int(np.sum(margins < 1.0)),
+        "max_hinge_residual": max(float(np.max(1.0 - margins)), 0.0),
     }
 
 
@@ -275,76 +287,50 @@ def _provenance(dataset: Dataset, trainer: str) -> dict:
 
 
 def _descend(
-    dataset: Dataset,
+    rows: _Rows,
     config: TrainingConfig,
-    segments: list,
-    kind: str,
-    compiled_objective,
+    per_image_slack: bool,
+    every_violated_row: bool,
     trainer: str,
 ) -> tuple[np.ndarray, float, list[float]]:
-    """Shared solver loop.
+    """Subgradient descent on the stacked rows, visiting images in order.
 
-    segments holds per-image constraint data: (P, Q) feature pairs for the
-    partial model ("max" steps on the single most-violated constraint, "sum"
-    on every violated hinge), or a difference matrix for the pairwise
-    baseline ("pairs", most-violated pair). Each step moves along the
-    subgradient w/N + C * g with the decaying step size. The best iterate by
-    objective value (the zero start included) is returned together with the
-    best-so-far per-epoch objective history. A convergence_tol of zero
-    disables early stopping.
+    Each visit computes the image's margins, shrinks w by 1 - eta/N and adds
+    eta * C times its most violated row (the lowest margin below 1; on ties
+    the earlier row, so positives before negatives, then the lowest rank
+    index), or with every_violated_row the sum of every row whose margin is
+    below 1. The step size decays as eta0 / (1 + step_decay * t). The best
+    iterate by objective value (the zero start included) is returned together
+    with the best-so-far per-epoch objective history. A convergence_tol of
+    zero disables early stopping.
     """
-    num_images = len(dataset.records)
-    if num_images == 0:
-        raise DataError("cannot train on an empty dataset")
-    dim = dataset.feature_dim
-    if dim is None:
-        raise DataError("dataset has no featurized candidates")
+    blocks = rows.blocks()
+    num_images = len(blocks)
     C = config.C
     eta0 = config.eta0 if config.eta0 is not None else float(num_images)
     decay = config.step_decay
 
-    w = np.zeros(dim, dtype=np.float64)
+    w = np.zeros(rows.dim, dtype=np.float64)
     best_w = w.copy()
-    best_obj = compiled_objective(w)
+    best_obj = _objective(w, rows, C, per_image_slack)
     history: list[float] = []
     stall = 0
     t = 0
     for epoch in range(config.epochs):
-        for seg in segments:
+        for block in blocks:
             t += 1
             eta = eta0 / (1.0 + decay * t)
-            if kind == "pairs":
-                w *= 1.0 - eta / num_images
-                if seg.shape[0]:
-                    margins = seg @ w
-                    i = int(np.argmin(margins))
-                    if margins[i] < 1.0:
-                        w += (eta * C) * seg[i]
-                continue
-            p_feats, q_feats = seg
-            sp = p_feats @ w
-            sq = q_feats @ w
-            if kind == "max":
-                # Ties prefer the positive side, then the lowest rank index.
-                ip = int(np.argmin(sp))
-                iq = int(np.argmax(sq))
-                worst_pos = 1.0 - sp[ip]
-                worst_neg = 1.0 + sq[iq]
-                w *= 1.0 - eta / num_images
-                if worst_pos > 0.0 or worst_neg > 0.0:
-                    if worst_pos >= worst_neg:
-                        w += (eta * C) * p_feats[ip]
-                    else:
-                        w -= (eta * C) * q_feats[iq]
-            else:  # "sum": per-constraint slack, every violated hinge contributes
-                viol_p = sp < 1.0
-                viol_q = sq > -1.0
-                w *= 1.0 - eta / num_images
-                if np.any(viol_p):
-                    w += (eta * C) * np.sum(p_feats[viol_p], axis=0)
-                if np.any(viol_q):
-                    w -= (eta * C) * np.sum(q_feats[viol_q], axis=0)
-        epoch_obj = compiled_objective(w)
+            margins = block @ w
+            w *= 1.0 - eta / num_images
+            if every_violated_row:
+                violated = margins < 1.0
+                if np.any(violated):
+                    w += (eta * C) * np.sum(block[violated], axis=0)
+            elif margins.size:
+                i = int(np.argmin(margins))
+                if margins[i] < 1.0:
+                    w += (eta * C) * block[i]
+        epoch_obj = _objective(w, rows, C, per_image_slack)
         if not math.isfinite(epoch_obj):
             raise NumericError(f"objective became non-finite at epoch {epoch}")
         improved = best_obj - epoch_obj
@@ -373,29 +359,26 @@ def train_soft_margin(
 
     Images are visited in dataset order each epoch; per image the single most
     violated margin constraint (ties prefer the positive side, then the
-    lowest rank index) drives the step. The returned model carries a report
-    of the residual constraint violations at its weights; with a large C
-    (1e6) this is the hard-margin feasibility check. The per-epoch objective
-    history records the best value seen so far and is therefore
-    non-increasing, and final_objective never exceeds the zero-weight
-    objective C * num_images.
+    lowest rank index) drives the step, or with per-constraint slack every
+    violated one. The returned model carries a report of the residual
+    constraint violations at its weights; with a large C (1e6) this is the
+    hard-margin feasibility check. The per-epoch objective history records
+    the best value seen so far and is therefore non-increasing, and
+    final_objective never exceeds the zero-weight objective.
     """
-    partitions = [build_partial_constraints(rec, config) for rec in dataset.records]
-    compiled = _compile(dataset, partitions)
-    kind = "max" if config.per_image_slack else "sum"
-
-    def obj(w: np.ndarray) -> float:
-        return _objective_compiled(w, compiled, config.C, config.per_image_slack)
-
-    best_w, best_obj, history = _descend(dataset, config, compiled.segments(), kind, obj, "partial")
+    rows = _partial_rows(dataset, [build_partial_constraints(rec, config) for rec in dataset.records])
+    per_image = config.per_image_slack
+    best_w, best_obj, history = _descend(
+        rows, config, per_image_slack=per_image, every_violated_row=not per_image, trainer="partial"
+    )
     return TrainedModel(
         weights=best_w,
-        feature_dim=compiled.dim,
+        feature_dim=rows.dim,
         training_config=config,
         final_objective=best_obj,
         hog_config=hog_config,
         provenance=_provenance(dataset, "partial"),
-        violation_report=_violation_summary(best_w, compiled),
+        violation_report=_violation_summary(best_w, rows),
         objective_history=tuple(history),
     )
 
@@ -408,37 +391,17 @@ def train_full_rank_baseline(
     """Train the all-pairs baseline with the same solver machinery.
 
     The objective sums one hinge max(0, 1 - w . (x_p - x_q)) per ordered pair
-    over every pair of candidates, n(n-1)/2 per image. Images with a single
-    candidate contribute no pairs and leave the weights untouched.
+    over every pair of candidates, n(n-1)/2 per image; each step takes the
+    image's most violated pair. Images with a single candidate contribute no
+    pairs and leave the weights untouched.
     """
-    diffs: list[np.ndarray] = []
-    for rec in dataset.records:
-        feats = rec.features_matrix()
-        pairs = build_full_constraints(rec)
-        if pairs:
-            p_idx = [p for p, _ in pairs]
-            q_idx = [q for _, q in pairs]
-            diffs.append(feats[p_idx] - feats[q_idx])
-        else:
-            dim = feats.shape[1] if feats.size else (dataset.feature_dim or 0)
-            diffs.append(np.zeros((0, dim), dtype=np.float64))
-    if dataset.feature_dim is None:
-        raise DataError("dataset has no featurized candidates")
-    all_diffs = [d for d in diffs if d.shape[0]]
-    stack = np.concatenate(all_diffs, axis=0) if all_diffs else np.zeros((0, dataset.feature_dim))
-
-    def obj(w: np.ndarray) -> float:
-        if stack.shape[0]:
-            hinge = np.maximum(0.0, 1.0 - stack @ w)
-            total = float(np.sum(hinge))
-        else:
-            total = 0.0
-        return 0.5 * float(w @ w) + config.C * total
-
-    best_w, best_obj, history = _descend(dataset, config, diffs, "pairs", obj, "full-rank")
+    rows = _pair_rows(dataset)
+    best_w, best_obj, history = _descend(
+        rows, config, per_image_slack=False, every_violated_row=False, trainer="full-rank"
+    )
     return TrainedModel(
         weights=best_w,
-        feature_dim=dataset.feature_dim,
+        feature_dim=rows.dim,
         training_config=config,
         final_objective=best_obj,
         hog_config=hog_config,

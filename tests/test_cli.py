@@ -22,11 +22,28 @@ def test_usage_errors_exit_1(capsys):
     capsys.readouterr()
 
 
-def test_missing_and_malformed_inputs_exit_2(tmp_path, capsys):
+def test_missing_and_malformed_inputs_exit_2(tmp_path, capsys, caplog):
     assert main(["label", str(tmp_path / "absent.jsonl"), str(tmp_path / "out.jsonl")]) == 2
     bad = tmp_path / "bad.jsonl"
     bad.write_text('{"image_id": "a"}\n', encoding="utf-8")
     assert main(["label", str(bad), str(tmp_path / "out.jsonl")]) == 2
+    good = '{"image_id": "ok", "width": 8, "height": 8}\n'
+    head = '{"image_id": "a", "width": 8, "height": 8, '
+    cand = '"candidates": [{"box": [1, 1, 3, 3], '
+    for record in (
+        head + '"groundtruth": 5}',
+        head + '"candidates": 5}',
+        head + cand + '"iou_label": "x"}]}',
+        head + cand + '"iou_label": [1]}]}',
+        head + cand + '"features": ["a"]}]}',
+        head + cand + '"features": {"a": 1}}]}',
+    ):
+        bad.write_text(good + record + "\n", encoding="utf-8")
+        assert main(["label", str(bad), str(tmp_path / "out.jsonl")]) == 2
+        assert "line 2: a: " in caplog.messages[-1]
+    bad.write_bytes(good.encode() + b'{"image_id": "\xff"}\n')
+    assert main(["label", str(bad), str(tmp_path / "out.jsonl")]) == 2
+    assert "line 2: not valid UTF-8" in caplog.messages[-1]
     assert not (tmp_path / "out.jsonl").exists()
     data = tmp_path / "feats.jsonl"
     assert main(["synth", str(data), "--num-images", "3", "--candidates", "6", "--feature-dim", "4"]) == 0
@@ -115,6 +132,13 @@ def test_eval_and_report_round_trip(tmp_path, capsys):
     assert code == 0
     assert rendered == text
 
+    saved = json.loads((tmp_path / "cmp.json").read_text())
+    bad = tmp_path / "bad.json"
+    for key, value in (("proposal_budgets", [1, 5, 10, 77]), ("strict", "false")):
+        bad.write_text(json.dumps({**saved, "config": {**saved["config"], key: value}}))
+        assert main(["report", str(bad), "--output", str(tmp_path / "bad")]) == 2
+    assert not (tmp_path / "bad.txt").exists()
+
     code, again = run(capsys, "eval", data, data, "--budgets", "1,5",
                       "--thresholds", "0.5", "--label-a", "x", "--label-b", "y")
     assert code == 0
@@ -184,6 +208,16 @@ def test_featurize_attaches_hog_and_train_uses_sidecar(tmp_path, capsys):
     saved = json.loads(model_path.read_text())
     assert saved["hog_config"]["resize_w"] == 16
     assert load_model(model_path).hog_config is not None
+
+    ranked = tmp_path / "ranked.jsonl"
+    assert run(capsys, "rerank", feat, ranked, "--model", model_path)[0] == 0
+    ranked.unlink()
+    # Same dimension, different geometry: the features do not mean what the model learned.
+    meta["hog_config"]["clip_value"] = 0.3
+    (tmp_path / "feat.jsonl.meta.json").write_text(json.dumps(meta))
+    assert main(["rerank", str(feat), str(ranked), "--model", str(model_path)]) == 2
+    assert not ranked.exists()
+    capsys.readouterr()
 
 
 def test_manifest_records_input_digests(tmp_path, capsys):

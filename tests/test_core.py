@@ -263,6 +263,17 @@ def test_record_dict_rejects_malformed_pieces():
         record_from_dict({**base, "candidates": [{"box": [1, 2, 3, "x"]}]})
     with pytest.raises(DataError, match="width"):
         record_from_dict({"image_id": "m", "width": True, "height": 8})
+    with pytest.raises(DataError, match="m: groundtruth must be a list"):
+        record_from_dict({**base, "groundtruth": 5})
+    with pytest.raises(DataError, match="m: candidates must be a list"):
+        record_from_dict({**base, "candidates": 5})
+    box = [1, 1, 3, 3]
+    for label in ("x", [1]):
+        with pytest.raises(DataError, match="candidate 0 iou_label must be a number"):
+            record_from_dict({**base, "candidates": [{"box": box, "iou_label": label}]})
+    for feats in (["a"], {"a": 1}):
+        with pytest.raises(DataError, match="candidate 0 features must be a list of numbers"):
+            record_from_dict({**base, "candidates": [{"box": box, "features": feats}]})
     rec = record_from_dict({**base, "width": 8.0})
     assert rec.width == 8
 
