@@ -20,7 +20,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import __version__
-from .core import DataError, Dataset, atomic_write_text, label_dataset, read_dataset, write_dataset
+from .core import DataError, Dataset, atomic_write_text, decode_json, label_dataset, read_dataset, write_dataset
 from .features import HogConfig, PgmDirectory, featurize_dataset
 from .metrics import EvalConfig, EvalReport, identity_rankings, render_csv, render_text, report
 from .ranking import (
@@ -133,21 +133,18 @@ def cmd_featurize(args: argparse.Namespace) -> int:
     return 0
 
 
+def _hog_config_of_sidecar(meta) -> HogConfig | None:
+    if not isinstance(meta, dict):
+        raise DataError("not a JSON object")
+    # A synth sidecar has no hog_config: the dataset has no HOG features.
+    return HogConfig.from_dict(meta["hog_config"]) if "hog_config" in meta else None
+
+
 def _sidecar_hog_config(dataset_path: Path) -> HogConfig | None:
     meta_path = dataset_path.with_name(dataset_path.name + ".meta.json")
     if not meta_path.is_file():
         return None
-    try:
-        meta = json.loads(meta_path.read_text(encoding="utf-8"))
-        if not isinstance(meta, dict):
-            raise DataError("not a JSON object")
-        if "hog_config" not in meta:
-            return None  # a synth sidecar: no HOG features
-        if not isinstance(meta["hog_config"], dict):
-            raise DataError("hog_config is not a JSON object")
-        return HogConfig.from_dict(meta["hog_config"])
-    except (TypeError, ValueError) as exc:
-        raise DataError(f"{meta_path}: invalid sidecar ({exc})") from exc
+    return decode_json(meta_path.read_bytes(), _hog_config_of_sidecar, str(meta_path), "sidecar")
 
 
 def cmd_train(args: argparse.Namespace) -> int:
@@ -299,17 +296,9 @@ def cmd_synth(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_report(args: argparse.Namespace) -> int:
-    started = time.monotonic()
-    try:
-        obj = json.loads(args.input.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise DataError(f"{args.input}: invalid report JSON ({exc.msg})") from exc
-    try:
-        config = EvalConfig.from_dict(obj["config"])
-        reports = [EvalReport.from_dict(entry) for entry in obj["sources"]]
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
-        raise DataError(f"{args.input}: malformed report file ({exc})") from exc
+def _saved_report(obj) -> tuple[EvalConfig, list[EvalReport]]:
+    config = EvalConfig.from_dict(obj["config"])
+    reports = [EvalReport.from_dict(entry) for entry in obj["sources"]]
     for i, rep in enumerate(reports):
         missing = [
             f"DR at IoU {d:g}, budget {m}"
@@ -319,7 +308,13 @@ def cmd_report(args: argparse.Namespace) -> int:
         ]
         missing += [f"MABO at budget {m}" for m in config.proposal_budgets if m not in rep.mabo]
         if missing:
-            raise DataError(f"{args.input}: source {i} has no {missing[0]}, which its config lists")
+            raise DataError(f"source {i} has no {missing[0]}, which its config lists")
+    return config, reports
+
+
+def cmd_report(args: argparse.Namespace) -> int:
+    started = time.monotonic()
+    config, reports = decode_json(args.input.read_bytes(), _saved_report, str(args.input), "report")
     text = render_text(reports, config)
     sys.stdout.write(text)
     outputs: list[Path] = []

@@ -13,13 +13,38 @@ import math
 import os
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Iterable
+from typing import Callable, Iterable, TypeVar
 
 import numpy as np
 
 
 class DataError(ValueError):
     """Raised when a record, file, or dataset violates an input contract."""
+
+
+T = TypeVar("T")
+
+
+def decode_json(raw: bytes | str, build: Callable[[object], T], where: str, what: str = "") -> T:
+    """build() applied to one JSON document: a whole file or one dataset line.
+
+    Every way the input can be malformed (bad UTF-8, bad JSON, nesting too deep
+    for the parser, a value build() rejects) is a DataError whose message
+    starts with where, a path or "line N". what names the kind of a whole file
+    in the message ("model" gives "invalid model JSON" and "invalid model file").
+    """
+    kind = f"{what} " if what else ""
+    try:
+        obj = json.loads(raw.decode("utf-8") if isinstance(raw, bytes) else raw)
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{where}: not valid UTF-8 ({exc.reason} at byte {exc.start})") from exc
+    except (ValueError, RecursionError) as exc:
+        raise DataError(f"{where}: invalid {kind}JSON ({getattr(exc, 'msg', exc)})") from exc
+    try:
+        return build(obj)
+    except (TypeError, ValueError, KeyError, AttributeError, OverflowError) as exc:  # DataError is a ValueError
+        context = f"{where}: invalid {what} file" if what else where
+        raise DataError(f"{context}: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -275,14 +300,14 @@ def _as_int(value, what: str) -> int:
 def _as_float(value, what: str) -> float:
     try:
         return float(value)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise DataError(f"{what} must be a number, got {value!r}") from exc
 
 
 def _as_vector(value, what: str) -> np.ndarray:
     try:
         return np.asarray(value, dtype=np.float64)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise DataError(f"{what} must be a list of numbers") from exc
 
 
@@ -299,7 +324,7 @@ def _box_from_list(value, what: str) -> Box:
         raise DataError(f"{what} must be a 4-element [x_min, y_min, x_max, y_max] list")
     try:
         coords = [float(v) for v in value]
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise DataError(f"{what} has a non-numeric coordinate") from exc
     return Box(*coords)
 
@@ -344,34 +369,19 @@ def dataset_to_lines(dataset: Dataset) -> list[str]:
     return [json.dumps(record_to_dict(rec), allow_nan=False) for rec in dataset.records]
 
 
-def dataset_from_lines(lines: Iterable[str]) -> Dataset:
-    records = []
-    for line_no, line in enumerate(lines, start=1):
-        text = line.strip()
-        if not text:
-            continue
-        try:
-            obj = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise DataError(f"line {line_no}: invalid JSON ({exc.msg})") from exc
-        try:
-            records.append(record_from_dict(obj))
-        except DataError as exc:
-            raise DataError(f"line {line_no}: {exc}") from exc
+def dataset_from_lines(lines: Iterable[bytes | str]) -> Dataset:
+    """Dataset from JSON Lines, one record per line; blank lines are skipped."""
+    records = [
+        decode_json(line, record_from_dict, f"line {line_no}")
+        for line_no, line in enumerate(lines, start=1)
+        if line.strip()
+    ]
     return Dataset(tuple(records))
-
-
-def _utf8_lines(raw_lines: Iterable[bytes]) -> Iterable[str]:
-    for line_no, raw in enumerate(raw_lines, start=1):
-        try:
-            yield raw.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise DataError(f"line {line_no}: not valid UTF-8 ({exc.reason} at byte {exc.start})") from exc
 
 
 def read_dataset(path: str | Path) -> Dataset:
     with open(path, "rb") as fh:
-        return dataset_from_lines(_utf8_lines(fh))
+        return dataset_from_lines(fh)
 
 
 def atomic_write_text(path: str | Path, text: str) -> None:

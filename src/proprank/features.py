@@ -94,8 +94,9 @@ class HogConfig:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "HogConfig":
-        known = {f: obj[f] for f in cls.__dataclass_fields__ if f in obj}
-        return cls(**known)
+        if not isinstance(obj, dict):
+            raise DataError(f"hog_config must be a JSON object, got {obj!r}")
+        return cls(**{f: obj[f] for f in cls.__dataclass_fields__ if f in obj})
 
 
 def crop_and_resize(image: GrayImage, box: Box, config: HogConfig) -> GrayImage:
@@ -209,17 +210,15 @@ def featurize_dataset(
         if keep_existing and rec.candidates and all(c.features is not None for c in rec.candidates):
             out_records.append(rec)
             continue
-        image = images.get(rec.image_id)
-        if image is None:
-            failures.append(f"{rec.image_id}: image not found")
-            out_records.append(rec)
-            continue
         try:
+            image = images.get(rec.image_id)
+            if image is None:
+                raise DataError("image not found")
             cands = tuple(
                 Candidate(c.box, c.iou_label, describe_box(image, c.box, config), c.source_index)
                 for c in rec.candidates
             )
-        except DataError as exc:
+        except (DataError, OSError) as exc:
             failures.append(f"{rec.image_id}: {exc}")
             out_records.append(rec)
             continue
@@ -263,6 +262,8 @@ def read_pgm(path: str | Path) -> GrayImage:
     if maxval <= 0 or maxval > 255:
         raise DataError(f"{path}: only 8-bit PGM is supported, maxval={maxval}")
     pos += 1  # single whitespace byte separates header and raster
+    if width <= 0 or height <= 0:
+        raise DataError(f"{path}: image size must be positive, got {width}x{height}")
     raster = data[pos:pos + width * height]
     if len(raster) < width * height:
         raise DataError(f"{path}: raster is truncated")

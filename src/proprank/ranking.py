@@ -32,7 +32,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import DataError, Dataset, ImageRecord, atomic_write_text, dataset_digest, rank_by_label
+from .core import DataError, Dataset, ImageRecord, atomic_write_text, dataset_digest, decode_json, rank_by_label
 from .features import HogConfig
 
 logger = logging.getLogger(__name__)
@@ -274,7 +274,7 @@ class TrainedModel:
         if w.shape != (self.feature_dim,):
             raise DataError(f"weights shape {w.shape} does not match feature_dim {self.feature_dim}")
         if not np.all(np.isfinite(w)):
-            raise NumericError("model weights are not finite")
+            raise DataError("model weights are not finite")
         object.__setattr__(self, "weights", w)
 
 
@@ -454,24 +454,16 @@ def model_to_dict(model: TrainedModel) -> dict:
 
 
 def model_from_dict(obj: dict) -> TrainedModel:
-    try:
-        weights = np.asarray(obj["weights"], dtype=np.float64)
-        feature_dim = int(obj["feature_dim"])
-        config = TrainingConfig.from_dict(obj["config"])
-        final_objective = float(obj["final_objective"])
-        history = tuple(float(v) for v in obj.get("objective_history", ()))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise DataError(f"invalid model file: {exc}") from exc
-    hog_config = HogConfig.from_dict(obj["hog_config"]) if obj.get("hog_config") else None
+    hog_config = obj.get("hog_config")
     return TrainedModel(
-        weights=weights,
-        feature_dim=feature_dim,
-        training_config=config,
-        final_objective=final_objective,
-        hog_config=hog_config,
+        weights=np.asarray(obj["weights"], dtype=np.float64),
+        feature_dim=int(obj["feature_dim"]),
+        training_config=TrainingConfig.from_dict(obj["config"]),
+        final_objective=float(obj["final_objective"]),
+        hog_config=None if hog_config is None else HogConfig.from_dict(hog_config),
         provenance=dict(obj.get("provenance", {})),
         violation_report=obj.get("violation_report"),
-        objective_history=history,
+        objective_history=tuple(float(v) for v in obj.get("objective_history", ())),
     )
 
 
@@ -480,8 +472,4 @@ def save_model(model: TrainedModel, path: str | Path) -> None:
 
 
 def load_model(path: str | Path) -> TrainedModel:
-    try:
-        obj = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise DataError(f"{path}: invalid model JSON ({exc.msg})") from exc
-    return model_from_dict(obj)
+    return decode_json(Path(path).read_bytes(), model_from_dict, str(path), "model")

@@ -41,16 +41,47 @@ def test_missing_and_malformed_inputs_exit_2(tmp_path, capsys, caplog):
         bad.write_text(good + record + "\n", encoding="utf-8")
         assert main(["label", str(bad), str(tmp_path / "out.jsonl")]) == 2
         assert "line 2: a: " in caplog.messages[-1]
+    # Integers beyond float range (OverflowError) and nesting too deep for the
+    # JSON parser (RecursionError) used to crash with a traceback and exit 1.
+    big = "1" + "0" * 400
+    for record in (
+        head + cand + f'"iou_label": {big}}}]}}',
+        head + f'"candidates": [{{"box": [1, 1, 3, {big}]}}]}}',
+        head + f'"groundtruth": [{{"class": "c", "box": [1, 1, 3, {big}]}}]}}',
+        head + cand + f'"features": [1, {big}]}}]}}',
+        "[" * 100000 + "]" * 100000,
+    ):
+        bad.write_text(good + record + "\n", encoding="utf-8")
+        assert main(["label", str(bad), str(tmp_path / "out.jsonl")]) == 2
+        assert "line 2: " in caplog.messages[-1]
     bad.write_bytes(good.encode() + b'{"image_id": "\xff"}\n')
     assert main(["label", str(bad), str(tmp_path / "out.jsonl")]) == 2
     assert "line 2: not valid UTF-8" in caplog.messages[-1]
     assert not (tmp_path / "out.jsonl").exists()
     data = tmp_path / "feats.jsonl"
     assert main(["synth", str(data), "--num-images", "3", "--candidates", "6", "--feature-dim", "4"]) == 0
+    sidecar_path = tmp_path / "feats.jsonl.meta.json"
     for sidecar in ("{", "[1]", '{"hog_config": 5}', '{"hog_config": {"cell_size": "x"}}'):
-        (tmp_path / "feats.jsonl.meta.json").write_text(sidecar, encoding="utf-8")
+        sidecar_path.write_text(sidecar, encoding="utf-8")
         assert main(["train", str(data), str(tmp_path / "model.json"), "--k", "1"]) == 2
+        assert str(sidecar_path) in caplog.messages[-1]
     assert not (tmp_path / "model.json").exists()
+
+    sidecar_path.unlink()
+    good_model = tmp_path / "good.json"
+    assert main(["train", str(data), str(good_model), "--k", "1", "--epochs", "5"]) == 0
+    saved = json.loads(good_model.read_text())
+    model = tmp_path / "model.json"
+    ranked = tmp_path / "ranked.jsonl"
+    for key, value in (("hog_config", 5), ("hog_config", "x"), ("hog_config", {"cell_size": "a"}),
+                       ("provenance", 5), ("objective_history", [10**400]), ("weights", [None] * 4)):
+        model.write_text(json.dumps({**saved, key: value}), encoding="utf-8")
+        assert main(["rerank", str(data), str(ranked), "--model", str(model)]) == 2
+        assert f"{model}: invalid model file" in caplog.messages[-1]
+    model.write_bytes(b'{"weights": "\xff"}')
+    assert main(["rerank", str(data), str(ranked), "--model", str(model)]) == 2
+    assert f"{model}: not valid UTF-8" in caplog.messages[-1]
+    assert not ranked.exists()
     capsys.readouterr()
 
 
@@ -108,7 +139,7 @@ def test_train_rerank_eval_pipeline(tmp_path, capsys):
         assert all(a >= b - 1e-12 for a, b in zip(scores, scores[1:]))
 
 
-def test_eval_and_report_round_trip(tmp_path, capsys):
+def test_eval_and_report_round_trip(tmp_path, capsys, caplog):
     data = tmp_path / "geo.jsonl"
     run(capsys, "synth", data, "--mode", "geometric", "--seed", 12,
         "--num-images", 6, "--candidates", 25)
@@ -137,6 +168,10 @@ def test_eval_and_report_round_trip(tmp_path, capsys):
     for key, value in (("proposal_budgets", [1, 5, 10, 77]), ("strict", "false")):
         bad.write_text(json.dumps({**saved, "config": {**saved["config"], key: value}}))
         assert main(["report", str(bad), "--output", str(tmp_path / "bad")]) == 2
+    for raw in (b'{"config": "\xff"}', b"[" * 100000, json.dumps({**saved, "sources": 5}).encode()):
+        bad.write_bytes(raw)
+        assert main(["report", str(bad), "--output", str(tmp_path / "bad")]) == 2
+        assert str(bad) in caplog.messages[-1]
     assert not (tmp_path / "bad.txt").exists()
 
     code, again = run(capsys, "eval", data, data, "--budgets", "1,5",

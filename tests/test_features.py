@@ -42,6 +42,9 @@ def test_hog_config_geometry_and_dimension():
     assert cfg.dimension == 1080
     assert TINY.dimension == 1 * 1 * 2 * 2 * 9
     assert HogConfig.from_dict(cfg.to_dict()) == cfg
+    for not_an_object in ("x", "resize_w", 5, [1]):
+        with pytest.raises(DataError, match="hog_config must be a JSON object"):
+            HogConfig.from_dict(not_an_object)
     with pytest.raises(DataError):
         HogConfig(resize_w=8, resize_h=8, cell_size=8)  # 1x1 cells < 2x2 block
     with pytest.raises(DataError):
@@ -168,7 +171,7 @@ def test_describe_box_composes_crop_and_hog():
     assert_allclose(d0, d1)
 
 
-def test_featurize_dataset_attaches_and_reports_failures():
+def test_featurize_dataset_attaches_and_reports_failures(tmp_path):
     rng = np.random.default_rng(5)
     imgs = {
         "a": gray(rng.uniform(size=(12, 12))),
@@ -190,6 +193,15 @@ def test_featurize_dataset_attaches_and_reports_failures():
     refreshed, failures2 = featurize_dataset(out, imgs, TINY, keep_existing=True)
     assert failures2 == ["c: image not found"]
     assert refreshed.records[0] is out.records[0]
+
+    # A dict never fails to read; a directory holding a truncated PGM does, and
+    # that is a failure of its record only.
+    (tmp_path / "a.pgm").write_bytes(b"P5\n12 12\n255\n" + bytes(range(144)))
+    (tmp_path / "b.pgm").write_bytes(b"P5\n12 12\n255\n" + bytes(10))
+    from_disk, failures3 = featurize_dataset(ds, PgmDirectory(tmp_path), TINY)
+    assert failures3 == [f"b: {tmp_path / 'b.pgm'}: raster is truncated", "c: image not found"]
+    assert from_disk.records[0].features_matrix().shape == (2, TINY.dimension)
+    assert from_disk.records[1] is rec_b
 
 
 def test_pgm_round_trip(tmp_path):
@@ -220,6 +232,10 @@ def test_pgm_rejects_bad_files(tmp_path):
     short.write_bytes(b"P5\n4 4\n255\n" + bytes(3))
     with pytest.raises(DataError, match="truncated"):
         read_pgm(short)
+    for header in (b"P5\n-5 4\n255\n", b"P5\n0 4\n255\n", b"P5\n4 -5\n255\n" + bytes(64)):
+        short.write_bytes(header)
+        with pytest.raises(DataError, match="short.pgm: image size must be positive"):
+            read_pgm(short)
 
 
 def test_pgm_directory_lookup(tmp_path):
