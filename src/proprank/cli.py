@@ -3,9 +3,13 @@
 Subcommands: label, featurize, train, rerank, eval, synth, report. Exit
 codes: 0 success, 1 usage error, 2 data error, 3 numeric failure. Logs go to
 standard error; data goes to files or standard output. Every command
-validates its inputs and computes results before writing anything, and every
-successful run that writes files leaves a <output>.manifest.json next to its
-primary output.
+validates its inputs and computes results before writing anything.
+
+main() owns the run protocol: it starts the clock, runs the command, writes
+the manifest and maps errors to exit codes. A command only computes, writes
+its outputs and returns the (inputs, outputs) paths it read and wrote. Every
+successful run that writes files leaves a <output>.manifest.json beside its
+primary output, the first path it returns.
 """
 
 from __future__ import annotations
@@ -50,9 +54,12 @@ def _sha256_file(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+def _beside(path: Path, suffix: str) -> Path:
+    """The sibling file named path + suffix: sidecars, manifests and report tables."""
+    return path.with_name(path.name + suffix)
+
+
 def _write_manifest(args: argparse.Namespace, inputs: list[Path], outputs: list[Path], started: float) -> None:
-    if not outputs:
-        return
     resolved = {k: v for k, v in sorted(vars(args).items()) if k != "func"}
     manifest = {
         "command": args.command,
@@ -65,30 +72,40 @@ def _write_manifest(args: argparse.Namespace, inputs: list[Path], outputs: list[
         "wall_time_s": round(time.monotonic() - started, 3),
         "version": __version__,
     }
-    path = outputs[0].with_name(outputs[0].name + ".manifest.json")
-    atomic_write_text(path, json.dumps(manifest, indent=2) + "\n")
+    atomic_write_text(_beside(outputs[0], ".manifest.json"), json.dumps(manifest, indent=2) + "\n")
 
 
-def _parse_int_list(text: str, what: str) -> tuple[int, ...]:
+def _parse_list(text: str, what: str, kind: type = float, pair: str = "") -> tuple:
+    """Comma-separated values of one kind; with pair (e.g. "lo,hi") exactly two of them."""
     try:
-        return tuple(int(v) for v in text.split(","))
+        values = tuple(kind(v) for v in text.split(","))
     except ValueError as exc:
-        raise UsageError(f"{what} must be a comma-separated list of integers") from exc
+        noun = "integers" if kind is int else "numbers"
+        raise UsageError(f"{what} must be a comma-separated list of {noun}") from exc
+    if pair and len(values) != 2:
+        raise UsageError(f"{what} must be '{pair}'")
+    return values
 
 
-def _parse_float_list(text: str, what: str) -> tuple[float, ...]:
-    try:
-        return tuple(float(v) for v in text.split(","))
-    except ValueError as exc:
-        raise UsageError(f"{what} must be a comma-separated list of numbers") from exc
+def _write_tables(base: Path | None, tables: dict[str, str]) -> list[Path]:
+    """Print the text table; given a base path, also write each table to base + its suffix."""
+    sys.stdout.write(tables[".txt"])
+    if base is None:
+        return []
+    paths = [_beside(base, suffix) for suffix in tables]
+    for path, text in zip(paths, tables.values()):
+        atomic_write_text(path, text)
+    return paths
 
 
 # ---------------------------------------------------------------------------
 # Commands
 
 
-def cmd_label(args: argparse.Namespace) -> int:
-    started = time.monotonic()
+Paths = tuple[list[Path], list[Path]]
+
+
+def cmd_label(args: argparse.Namespace) -> Paths:
     dataset = read_dataset(args.input)
     labeled = label_dataset(dataset)
     objects = sum(len(r.groundtruth) for r in labeled.records)
@@ -98,8 +115,7 @@ def cmd_label(args: argparse.Namespace) -> int:
         "labeled %d records (%d groundtruth objects, %d candidates) -> %s",
         len(labeled.records), objects, candidates, args.output,
     )
-    _write_manifest(args, [args.input], [args.output], started)
-    return 0
+    return [args.input], [args.output]
 
 
 def _hog_config_from(args: argparse.Namespace) -> HogConfig:
@@ -114,8 +130,7 @@ def _hog_config_from(args: argparse.Namespace) -> HogConfig:
     )
 
 
-def cmd_featurize(args: argparse.Namespace) -> int:
-    started = time.monotonic()
+def cmd_featurize(args: argparse.Namespace) -> Paths:
     dataset = read_dataset(args.input)
     config = _hog_config_from(args)
     images = PgmDirectory(args.images)
@@ -123,14 +138,13 @@ def cmd_featurize(args: argparse.Namespace) -> int:
     for failure in failures:
         logger.warning("featurize: %s", failure)
     write_dataset(featurized, args.output)
-    meta_path = args.output.with_name(args.output.name + ".meta.json")
+    meta_path = _beside(args.output, ".meta.json")
     atomic_write_text(meta_path, json.dumps({"hog_config": config.to_dict()}, indent=2) + "\n")
     logger.info(
         "featurized %d records (%d failures, dimension %d) -> %s",
         len(featurized.records), len(failures), config.dimension, args.output,
     )
-    _write_manifest(args, [args.input], [args.output, meta_path], started)
-    return 0
+    return [args.input], [args.output, meta_path]
 
 
 def _hog_config_of_sidecar(meta) -> HogConfig | None:
@@ -141,14 +155,13 @@ def _hog_config_of_sidecar(meta) -> HogConfig | None:
 
 
 def _sidecar_hog_config(dataset_path: Path) -> HogConfig | None:
-    meta_path = dataset_path.with_name(dataset_path.name + ".meta.json")
+    meta_path = _beside(dataset_path, ".meta.json")
     if not meta_path.is_file():
         return None
     return decode_json(meta_path.read_bytes(), _hog_config_of_sidecar, str(meta_path), "sidecar")
 
 
-def cmd_train(args: argparse.Namespace) -> int:
-    started = time.monotonic()
+def cmd_train(args: argparse.Namespace) -> Paths:
     dataset = read_dataset(args.input)
     config = TrainingConfig(
         k=args.k,
@@ -168,12 +181,10 @@ def cmd_train(args: argparse.Namespace) -> int:
     )
     if model.violation_report is not None:  # the all-pairs baseline has none
         logger.info("violation report: %s", json.dumps(model.violation_report))
-    _write_manifest(args, [args.input], [args.output], started)
-    return 0
+    return [args.input], [args.output]
 
 
-def cmd_rerank(args: argparse.Namespace) -> int:
-    started = time.monotonic()
+def cmd_rerank(args: argparse.Namespace) -> Paths:
     dataset = read_dataset(args.input)
     model = load_model(args.model)
     if model.hog_config is not None:
@@ -183,11 +194,6 @@ def cmd_rerank(args: argparse.Namespace) -> int:
                 f"HOG geometry of the dataset ({sidecar.to_dict()}) does not match "
                 f"the model's ({model.hog_config.to_dict()})"
             )
-    if dataset.feature_dim is not None and dataset.feature_dim != model.feature_dim:
-        raise DataError(
-            f"dataset feature dimension {dataset.feature_dim} does not match "
-            f"model dimension {model.feature_dim}"
-        )
     out_records = []
     for rec in dataset.records:
         order = rerank(model, rec)
@@ -201,8 +207,7 @@ def cmd_rerank(args: argparse.Namespace) -> int:
         out_records.append(replace(rec, candidates=cands))
     write_dataset(Dataset(tuple(out_records), dataset.feature_dim), args.output)
     logger.info("reranked %d records -> %s", len(out_records), args.output)
-    _write_manifest(args, [args.input, args.model], [args.output], started)
-    return 0
+    return [args.input, args.model], [args.output]
 
 
 def _recover_rankings(base: Dataset, other: Dataset) -> dict[str, list[int]]:
@@ -226,8 +231,7 @@ def _recover_rankings(base: Dataset, other: Dataset) -> dict[str, list[int]]:
     return rankings
 
 
-def cmd_eval(args: argparse.Namespace) -> int:
-    started = time.monotonic()
+def cmd_eval(args: argparse.Namespace) -> Paths:
     dataset = read_dataset(args.dataset)
     other = read_dataset(args.reranked)
     ids_a = {r.image_id for r in dataset.records}
@@ -236,8 +240,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
         missing = sorted(ids_a ^ ids_b)[:5]
         raise DataError(f"datasets do not cover the same images (first differences: {missing})")
     config = EvalConfig(
-        iou_thresholds=_parse_float_list(args.thresholds, "--thresholds"),
-        proposal_budgets=_parse_int_list(args.budgets, "--budgets"),
+        iou_thresholds=_parse_list(args.thresholds, "--thresholds"),
+        proposal_budgets=_parse_list(args.budgets, "--budgets", int),
         strict=not args.non_strict,
     )
     comparison = report(
@@ -248,30 +252,17 @@ def cmd_eval(args: argparse.Namespace) -> int:
         label_a=args.label_a,
         label_b=args.label_b,
     )
-    sys.stdout.write(comparison.text)
-    outputs: list[Path] = []
-    if args.output is not None:
-        base = args.output
-        text_path = base.with_name(base.name + ".txt")
-        csv_path = base.with_name(base.name + ".csv")
-        json_path = base.with_name(base.name + ".json")
-        atomic_write_text(text_path, comparison.text)
-        atomic_write_text(csv_path, comparison.csv)
-        atomic_write_text(json_path, json.dumps(comparison.to_dict(), indent=2) + "\n")
-        outputs = [text_path, csv_path, json_path]
-        logger.info("wrote report to %s.{txt,csv,json}", base)
-    _write_manifest(args, [args.dataset, args.reranked], outputs, started)
-    return 0
+    outputs = _write_tables(args.output, {
+        ".txt": comparison.text,
+        ".csv": comparison.csv,
+        ".json": json.dumps(comparison.to_dict(), indent=2) + "\n",
+    })
+    if outputs:
+        logger.info("wrote report to %s.{txt,csv,json}", args.output)
+    return [args.dataset, args.reranked], outputs
 
 
-def cmd_synth(args: argparse.Namespace) -> int:
-    started = time.monotonic()
-    objects = _parse_int_list(args.objects, "--objects")
-    if len(objects) != 2:
-        raise UsageError("--objects must be 'lo,hi'")
-    size = _parse_int_list(args.image_size, "--image-size")
-    if len(size) != 2:
-        raise UsageError("--image-size must be 'width,height'")
+def cmd_synth(args: argparse.Namespace) -> Paths:
     config = SynthConfig(
         seed=args.seed,
         num_images=args.num_images,
@@ -279,8 +270,8 @@ def cmd_synth(args: argparse.Namespace) -> int:
         feature_dim=args.feature_dim,
         noise_sigma=args.noise_sigma,
         mode=args.mode,
-        image_size=(size[0], size[1]),
-        objects_per_image=(objects[0], objects[1]),
+        image_size=_parse_list(args.image_size, "--image-size", int, "width,height"),
+        objects_per_image=_parse_list(args.objects, "--objects", int, "lo,hi"),
         classes=args.classes,
     )
     planted = None
@@ -289,11 +280,10 @@ def cmd_synth(args: argparse.Namespace) -> int:
     else:
         dataset = generate_geometric_dataset(config)
     write_dataset(dataset, args.output)
-    meta_path = args.output.with_name(args.output.name + ".meta.json")
+    meta_path = _beside(args.output, ".meta.json")
     atomic_write_text(meta_path, json.dumps(synth_metadata(config, planted), indent=2) + "\n")
     logger.info("generated %d %s records -> %s", len(dataset.records), config.mode, args.output)
-    _write_manifest(args, [], [args.output, meta_path], started)
-    return 0
+    return [], [args.output, meta_path]
 
 
 def _saved_report(obj) -> tuple[EvalConfig, list[EvalReport]]:
@@ -312,20 +302,10 @@ def _saved_report(obj) -> tuple[EvalConfig, list[EvalReport]]:
     return config, reports
 
 
-def cmd_report(args: argparse.Namespace) -> int:
-    started = time.monotonic()
+def cmd_report(args: argparse.Namespace) -> Paths:
     config, reports = decode_json(args.input.read_bytes(), _saved_report, str(args.input), "report")
-    text = render_text(reports, config)
-    sys.stdout.write(text)
-    outputs: list[Path] = []
-    if args.output is not None:
-        text_path = args.output.with_name(args.output.name + ".txt")
-        csv_path = args.output.with_name(args.output.name + ".csv")
-        atomic_write_text(text_path, text)
-        atomic_write_text(csv_path, render_csv(reports, config))
-        outputs = [text_path, csv_path]
-    _write_manifest(args, [args.input], outputs, started)
-    return 0
+    tables = {".txt": render_text(reports, config), ".csv": render_csv(reports, config)}
+    return [args.input], _write_tables(args.output, tables)
 
 
 # ---------------------------------------------------------------------------
@@ -421,8 +401,12 @@ def main(argv: list[str] | None = None) -> int:
         level=logging.DEBUG if args.verbose else logging.INFO,
         format="%(levelname)s %(name)s: %(message)s",
     )
+    started = time.monotonic()
     try:
-        return args.func(args)
+        inputs, outputs = args.func(args)
+        if outputs:
+            _write_manifest(args, inputs, outputs, started)
+        return 0
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

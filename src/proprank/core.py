@@ -57,7 +57,10 @@ class Box:
     y_max: float
 
     def __post_init__(self) -> None:
-        coords = tuple(float(v) for v in (self.x_min, self.y_min, self.x_max, self.y_max))
+        try:
+            coords = tuple(float(v) for v in (self.x_min, self.y_min, self.x_max, self.y_max))
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise DataError("box has a non-numeric coordinate") from exc
         if not all(math.isfinite(v) for v in coords):
             raise DataError(f"box has non-finite coordinates: {coords}")
         if coords[2] <= coords[0] or coords[3] <= coords[1]:
@@ -102,7 +105,7 @@ class GroundTruthObject:
 
     def __post_init__(self) -> None:
         if not self.class_label:
-            raise DataError("groundtruth object has an empty class label")
+            raise DataError("class label must be non-empty")
 
 
 @dataclass(frozen=True, eq=False)
@@ -120,14 +123,22 @@ class Candidate:
 
     def __post_init__(self) -> None:
         if self.iou_label is not None:
-            label = float(self.iou_label)
+            try:
+                label = float(self.iou_label)
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise DataError(f"iou_label must be a number, got {self.iou_label!r}") from exc
             if not math.isfinite(label) or not 0.0 <= label <= 1.0:
-                raise DataError(f"iou_label must lie in [0, 1], got {self.iou_label!r}")
+                raise DataError(f"iou_label must lie in [0, 1], got {label!r}")
             object.__setattr__(self, "iou_label", label)
         if self.features is not None:
-            feats = np.asarray(self.features, dtype=np.float64)
+            try:
+                feats = np.asarray(self.features, dtype=np.float64)
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise DataError("features must be a list of numbers") from exc
             if feats.ndim != 1:
                 raise DataError(f"features must be a flat vector, got shape {feats.shape}")
+            if not len(feats):
+                raise DataError("features must not be empty")
             if not np.all(np.isfinite(feats)):
                 raise DataError("features contain non-finite values")
             object.__setattr__(self, "features", feats)
@@ -162,6 +173,17 @@ class ImageRecord:
                     f"{self.image_id}: box {box.as_list()} lies outside the "
                     f"{self.width}x{self.height} image"
                 )
+        dim = None
+        for i, cand in enumerate(self.candidates):
+            if cand.features is None:
+                continue
+            if dim is None:
+                dim = len(cand.features)
+            elif len(cand.features) != dim:
+                raise DataError(
+                    f"{self.image_id}: candidate {i} has feature dimension {len(cand.features)}, expected {dim}"
+                )
+        object.__setattr__(self, "_feature_dim", dim)
 
     def _all_boxes(self) -> Iterable[Box]:
         for obj in self.groundtruth:
@@ -172,6 +194,11 @@ class ImageRecord:
     @property
     def num_candidates(self) -> int:
         return len(self.candidates)
+
+    @property
+    def feature_dim(self) -> int | None:
+        """Dimension shared by every candidate that carries features; None if none does."""
+        return self._feature_dim
 
     def iou_labels(self) -> list[float]:
         """Labels of all candidates; fails if any candidate is unlabeled."""
@@ -211,16 +238,12 @@ class Dataset:
         object.__setattr__(self, "_by_id", by_id)
         dim = self.feature_dim
         for rec in self.records:
-            for i, cand in enumerate(rec.candidates):
-                if cand.features is None:
-                    continue
-                if dim is None:
-                    dim = int(cand.features.shape[0])
-                elif cand.features.shape[0] != dim:
-                    raise DataError(
-                        f"{rec.image_id}: candidate {i} has feature dimension "
-                        f"{cand.features.shape[0]}, expected {dim}"
-                    )
+            if rec.feature_dim is None:
+                continue
+            if dim is None:
+                dim = rec.feature_dim
+            elif rec.feature_dim != dim:
+                raise DataError(f"{rec.image_id}: candidates have feature dimension {rec.feature_dim}, expected {dim}")
         if dim is not None and dim <= 0:
             raise DataError("feature_dim must be positive")
         object.__setattr__(self, "feature_dim", dim)
@@ -297,39 +320,52 @@ def _as_int(value, what: str) -> int:
     raise DataError(f"{what} must be an integer, got {value!r}")
 
 
-def _as_float(value, what: str) -> float:
-    try:
-        return float(value)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise DataError(f"{what} must be a number, got {value!r}") from exc
-
-
-def _as_vector(value, what: str) -> np.ndarray:
-    try:
-        return np.asarray(value, dtype=np.float64)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise DataError(f"{what} must be a list of numbers") from exc
-
-
-def _as_list(value, what: str) -> list:
-    if value is None:
-        return []
-    if not isinstance(value, list):
-        raise DataError(f"{what} must be a list, got {value!r}")
-    return value
-
-
-def _box_from_list(value, what: str) -> Box:
+def _box_from_list(value) -> Box:
     if not isinstance(value, (list, tuple)) or len(value) != 4:
-        raise DataError(f"{what} must be a 4-element [x_min, y_min, x_max, y_max] list")
-    try:
-        coords = [float(v) for v in value]
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise DataError(f"{what} has a non-numeric coordinate") from exc
-    return Box(*coords)
+        raise DataError("box must be a 4-element [x_min, y_min, x_max, y_max] list")
+    return Box(*value)
+
+
+def _groundtruth_from_dict(entry) -> GroundTruthObject:
+    if not isinstance(entry, dict) or "class" not in entry or "box" not in entry:
+        raise DataError("needs 'class' and 'box' fields")
+    return GroundTruthObject(str(entry["class"]), _box_from_list(entry["box"]))
+
+
+def _candidate_from_dict(entry) -> Candidate:
+    if not isinstance(entry, dict) or "box" not in entry:
+        raise DataError("needs a 'box' field")
+    source = entry.get("source_index")
+    return Candidate(
+        box=_box_from_list(entry["box"]),
+        iou_label=entry.get("iou_label"),
+        features=entry.get("features"),
+        source_index=None if source is None else _as_int(source, "source_index"),
+    )
+
+
+def _entries(obj: dict, key: str, kind: str, build: Callable[[object], T]) -> tuple[T, ...]:
+    """build() of each entry of a record's list field; an error names the image and the entry."""
+    value = obj.get(key)
+    if value is None:
+        return ()
+    if not isinstance(value, list):
+        raise DataError(f"{obj['image_id']}: {key} must be a list, got {value!r}")
+    built = []
+    for i, entry in enumerate(value):
+        try:
+            built.append(build(entry))
+        except DataError as exc:
+            raise DataError(f"{obj['image_id']}: {kind} {i} {exc}") from exc
+    return tuple(built)
 
 
 def record_from_dict(obj: dict) -> ImageRecord:
+    """An ImageRecord from one decoded JSON line.
+
+    Only the JSON shape is checked here; the types check their own fields, and
+    their errors are prefixed with the image and the entry they came from.
+    """
     if not isinstance(obj, dict):
         raise DataError("record is not a JSON object")
     for key in ("image_id", "width", "height"):
@@ -338,31 +374,13 @@ def record_from_dict(obj: dict) -> ImageRecord:
     image_id = obj["image_id"]
     if not isinstance(image_id, str):
         raise DataError(f"image_id must be a string, got {image_id!r}")
-    width = _as_int(obj["width"], f"{image_id}: width")
-    height = _as_int(obj["height"], f"{image_id}: height")
-    groundtruth = []
-    for i, entry in enumerate(_as_list(obj.get("groundtruth"), f"{image_id}: groundtruth")):
-        if not isinstance(entry, dict) or "class" not in entry or "box" not in entry:
-            raise DataError(f"{image_id}: groundtruth {i} needs 'class' and 'box' fields")
-        groundtruth.append(
-            GroundTruthObject(str(entry["class"]), _box_from_list(entry["box"], f"{image_id}: groundtruth {i} box"))
-        )
-    candidates = []
-    for i, entry in enumerate(_as_list(obj.get("candidates"), f"{image_id}: candidates")):
-        if not isinstance(entry, dict) or "box" not in entry:
-            raise DataError(f"{image_id}: candidate {i} needs a 'box' field")
-        label = entry.get("iou_label")
-        feats = entry.get("features")
-        source = entry.get("source_index")
-        candidates.append(
-            Candidate(
-                box=_box_from_list(entry["box"], f"{image_id}: candidate {i} box"),
-                iou_label=None if label is None else _as_float(label, f"{image_id}: candidate {i} iou_label"),
-                features=None if feats is None else _as_vector(feats, f"{image_id}: candidate {i} features"),
-                source_index=None if source is None else _as_int(source, f"{image_id}: candidate {i} source_index"),
-            )
-        )
-    return ImageRecord(image_id, width, height, tuple(groundtruth), tuple(candidates))
+    return ImageRecord(
+        image_id,
+        _as_int(obj["width"], f"{image_id}: width"),
+        _as_int(obj["height"], f"{image_id}: height"),
+        _entries(obj, "groundtruth", "groundtruth", _groundtruth_from_dict),
+        _entries(obj, "candidates", "candidate", _candidate_from_dict),
+    )
 
 
 def dataset_to_lines(dataset: Dataset) -> list[str]:

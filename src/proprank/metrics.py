@@ -9,7 +9,7 @@ suppression is performed: one candidate may cover several objects.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -213,7 +213,7 @@ def evaluate(
         abo=abo,
         mabo=mabo_values,
         counts=counts,
-        metadata={"source": label, "dataset_digest": dataset_digest(dataset)},
+        metadata={"source": label},
     )
 
 
@@ -277,10 +277,15 @@ def report(
     label_a: str = "source-order",
     label_b: str = "reranked",
 ) -> ComparisonReport:
-    """Evaluate two ranking sources over one dataset and render the tables."""
-    rep_a = evaluate(dataset, rankings_a, config, label_a)
-    rep_b = evaluate(dataset, rankings_b, config, label_b)
-    pair = (rep_a, rep_b)
+    """Evaluate two ranking sources over one dataset and render the tables.
+
+    Both sources' metadata carry the digest of the dataset they describe.
+    """
+    digest = dataset_digest(dataset)
+    rep_a, rep_b = pair = tuple(
+        replace(rep, metadata={**rep.metadata, "dataset_digest": digest})
+        for rep in (evaluate(dataset, rankings_a, config, label_a), evaluate(dataset, rankings_b, config, label_b))
+    )
     return ComparisonReport(
         a=rep_a,
         b=rep_b,

@@ -24,8 +24,7 @@ linear model can rank by IoU; it is not a claim about real descriptors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -93,18 +92,7 @@ class SynthConfig:
             object.__setattr__(self, "planted_weight", vec)
 
     def to_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "num_images": self.num_images,
-            "candidates_per_image": self.candidates_per_image,
-            "feature_dim": self.feature_dim,
-            "noise_sigma": self.noise_sigma,
-            "mode": self.mode,
-            "image_size": list(self.image_size),
-            "objects_per_image": list(self.objects_per_image),
-            "classes": self.classes,
-            "planted_weight": None if self.planted_weight is None else list(self.planted_weight),
-        }
+        return asdict(self)
 
 
 def generate_feature_dataset(config: SynthConfig) -> tuple[Dataset, np.ndarray]:

@@ -41,6 +41,17 @@ def test_missing_and_malformed_inputs_exit_2(tmp_path, capsys, caplog):
         bad.write_text(good + record + "\n", encoding="utf-8")
         assert main(["label", str(bad), str(tmp_path / "out.jsonl")]) == 2
         assert "line 2: a: " in caplog.messages[-1]
+    # Errors raised by the dataset types carry the line, the image and the candidate.
+    for record, message in (
+        (head + '"candidates": [{"box": [1, 1, 3, 3], "features": [1]}, '
+         '{"box": [1, 1, 3, 3], "features": [1, 2]}]}',
+         "line 2: a: candidate 1 has feature dimension 2, expected 1"),
+        (head + cand + '"features": [[1]]}]}',
+         "line 2: a: candidate 0 features must be a flat vector, got shape (1, 1)"),
+    ):
+        bad.write_text(good + record + "\n", encoding="utf-8")
+        assert main(["label", str(bad), str(tmp_path / "out.jsonl")]) == 2
+        assert caplog.messages[-1] == message
     # Integers beyond float range (OverflowError) and nesting too deep for the
     # JSON parser (RecursionError) used to crash with a traceback and exit 1.
     big = "1" + "0" * 400
@@ -190,14 +201,17 @@ def test_eval_rejects_mismatched_datasets(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_rerank_rejects_dimension_mismatch(tmp_path, capsys):
+def test_rerank_rejects_dimension_mismatch(tmp_path, capsys, caplog):
     d6 = tmp_path / "d6.jsonl"
     d4 = tmp_path / "d4.jsonl"
     run(capsys, "synth", d6, "--seed", 3, "--num-images", 4, "--candidates", 8, "--feature-dim", 6)
     run(capsys, "synth", d4, "--seed", 3, "--num-images", 4, "--candidates", 8, "--feature-dim", 4)
     model_path = tmp_path / "m.json"
     run(capsys, "train", d6, model_path, "--k", 2, "--epochs", 10)
-    assert main(["rerank", str(d4), str(tmp_path / "out.jsonl"), "--model", str(model_path)]) == 2
+    out = tmp_path / "out.jsonl"
+    assert main(["rerank", str(d4), str(out), "--model", str(model_path)]) == 2
+    assert "feature dimension 4 does not match model dimension 6" in caplog.messages[-1]
+    assert not out.exists() and not (tmp_path / "out.jsonl.manifest.json").exists()
     capsys.readouterr()
 
 
@@ -267,3 +281,61 @@ def test_manifest_records_input_digests(tmp_path, capsys):
     assert len(digest) == 64 and int(digest, 16) >= 0
     assert manifest["arguments"]["k"] == 2
     assert manifest["wall_time_s"] >= 0.0
+
+
+MANIFEST_KEYS = {"command", "arguments", "config_digest", "inputs", "outputs", "wall_time_s", "version"}
+
+
+@pytest.fixture(scope="module")
+def chain(tmp_path_factory):
+    """A labeled geometric dataset with its PGM images, a model, a reranked copy and a saved report."""
+    d = tmp_path_factory.mktemp("chain")
+    (d / "imgs").mkdir()
+    argvs = (
+        ["synth", d / "geo.jsonl", "--mode", "geometric", "--seed", 3, "--num-images", 3,
+         "--candidates", 12, "--image-size", "32,32"],
+        ["label", d / "geo.jsonl", d / "labeled.jsonl"],
+        ["train", d / "labeled.jsonl", d / "model.json", "--k", 2, "--epochs", 5],
+        ["rerank", d / "labeled.jsonl", d / "ranked.jsonl", "--model", d / "model.json"],
+        ["eval", d / "labeled.jsonl", d / "ranked.jsonl", "--output", d / "cmp", "--budgets", "1,5"],
+    )
+    for argv in argvs:
+        assert main([str(a) for a in argv]) == 0
+    for j, rec in enumerate(read_dataset(d / "geo.jsonl").records):
+        make_pgm(d / "imgs" / f"{rec.image_id}.pgm", 32, 32, seed=j)
+    for manifest in d.glob("*.manifest.json"):
+        manifest.unlink()
+    return d
+
+
+@pytest.mark.parametrize("argv, primary", [
+    (["synth", "{out}/s.jsonl", "--num-images", 2, "--candidates", 4, "--feature-dim", 3], "s.jsonl"),
+    (["label", "{d}/geo.jsonl", "{out}/l.jsonl"], "l.jsonl"),
+    (["featurize", "{d}/labeled.jsonl", "{out}/f.jsonl", "--images", "{d}/imgs",
+      "--resize-w", 16, "--resize-h", 16], "f.jsonl"),
+    (["train", "{d}/labeled.jsonl", "{out}/m.json", "--k", 2, "--epochs", 5], "m.json"),
+    (["rerank", "{d}/labeled.jsonl", "{out}/r.jsonl", "--model", "{d}/model.json"], "r.jsonl"),
+    (["eval", "{d}/labeled.jsonl", "{d}/ranked.jsonl", "--output", "{out}/e", "--budgets", "1,5"], "e.txt"),
+    (["report", "{d}/cmp.json", "--output", "{out}/p"], "p.txt"),
+])
+def test_every_writing_command_leaves_one_manifest(chain, tmp_path, capsys, argv, primary):
+    code, _ = run(capsys, *(str(a).format(d=chain, out=tmp_path) for a in argv))
+    assert code == 0
+    manifests = list(tmp_path.glob("*.manifest.json"))
+    assert manifests == [tmp_path / f"{primary}.manifest.json"]
+    manifest = json.loads(manifests[0].read_text())
+    assert set(manifest) == MANIFEST_KEYS
+    assert manifest["command"] == argv[0]
+    assert manifest["outputs"][0] == str(tmp_path / primary)
+    assert all((tmp_path / p).is_file() for p in manifest["outputs"])
+    assert not list(chain.glob("*.manifest.json"))
+
+
+def test_runs_that_write_nothing_leave_no_manifest(chain, tmp_path, capsys):
+    assert run(capsys, "eval", chain / "labeled.jsonl", chain / "ranked.jsonl", "--budgets", "1,5")[0] == 0
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text('{"image_id": "a"}\n', encoding="utf-8")
+    assert run(capsys, "label", bad, tmp_path / "out.jsonl")[0] == 2
+    assert run(capsys, "report", bad, "--output", tmp_path / "p")[0] == 2
+    assert sorted(tmp_path.iterdir()) == [bad]
+    assert not list(chain.glob("*.manifest.json"))

@@ -38,6 +38,8 @@ def test_box_area_and_validation():
         Box(0, 0, float("nan"), 1)
     with pytest.raises(DataError):
         Box(0, 0, float("inf"), 1)
+    with pytest.raises(DataError, match="box has a non-numeric coordinate"):
+        Box(0, 0, "x", 1)
 
 
 def test_iou_hand_examples():
@@ -125,6 +127,12 @@ def test_candidate_validation():
         Candidate(Box(0, 0, 1, 1), features=np.array([1.0, np.nan]))
     with pytest.raises(DataError):
         Candidate(Box(0, 0, 1, 1), source_index=-1)
+    with pytest.raises(DataError, match="iou_label must be a number"):
+        Candidate(Box(0, 0, 1, 1), iou_label=[0.5])
+    with pytest.raises(DataError, match="features must be a list of numbers"):
+        Candidate(Box(0, 0, 1, 1), features=[[1.0], [1.0, 2.0]])
+    with pytest.raises(DataError, match="features must not be empty"):
+        Candidate(Box(0, 0, 1, 1), features=[])
     c = Candidate(Box(0, 0, 1, 1), iou_label=np.float64(0.5))
     assert isinstance(c.iou_label, float)
 
@@ -159,8 +167,10 @@ def test_dataset_duplicate_ids_and_dim_inference():
     ds = Dataset((rec,))
     assert ds.feature_dim == 2
     bad = make_record("other", labels=[0.5], feats=[[1.0, 2.0, 3.0]])
-    with pytest.raises(DataError, match="dimension"):
+    with pytest.raises(DataError, match="other: candidates have feature dimension 3, expected 2"):
         Dataset((rec, bad))
+    with pytest.raises(DataError, match="mixed: candidate 1 has feature dimension 3, expected 2"):
+        make_record("mixed", labels=[0.1, 0.2], feats=[[1.0, 2.0], [1.0, 2.0, 3.0]])
     assert ds.get("same") is rec
     with pytest.raises(KeyError):
         ds.get("missing")

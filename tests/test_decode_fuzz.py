@@ -84,8 +84,8 @@ def test_dataset_line_with_any_value_replaced_decodes_or_raises_data_error(path,
     line = _with_fragment(RECORD, path, fragment)
     try:
         dataset_from_lines(["", line])
-    except DataError:
-        pass  # checks across candidates (feature dimension) name the image, not the line
+    except DataError as exc:
+        assert str(exc).startswith("line 2: ")
 
 
 @settings(max_examples=300, deadline=None)

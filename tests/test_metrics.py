@@ -9,6 +9,7 @@ from proprank import (
     Dataset,
     EvalConfig,
     best_overlap,
+    dataset_digest,
     detection_rate,
     evaluate,
     identity_rankings,
@@ -169,7 +170,7 @@ def test_evaluate_equals_pointwise_metrics():
         assert rep.mabo[m] == mabo_ref
         for cls, v in abo_ref.items():
             assert rep.abo[(cls, m)] == v
-    assert rep.metadata["source"] == "check"
+    assert rep.metadata == {"source": "check"}  # report() adds the dataset digest, once
     assert sum(rep.counts.values()) == sum(len(r.groundtruth) for r in ds.records)
 
 
@@ -224,6 +225,10 @@ def test_report_round_trip_and_renderings():
     for line in lines[1:]:
         metric, _, _, _, value = line.split(",")
         assert len(value.split(".")[1]) == (2 if metric == "dr" else 4)
+
+    # The one digest of the dataset is stamped on both sources, after the source label.
+    for rep, label in ((comp.a, "as-is"), (comp.b, "flipped")):
+        assert rep.metadata == {"source": label, "dataset_digest": dataset_digest(ds)}
 
     rebuilt = EvalReport.from_dict(comp.a.to_dict())
     assert rebuilt.dr == comp.a.dr
