@@ -167,8 +167,6 @@ def cmd_train(args: argparse.Namespace) -> Paths:
         k=args.k,
         C=args.C,
         epochs=args.epochs,
-        eta0=args.eta0,
-        step_decay=args.step_decay,
         convergence_tol=args.convergence_tol,
         per_image_slack=not args.per_constraint_slack,
     )
@@ -342,8 +340,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, default=20, help="positives per image")
     p.add_argument("--C", type=float, default=1.0, help="slack penalty (1e6 for hard margin)")
     p.add_argument("--epochs", type=int, default=200)
-    p.add_argument("--eta0", type=float, default=None, help="initial step size (default: number of images)")
-    p.add_argument("--step-decay", type=float, default=1.0)
     p.add_argument("--convergence-tol", type=float, default=1e-6)
     p.add_argument("--per-constraint-slack", action="store_true",
                    help="sum a hinge per constraint instead of one slack per image")

@@ -27,7 +27,7 @@ import datetime as _dt
 import json
 import logging
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -54,33 +54,27 @@ def negatives_cap(n: int, k: int) -> int:
 class TrainingConfig:
     """Solver settings.
 
-    The step size decays as eta_t = eta0 / (1 + step_decay * t) over global
-    steps; eta0 defaults to the number of training images, which with the
-    default decay of 1 gives the classic eta_t ~ N/t schedule for an
-    objective whose quadratic term has strong convexity 1.
+    The step schedule is not a setting: step t (counted over every image
+    visit) has size eta_t = N / (1 + t) for N training images, the classic
+    N/t schedule for an objective whose quadratic term has strong convexity 1.
+    per_image_slack chooses between one slack per image and one per row.
     """
 
     k: int = 20
     C: float = 1.0
     epochs: int = 200
-    eta0: float | None = None
-    step_decay: float = 1.0
     convergence_tol: float = 1e-6
     per_image_slack: bool = True
 
     def __post_init__(self) -> None:
         if self.k < 1:
             raise DataError("k must be at least 1")
-        if self.C <= 0:
-            raise DataError("C must be positive")
+        if not 0.0 < self.C < math.inf:
+            raise DataError(f"C must be positive and finite, got {self.C}")
         if self.epochs < 1:
             raise DataError("epochs must be at least 1")
-        if self.eta0 is not None and self.eta0 <= 0:
-            raise DataError("eta0 must be positive when given")
-        if self.step_decay < 0:
-            raise DataError("step_decay must be non-negative")
-        if self.convergence_tol < 0:
-            raise DataError("convergence_tol must be non-negative")
+        if not 0.0 <= self.convergence_tol < math.inf:
+            raise DataError(f"convergence_tol must be non-negative and finite, got {self.convergence_tol}")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -214,12 +208,12 @@ def _pair_rows(dataset: Dataset) -> _Rows:
     return _Rows.stack(blocks)
 
 
-def _objective(w: np.ndarray, rows: _Rows, C: float, per_image_slack: bool) -> float:
+def _objective(w: np.ndarray, rows: _Rows, config: TrainingConfig) -> float:
     """0.5 ||w||^2 + C * slack, charging each image its worst row or every row its own hinge."""
     margins = rows.matrix @ w
-    if per_image_slack:
+    if config.per_image_slack:
         margins = np.minimum.reduceat(margins, rows.starts)
-    return 0.5 * float(w @ w) + C * float(np.sum(np.maximum(0.0, 1.0 - margins)))
+    return 0.5 * float(w @ w) + config.C * float(np.sum(np.maximum(0.0, 1.0 - margins)))
 
 
 def objective(
@@ -233,7 +227,7 @@ def objective(
     rows = _partial_rows(dataset, partitions)
     if w.shape != (rows.dim,):
         raise DataError(f"weight dimension {w.shape} does not match features ({rows.dim},)")
-    return _objective(w, rows, config.C, config.per_image_slack)
+    return _objective(w, rows, config)
 
 
 def _violation_summary(w: np.ndarray, rows: _Rows) -> dict:
@@ -289,37 +283,35 @@ def _provenance(dataset: Dataset, trainer: str) -> dict:
 def _descend(
     rows: _Rows,
     config: TrainingConfig,
-    per_image_slack: bool,
     every_violated_row: bool,
     trainer: str,
 ) -> tuple[np.ndarray, float, list[float]]:
     """Subgradient descent on the stacked rows, visiting images in order.
 
-    Each visit computes the image's margins, shrinks w by 1 - eta/N and adds
-    eta * C times its most violated row (the lowest margin below 1; on ties
-    the earlier row, so positives before negatives, then the lowest rank
-    index), or with every_violated_row the sum of every row whose margin is
-    below 1. The step size decays as eta0 / (1 + step_decay * t). The best
-    iterate by objective value (the zero start included) is returned together
-    with the best-so-far per-epoch objective history. A convergence_tol of
-    zero disables early stopping.
+    Each visit t = 1, 2, ... computes the image's margins, shrinks w by
+    1 - eta_t/N and adds eta_t * C times its most violated row (the lowest
+    margin below 1; on ties the earlier row, so positives before negatives,
+    then the lowest rank index), or with every_violated_row the sum of every
+    row whose margin is below 1. The step size is eta_t = N / (1 + t) for N
+    images. Progress is measured by the objective with the slack form of
+    config.per_image_slack. The best iterate by objective value (the zero
+    start included) is returned together with the best-so-far per-epoch
+    objective history. A convergence_tol of zero disables early stopping.
     """
     blocks = rows.blocks()
     num_images = len(blocks)
     C = config.C
-    eta0 = config.eta0 if config.eta0 is not None else float(num_images)
-    decay = config.step_decay
 
     w = np.zeros(rows.dim, dtype=np.float64)
     best_w = w.copy()
-    best_obj = _objective(w, rows, C, per_image_slack)
+    best_obj = _objective(w, rows, config)
     history: list[float] = []
     stall = 0
     t = 0
     for epoch in range(config.epochs):
         for block in blocks:
             t += 1
-            eta = eta0 / (1.0 + decay * t)
+            eta = num_images / (1.0 + t)
             margins = block @ w
             w *= 1.0 - eta / num_images
             if every_violated_row:
@@ -330,7 +322,7 @@ def _descend(
                 i = int(np.argmin(margins))
                 if margins[i] < 1.0:
                     w += (eta * C) * block[i]
-        epoch_obj = _objective(w, rows, C, per_image_slack)
+        epoch_obj = _objective(w, rows, config)
         if not math.isfinite(epoch_obj):
             raise NumericError(f"objective became non-finite at epoch {epoch}")
         improved = best_obj - epoch_obj
@@ -350,6 +342,31 @@ def _descend(
     return best_w, best_obj, history
 
 
+def _fit(
+    dataset: Dataset,
+    rows: _Rows,
+    config: TrainingConfig,
+    hog_config: HogConfig | None,
+    trainer: str,
+    every_violated_row: bool,
+) -> TrainedModel:
+    """Descend on the rows and package the result as a model trained with config.
+
+    Rows with a P/Q split (a partial model) also get a violation report.
+    """
+    best_w, best_obj, history = _descend(rows, config, every_violated_row, trainer)
+    return TrainedModel(
+        weights=best_w,
+        feature_dim=rows.dim,
+        training_config=config,
+        final_objective=best_obj,
+        hog_config=hog_config,
+        provenance=_provenance(dataset, trainer),
+        violation_report=None if rows.num_pos is None else _violation_summary(best_w, rows),
+        objective_history=tuple(history),
+    )
+
+
 def train_soft_margin(
     dataset: Dataset,
     config: TrainingConfig,
@@ -367,20 +384,7 @@ def train_soft_margin(
     final_objective never exceeds the zero-weight objective.
     """
     rows = _partial_rows(dataset, [build_partial_constraints(rec, config) for rec in dataset.records])
-    per_image = config.per_image_slack
-    best_w, best_obj, history = _descend(
-        rows, config, per_image_slack=per_image, every_violated_row=not per_image, trainer="partial"
-    )
-    return TrainedModel(
-        weights=best_w,
-        feature_dim=rows.dim,
-        training_config=config,
-        final_objective=best_obj,
-        hog_config=hog_config,
-        provenance=_provenance(dataset, "partial"),
-        violation_report=_violation_summary(best_w, rows),
-        objective_history=tuple(history),
-    )
+    return _fit(dataset, rows, config, hog_config, "partial", every_violated_row=not config.per_image_slack)
 
 
 def train_full_rank_baseline(
@@ -393,21 +397,12 @@ def train_full_rank_baseline(
     The objective sums one hinge max(0, 1 - w . (x_p - x_q)) per ordered pair
     over every pair of candidates, n(n-1)/2 per image; each step takes the
     image's most violated pair. Images with a single candidate contribute no
-    pairs and leave the weights untouched.
+    pairs and leave the weights untouched. The hinge is per pair whatever
+    config.per_image_slack says, and the model records per_image_slack as
+    false.
     """
-    rows = _pair_rows(dataset)
-    best_w, best_obj, history = _descend(
-        rows, config, per_image_slack=False, every_violated_row=False, trainer="full-rank"
-    )
-    return TrainedModel(
-        weights=best_w,
-        feature_dim=rows.dim,
-        training_config=config,
-        final_objective=best_obj,
-        hog_config=hog_config,
-        provenance=_provenance(dataset, "full_rank_baseline"),
-        objective_history=tuple(history),
-    )
+    config = replace(config, per_image_slack=False)
+    return _fit(dataset, _pair_rows(dataset), config, hog_config, "full_rank_baseline", every_violated_row=False)
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,9 @@
 
 Everything here is deliberately written with different machinery than the
 code under test: pixel-set enumeration for IoU, plain-Python loops for the
-metrics, and a full-batch subgradient pass plus shrinking pattern search for
-the training objective. Slow is fine; these only run on tiny inputs.
+metrics, and for the training objective both a full-batch subgradient pass
+plus shrinking pattern search and an exact dual QP whose duality gap
+certifies its optimum. Slow is fine; these only run on tiny inputs.
 """
 
 from __future__ import annotations
@@ -163,6 +164,60 @@ def minimize_objective(problem, C, dim, per_image=True, steps=20000, seed=0):
         if not moved:
             step *= 0.5
     return w, best
+
+
+def certified_minimum(problem, C, dim, per_image=True):
+    """Exact minimum of the convex objective, bracketed by primal and dual values.
+
+    Solves the dual QP  max sum(alpha) - 0.5 |sum_r alpha_r a_r|^2  over
+    alpha >= 0 with sum_{r in image} alpha_r <= C (per-image slack) or
+    alpha_r <= C (per-row slack), where the rows a_r are each image's
+    positives and negated negatives. Returns (w, upper, lower): the primal
+    point w = sum_r alpha_r a_r, upper = eval_objective(w), and the dual
+    value lower. By weak duality lower <= min J <= upper, so upper - lower
+    certifies how far either is from the true minimum.
+    """
+    from scipy.optimize import minimize
+
+    rows, owner = [], []
+    for j, (P, Q) in enumerate(problem):
+        for sign, xs in ((1.0, P), (-1.0, Q)):
+            for x in xs:
+                owner.append(j if per_image else len(rows))
+                rows.append(sign * np.asarray(x, dtype=np.float64))
+    A = np.array(rows, dtype=np.float64).reshape(len(rows), dim)
+    owner = np.array(owner)
+    gram = A @ A.T
+
+    def negative_dual(alpha):
+        return 0.5 * alpha @ gram @ alpha - alpha.sum()
+
+    def gradient(alpha):
+        return gram @ alpha - 1.0
+
+    if per_image:
+        groups = (owner[None, :] == np.arange(len(problem))[:, None]).astype(np.float64)
+        bounds = [(0.0, None)] * len(rows)
+        constraints = {"type": "ineq", "fun": lambda a: C - groups @ a, "jac": lambda a: -groups}
+    else:
+        bounds = [(0.0, C)] * len(rows)
+        constraints = ()
+    res = minimize(
+        negative_dual,
+        np.zeros(len(rows)),  # alpha = 0 is feasible
+        jac=gradient,
+        method="SLSQP",
+        bounds=bounds,
+        constraints=constraints,
+        options={"ftol": 1e-15, "maxiter": 1000},
+    )
+    # Make alpha exactly dual feasible, so its value is a true lower bound.
+    alpha = np.clip(res.x, 0.0, C)
+    if per_image:
+        alpha *= (C / np.maximum(groups @ alpha, C))[owner]
+    w = A.T @ alpha
+    lower = float(alpha.sum() - 0.5 * w @ w)
+    return w, float(eval_objective(w, problem, C, per_image)), lower
 
 
 def grid_minimum_1d(problem, C, per_image=True, lo=-3.0, hi=3.0, step=1e-4):

@@ -79,6 +79,11 @@ def test_missing_and_malformed_inputs_exit_2(tmp_path, capsys, caplog):
     assert not (tmp_path / "model.json").exists()
 
     sidecar_path.unlink()
+    for flag, value in (("--C", "nan"), ("--C", "inf"), ("--convergence-tol", "nan"), ("--convergence-tol", "inf")):
+        assert main(["train", str(data), str(tmp_path / "model.json"), "--k", "1", flag, value]) == 2
+        assert f"{flag[2:].replace('-', '_')} must be" in caplog.messages[-1]
+    assert not (tmp_path / "model.json").exists()
+    assert not (tmp_path / "model.json.manifest.json").exists()
     good_model = tmp_path / "good.json"
     assert main(["train", str(data), str(good_model), "--k", "1", "--epochs", "5"]) == 0
     saved = json.loads(good_model.read_text())
@@ -136,6 +141,9 @@ def test_train_rerank_eval_pipeline(tmp_path, capsys):
     model = load_model(model_path)
     assert model.feature_dim == 6
     assert model.final_objective <= 10.0  # zero-weight objective C*N
+    baseline_path = tmp_path / "baseline.json"
+    assert run(capsys, "train", data, baseline_path, "--k", 3, "--epochs", 5, "--constraints", "full")[0] == 0
+    assert load_model(baseline_path).training_config.per_image_slack is False
 
     ranked1 = tmp_path / "ranked1.jsonl"
     ranked2 = tmp_path / "ranked2.jsonl"

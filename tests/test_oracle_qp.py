@@ -1,16 +1,17 @@
 """Cross-checks the pure-python reference minimizer against a QP solver.
 
-These tests guard the test oracle itself: the subgradient/pattern-search
-minimizer in oracles.py must agree with an exact QP formulation before it
-is trusted to judge the production solver. The QP is the primal problem in
-(w, slack), solved by scipy's SLSQP, which shares no code with either.
+These tests guard the test oracles themselves: the subgradient/pattern-search
+minimizer and the certified dual minimizer in oracles.py must agree with an
+exact QP formulation before they are trusted to judge the production solver.
+The QP here is the primal problem in (w, slack), solved by scipy's SLSQP; it
+shares no code with either oracle.
 """
 
 import numpy as np
 import pytest
 from scipy.optimize import minimize
 
-from oracles import eval_objective, minimize_objective, problem_from_instance, random_instance
+from oracles import certified_minimum, eval_objective, minimize_objective, problem_from_instance, random_instance
 
 
 def qp_minimum(problem, C, dim, per_image):
@@ -62,6 +63,9 @@ def test_reference_minimizer_matches_qp(per_image):
         assert best <= exact + 1e-4 + 1e-4 * abs(exact)
         assert best >= exact - 1e-6
         assert eval_objective(w_qp, problem, C, per_image=per_image) >= exact - 1e-6
+        _, upper, lower = certified_minimum(problem, C, dim, per_image=per_image)
+        assert lower - 1e-6 <= exact <= upper + 1e-6
+        assert upper - lower < 1e-6 * upper
 
 
 def test_qp_agrees_on_analytic_one_dimensional_case():
@@ -69,3 +73,6 @@ def test_qp_agrees_on_analytic_one_dimensional_case():
     exact, w = qp_minimum(problem, 1.0, 1, per_image=True)
     assert abs(w[0] - 0.5) < 1e-6
     assert abs(exact - 0.125) < 1e-8
+    w, upper, lower = certified_minimum(problem, 1.0, 1)
+    assert abs(w[0] - 0.5) < 1e-6
+    assert lower - 1e-12 <= 0.125 <= upper + 1e-12

@@ -40,11 +40,12 @@ def test_training_config_validation():
     with pytest.raises(DataError):
         TrainingConfig(epochs=0)
     with pytest.raises(DataError):
-        TrainingConfig(eta0=-1.0)
-    with pytest.raises(DataError):
-        TrainingConfig(step_decay=-0.1)
-    with pytest.raises(DataError):
         TrainingConfig(convergence_tol=-1e-9)
+    for bad in (float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(DataError, match="C must be positive and finite"):
+            TrainingConfig(C=bad)
+        with pytest.raises(DataError, match="convergence_tol must be non-negative and finite"):
+            TrainingConfig(convergence_tol=bad)
     with pytest.raises(TypeError):
         TrainingConfig(mode="hard")  # hard margin is a large C, not a mode
     cfg = TrainingConfig(C=1e5, per_image_slack=False)
@@ -296,7 +297,7 @@ def test_training_raises_numeric_error_on_blowup():
     rec = make_record("blow", labels=[1.0, 0.0], feats=[[1e200], [-1e200]])
     ds = Dataset((rec,))
     with pytest.raises(NumericError):
-        train_soft_margin(ds, TrainingConfig(k=1, eta0=1e200, epochs=3))
+        train_soft_margin(ds, TrainingConfig(k=1, epochs=3))
 
 
 def test_full_rank_baseline_single_pair_analytic():
@@ -307,6 +308,9 @@ def test_full_rank_baseline_single_pair_analytic():
     assert_allclose(model.weights[0], 1.0, atol=1e-3)
     assert_allclose(model.final_objective, 0.5, atol=1e-3)
     assert model.provenance["trainer"] == "full_rank_baseline"
+    # The baseline charges every pair its own hinge and its model file says so.
+    assert tiny_config().per_image_slack
+    assert model.training_config == tiny_config(epochs=4000, per_image_slack=False)
 
 
 def test_full_rank_baseline_handles_images_without_pairs():
@@ -405,8 +409,9 @@ def test_model_from_dict_accepts_older_files():
     ds, _ = generate_feature_dataset(SynthConfig(seed=15, num_images=3, candidates_per_image=6, feature_dim=4))
     obj = model_to_dict(train_soft_margin(ds, TrainingConfig(k=1, epochs=5)))
     # Files written before the history was persisted carry a training seed, a
-    # training mode and no history.
-    obj["config"].update(seed=7, mode="soft", hard_mode_C=1e6)
+    # training mode and no history; files from before the step schedule was
+    # fixed carry eta0 and step_decay.
+    obj["config"].update(seed=7, mode="soft", hard_mode_C=1e6, eta0=None, step_decay=1.0)
     del obj["objective_history"]
     back = model_from_dict(obj)
     assert back.training_config == TrainingConfig(k=1, epochs=5)
