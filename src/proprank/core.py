@@ -10,8 +10,9 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import numbers
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Callable, Iterable, TypeVar
 
@@ -23,6 +24,28 @@ class DataError(ValueError):
 
 
 T = TypeVar("T")
+
+# Declared field type -> (accepted types, name in messages).
+_FIELD_KINDS = {
+    "int": (numbers.Integral, "an integer"),
+    "float": (numbers.Real, "a real number"),
+    "bool": (bool, "true or false"),
+}
+
+
+def check_field_types(obj) -> None:
+    """Raise a DataError naming the first field of a config dataclass whose
+    value does not match its declared int, float or bool type.
+
+    An int field takes any integral number and a float field any real number,
+    but neither takes a bool, so a JSON true cannot stand for a count or a
+    weight.
+    """
+    for f in fields(obj):
+        accepted, kind = _FIELD_KINDS[getattr(f.type, "__name__", f.type)]
+        value = getattr(obj, f.name)
+        if not isinstance(value, accepted) or (accepted is not bool and isinstance(value, bool)):
+            raise DataError(f"{type(obj).__name__}.{f.name} must be {kind}, got {value!r}")
 
 
 def decode_json(raw: bytes | str, build: Callable[[object], T], where: str, what: str = "") -> T:

@@ -10,6 +10,11 @@ division of the patch (partial cells at the right/bottom edges are dropped),
 and overlapping blocks of cells are contrast-normalized with L2-hys
 (L2-normalize, clip, re-normalize). The descriptor is the row-major
 concatenation of all block vectors.
+
+One kernel describes a stack of boxes of one image at once, with the same
+arithmetic in the same order for every box; describe_box, hog and
+crop_and_resize are its single-box views, and featurize_dataset feeds it an
+image's boxes in fixed-size chunks.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import Box, Candidate, DataError, Dataset, ImageRecord
+from .core import Box, Candidate, DataError, Dataset, ImageRecord, box_array, check_field_types
 
 _EPS = 1e-10
 
@@ -58,6 +63,7 @@ class HogConfig:
     clip_value: float = 0.2
 
     def __post_init__(self) -> None:
+        check_field_types(self)
         for name in ("resize_w", "resize_h", "cell_size", "orientation_bins", "block_size", "block_stride"):
             if getattr(self, name) <= 0:
                 raise DataError(f"HogConfig.{name} must be positive")
@@ -99,6 +105,128 @@ class HogConfig:
         return cls(**{f: obj[f] for f in cls.__dataclass_fields__ if f in obj})
 
 
+# Boxes per kernel call in featurize_dataset. A chunk's temporaries are a few
+# (16, resize_h, resize_w) arrays, so peak memory does not grow with the number
+# of candidates of an image.
+_CHUNK_BOXES = 16
+
+
+def _resample(image: GrayImage, boxes: np.ndarray, config: HogConfig) -> np.ndarray:
+    """(B, resize_h, resize_w) bilinear resamples of the (B, 4) box regions."""
+    width, height = image.width, image.height
+    outside = (boxes[:, 0] < 0) | (boxes[:, 1] < 0) | (boxes[:, 2] > width) | (boxes[:, 3] > height)
+    if outside.any():
+        box = [float(v) for v in boxes[np.argmax(outside)]]
+        raise DataError(f"box {box} lies outside the {width}x{height} image")
+    x_min, y_min, x_max, y_max = boxes.T[:, :, None]
+    xs = x_min + (np.arange(config.resize_w) + 0.5) * ((x_max - x_min) / config.resize_w) - 0.5
+    ys = y_min + (np.arange(config.resize_h) + 0.5) * ((y_max - y_min) / config.resize_h) - 0.5
+    np.clip(xs, 0.0, width - 1.0, out=xs)
+    np.clip(ys, 0.0, height - 1.0, out=ys)
+    x0 = np.floor(xs).astype(np.int64)
+    y0 = np.floor(ys).astype(np.int64)
+    fx = (xs - x0)[:, None, :]
+    fy = (ys - y0)[:, :, None]
+    col0, col1 = x0[:, None, :], np.minimum(x0 + 1, width - 1)[:, None, :]
+    row0, row1 = (y0 * width)[:, :, None], (np.minimum(y0 + 1, height - 1) * width)[:, :, None]
+
+    # Gathers from the flat raster, each corner weighted as it arrives. The
+    # last one reuses a buffer: its indices are in range (the samples were
+    # clamped), so mode="clip" changes no value and only spares take a copy.
+    flat = image.pixels.ravel()
+    index = row0 + col0
+    top = flat.take(index)
+    top *= 1.0 - fx
+    corner = flat.take(np.add(row0, col1, out=index))
+    corner *= fx
+    top += corner
+    bottom = flat.take(np.add(row1, col0, out=index))
+    bottom *= 1.0 - fx
+    flat.take(np.add(row1, col1, out=index), out=corner, mode="clip")
+    corner *= fx
+    bottom += corner
+    top *= 1.0 - fy
+    bottom *= fy
+    top += bottom
+    return np.clip(top, 0.0, 1.0, out=top)  # as GrayImage clips every patch
+
+
+def _centered_differences(p: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """[-1, 0, 1] differences along the last axis of p, with replicated borders,
+    at its first out.shape[-1] positions (written into out)."""
+    used, length = out.shape[-1], p.shape[-1]
+    inner = min(used, length - 1)
+    np.subtract(p[..., 2:inner + 1], p[..., :inner - 1], out=out[..., 1:inner])
+    np.subtract(p[..., 1], p[..., 0], out=out[..., 0])
+    if used == length:
+        np.subtract(p[..., -1], p[..., -2], out=out[..., -1])
+    return out
+
+
+def _unsigned(theta: np.ndarray, work: np.ndarray) -> np.ndarray:
+    """np.mod(theta, pi) in place for theta in [-pi, pi], at a fraction of its cost.
+
+    pi itself maps to 0 and negative angles move up by pi, which is the same
+    rounded sum np.mod makes. work is a buffer of theta's shape.
+    """
+    theta[theta == np.pi] = 0.0
+    theta += np.multiply(theta < 0.0, np.pi, out=work)
+    return theta
+
+
+def _hog_stack(patches: np.ndarray, config: HogConfig) -> np.ndarray:
+    """(B, dimension) descriptors of a (B, resize_h, resize_w) patch stack."""
+    n = len(patches)
+    cells_y, cells_x, cell = config.cells_y, config.cells_x, config.cell_size
+    bins, size, stride = config.orientation_bins, config.block_size, config.block_stride
+    # Gradients only where cells are: partial cells at the right and bottom
+    # borders are dropped.
+    used_h, used_w = cells_y * cell, cells_x * cell
+    gx = _centered_differences(patches[:, :used_h], np.empty((n, used_h, used_w)))
+    gy = np.empty((n, used_h, used_w))
+    _centered_differences(patches[:, :, :used_w].transpose(0, 2, 1), gy.transpose(0, 2, 1))
+    # votes[1] holds the magnitude until it becomes the hi votes; gy becomes
+    # the bin coordinate and gx the floor of it, so a chunk allocates little.
+    votes = np.empty((2, n, used_h, used_w))
+    magnitude = np.hypot(gx, gy, out=votes[1])
+    coord = _unsigned(np.arctan2(gy, gx, out=gy), work=gx)
+    coord *= bins / np.pi
+    lo = np.floor(coord, out=gx)
+    frac = np.subtract(coord, lo, out=coord)
+
+    # One bincount over flattened (box, cell, bin) indices. Within each box the
+    # lo votes come first, then the hi votes, each in pixel order, so every
+    # histogram entry adds its votes in the same order as one np.add.at per
+    # box would. coord lies in [0, bins], so lo is a bin or bins, which wraps to 0.
+    index = np.empty((2, n, used_h, used_w), dtype=np.intp)
+    index[0] = lo
+    index[0][index[0] == bins] = 0
+    np.add(index[0], 1, out=index[1])
+    index[1][index[1] == bins] = 0
+    rows, cols = np.indices((used_h, used_w))
+    index += ((rows // cell) * cells_x + cols // cell) * bins
+    index += (np.arange(n) * (cells_y * cells_x * bins))[:, None, None]
+    np.subtract(1.0, frac, out=votes[0])
+    votes[0] *= magnitude
+    magnitude *= frac
+    hist = np.bincount(index.ravel(), votes.ravel(), minlength=n * cells_y * cells_x * bins)
+    hist = hist.reshape(n, cells_y, cells_x, bins)
+
+    # L2-hys over every block at once: (B, blocks_y, blocks_x, size * size * bins).
+    windows = np.lib.stride_tricks.sliding_window_view(hist, (size, size), axis=(1, 2))
+    blocks = windows[:, ::stride, ::stride].transpose(0, 1, 2, 4, 5, 3)
+    v = blocks.reshape(n, config.blocks_y, config.blocks_x, size * size * bins)
+    v = v / (np.sqrt(np.sum(v * v, axis=-1, keepdims=True)) + _EPS)
+    np.minimum(v, config.clip_value, out=v)
+    v /= np.sqrt(np.sum(v * v, axis=-1, keepdims=True)) + _EPS
+    return v.reshape(n, config.dimension)
+
+
+def _describe_boxes(image: GrayImage, boxes: np.ndarray, config: HogConfig) -> np.ndarray:
+    """(B, dimension) descriptors of the (B, 4) boxes of one image."""
+    return _hog_stack(_resample(image, boxes, config), config)
+
+
 def crop_and_resize(image: GrayImage, box: Box, config: HogConfig) -> GrayImage:
     """Bilinearly resample the box region of the image to the configured patch.
 
@@ -106,36 +234,7 @@ def crop_and_resize(image: GrayImage, box: Box, config: HogConfig) -> GrayImage:
     so a box covering the whole image at the target size reproduces it
     exactly. Samples are clamped to the image, replicating border pixels.
     """
-    if box.x_min < 0 or box.y_min < 0 or box.x_max > image.width or box.y_max > image.height:
-        raise DataError(f"box {box.as_list()} lies outside the {image.width}x{image.height} image")
-    out_w, out_h = config.resize_w, config.resize_h
-    xs = box.x_min + (np.arange(out_w) + 0.5) * ((box.x_max - box.x_min) / out_w) - 0.5
-    ys = box.y_min + (np.arange(out_h) + 0.5) * ((box.y_max - box.y_min) / out_h) - 0.5
-    xs = np.clip(xs, 0.0, image.width - 1.0)
-    ys = np.clip(ys, 0.0, image.height - 1.0)
-    x0 = np.floor(xs).astype(np.int64)
-    y0 = np.floor(ys).astype(np.int64)
-    x1 = np.minimum(x0 + 1, image.width - 1)
-    y1 = np.minimum(y0 + 1, image.height - 1)
-    fx = xs - x0
-    fy = ys - y0
-    px = image.pixels
-    top = px[y0[:, None], x0[None, :]] * (1.0 - fx) + px[y0[:, None], x1[None, :]] * fx
-    bottom = px[y1[:, None], x0[None, :]] * (1.0 - fx) + px[y1[:, None], x1[None, :]] * fx
-    patch = top * (1.0 - fy)[:, None] + bottom * fy[:, None]
-    return GrayImage(out_w, out_h, patch)
-
-
-def _gradients(pixels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    gx = np.empty_like(pixels)
-    gx[:, 1:-1] = pixels[:, 2:] - pixels[:, :-2]
-    gx[:, 0] = pixels[:, 1] - pixels[:, 0]
-    gx[:, -1] = pixels[:, -1] - pixels[:, -2]
-    gy = np.empty_like(pixels)
-    gy[1:-1, :] = pixels[2:, :] - pixels[:-2, :]
-    gy[0, :] = pixels[1, :] - pixels[0, :]
-    gy[-1, :] = pixels[-1, :] - pixels[-2, :]
-    return gx, gy
+    return GrayImage(config.resize_w, config.resize_h, _resample(image, box_array([box]), config)[0])
 
 
 def hog(patch: GrayImage, config: HogConfig) -> np.ndarray:
@@ -145,48 +244,11 @@ def hog(patch: GrayImage, config: HogConfig) -> np.ndarray:
             f"patch is {patch.width}x{patch.height}, expected "
             f"{config.resize_w}x{config.resize_h}"
         )
-    gx, gy = _gradients(patch.pixels)
-    magnitude = np.hypot(gx, gy)
-    theta = np.mod(np.arctan2(gy, gx), np.pi)
-    bins = config.orientation_bins
-    coord = theta * (bins / np.pi)
-    lo = np.floor(coord)
-    frac = coord - lo
-    lo_bin = lo.astype(np.int64) % bins
-    hi_bin = (lo_bin + 1) % bins
-
-    # Partial cells at the right and bottom borders are dropped.
-    used_h = config.cells_y * config.cell_size
-    used_w = config.cells_x * config.cell_size
-    rows, cols = np.mgrid[0:used_h, 0:used_w]
-    cell = (rows // config.cell_size) * config.cells_x + (cols // config.cell_size)
-    cell = cell.ravel()
-    region = np.s_[:used_h, :used_w]
-    mag = magnitude[region].ravel()
-    f = frac[region].ravel()
-    lo_flat = lo_bin[region].ravel()
-    hi_flat = hi_bin[region].ravel()
-
-    hist = np.zeros((config.cells_y * config.cells_x, bins), dtype=np.float64)
-    np.add.at(hist, (cell, lo_flat), mag * (1.0 - f))
-    np.add.at(hist, (cell, hi_flat), mag * f)
-    hist = hist.reshape(config.cells_y, config.cells_x, bins)
-
-    out = []
-    for by in range(config.blocks_y):
-        y = by * config.block_stride
-        for bx in range(config.blocks_x):
-            x = bx * config.block_stride
-            v = hist[y:y + config.block_size, x:x + config.block_size].ravel()
-            v = v / (np.sqrt(np.sum(v * v)) + _EPS)
-            v = np.minimum(v, config.clip_value)
-            v = v / (np.sqrt(np.sum(v * v)) + _EPS)
-            out.append(v)
-    return np.concatenate(out)
+    return _hog_stack(patch.pixels[None], config)[0]
 
 
 def describe_box(image: GrayImage, box: Box, config: HogConfig) -> np.ndarray:
-    return hog(crop_and_resize(image, box, config), config)
+    return _describe_boxes(image, box_array([box]), config)[0]
 
 
 def featurize_dataset(
@@ -214,9 +276,12 @@ def featurize_dataset(
             image = images.get(rec.image_id)
             if image is None:
                 raise DataError("image not found")
+            boxes = box_array(c.box for c in rec.candidates)
+            feats = np.empty((len(boxes), config.dimension))
+            for start in range(0, len(boxes), _CHUNK_BOXES):
+                feats[start:start + _CHUNK_BOXES] = _describe_boxes(image, boxes[start:start + _CHUNK_BOXES], config)
             cands = tuple(
-                Candidate(c.box, c.iou_label, describe_box(image, c.box, config), c.source_index)
-                for c in rec.candidates
+                Candidate(c.box, c.iou_label, f, c.source_index) for c, f in zip(rec.candidates, feats)
             )
         except (DataError, OSError) as exc:
             failures.append(f"{rec.image_id}: {exc}")

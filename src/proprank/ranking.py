@@ -32,7 +32,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import DataError, Dataset, ImageRecord, atomic_write_text, dataset_digest, decode_json, rank_by_label
+from .core import (DataError, Dataset, ImageRecord, atomic_write_text, check_field_types, dataset_digest,
+                   decode_json, rank_by_label)
 from .features import HogConfig
 
 logger = logging.getLogger(__name__)
@@ -67,6 +68,7 @@ class TrainingConfig:
     per_image_slack: bool = True
 
     def __post_init__(self) -> None:
+        check_field_types(self)
         if self.k < 1:
             raise DataError("k must be at least 1")
         if not 0.0 < self.C < math.inf:

@@ -2,7 +2,8 @@
 
 Everything here is deliberately written with different machinery than the
 code under test: pixel-set enumeration for IoU, plain-Python loops for the
-metrics, and for the training objective both a full-batch subgradient pass
+metrics, for HOG the per-box code (np.add.at cell votes, a Python loop over
+blocks), and for the training objective both a full-batch subgradient pass
 plus shrinking pattern search and an exact dual QP whose duality gap
 certifies its optimum. Slow is fine; these only run on tiny inputs.
 """
@@ -12,6 +13,8 @@ from __future__ import annotations
 import itertools
 
 import numpy as np
+
+from proprank import DataError, GrayImage
 
 
 # ---------------------------------------------------------------------------
@@ -87,6 +90,105 @@ def brute_force_mabo(records, rankings, m):
         by_class.setdefault(cls, []).append(best)
     abo = {cls: sum(vals) / len(vals) for cls, vals in by_class.items()}
     return abo, sum(abo.values()) / len(abo)
+
+
+# ---------------------------------------------------------------------------
+# HOG one box at a time
+#
+# image is a proprank.GrayImage, box a proprank.Box and config a
+# proprank.HogConfig; only their fields are read.
+
+_EPS = 1e-10
+
+
+def crop_and_resize(image, box, config):
+    """Bilinearly resample the box region of the image to the configured patch.
+
+    Sample points sit at output pixel centers mapped into the source region,
+    so a box covering the whole image at the target size reproduces it
+    exactly. Samples are clamped to the image, replicating border pixels.
+    """
+    if box.x_min < 0 or box.y_min < 0 or box.x_max > image.width or box.y_max > image.height:
+        raise DataError(f"box {box.as_list()} lies outside the {image.width}x{image.height} image")
+    out_w, out_h = config.resize_w, config.resize_h
+    xs = box.x_min + (np.arange(out_w) + 0.5) * ((box.x_max - box.x_min) / out_w) - 0.5
+    ys = box.y_min + (np.arange(out_h) + 0.5) * ((box.y_max - box.y_min) / out_h) - 0.5
+    xs = np.clip(xs, 0.0, image.width - 1.0)
+    ys = np.clip(ys, 0.0, image.height - 1.0)
+    x0 = np.floor(xs).astype(np.int64)
+    y0 = np.floor(ys).astype(np.int64)
+    x1 = np.minimum(x0 + 1, image.width - 1)
+    y1 = np.minimum(y0 + 1, image.height - 1)
+    fx = xs - x0
+    fy = ys - y0
+    px = image.pixels
+    top = px[y0[:, None], x0[None, :]] * (1.0 - fx) + px[y0[:, None], x1[None, :]] * fx
+    bottom = px[y1[:, None], x0[None, :]] * (1.0 - fx) + px[y1[:, None], x1[None, :]] * fx
+    patch = top * (1.0 - fy)[:, None] + bottom * fy[:, None]
+    return GrayImage(out_w, out_h, patch)
+
+
+def _gradients(pixels):
+    gx = np.empty_like(pixels)
+    gx[:, 1:-1] = pixels[:, 2:] - pixels[:, :-2]
+    gx[:, 0] = pixels[:, 1] - pixels[:, 0]
+    gx[:, -1] = pixels[:, -1] - pixels[:, -2]
+    gy = np.empty_like(pixels)
+    gy[1:-1, :] = pixels[2:, :] - pixels[:-2, :]
+    gy[0, :] = pixels[1, :] - pixels[0, :]
+    gy[-1, :] = pixels[-1, :] - pixels[-2, :]
+    return gx, gy
+
+
+def hog(patch, config):
+    """Descriptor of a patch that already has the configured size."""
+    if (patch.width, patch.height) != (config.resize_w, config.resize_h):
+        raise DataError(
+            f"patch is {patch.width}x{patch.height}, expected "
+            f"{config.resize_w}x{config.resize_h}"
+        )
+    gx, gy = _gradients(patch.pixels)
+    magnitude = np.hypot(gx, gy)
+    theta = np.mod(np.arctan2(gy, gx), np.pi)
+    bins = config.orientation_bins
+    coord = theta * (bins / np.pi)
+    lo = np.floor(coord)
+    frac = coord - lo
+    lo_bin = lo.astype(np.int64) % bins
+    hi_bin = (lo_bin + 1) % bins
+
+    # Partial cells at the right and bottom borders are dropped.
+    used_h = config.cells_y * config.cell_size
+    used_w = config.cells_x * config.cell_size
+    rows, cols = np.mgrid[0:used_h, 0:used_w]
+    cell = (rows // config.cell_size) * config.cells_x + (cols // config.cell_size)
+    cell = cell.ravel()
+    region = np.s_[:used_h, :used_w]
+    mag = magnitude[region].ravel()
+    f = frac[region].ravel()
+    lo_flat = lo_bin[region].ravel()
+    hi_flat = hi_bin[region].ravel()
+
+    hist = np.zeros((config.cells_y * config.cells_x, bins), dtype=np.float64)
+    np.add.at(hist, (cell, lo_flat), mag * (1.0 - f))
+    np.add.at(hist, (cell, hi_flat), mag * f)
+    hist = hist.reshape(config.cells_y, config.cells_x, bins)
+
+    out = []
+    for by in range(config.blocks_y):
+        y = by * config.block_stride
+        for bx in range(config.blocks_x):
+            x = bx * config.block_stride
+            v = hist[y:y + config.block_size, x:x + config.block_size].ravel()
+            v = v / (np.sqrt(np.sum(v * v)) + _EPS)
+            v = np.minimum(v, config.clip_value)
+            v = v / (np.sqrt(np.sum(v * v)) + _EPS)
+            out.append(v)
+    return np.concatenate(out)
+
+
+def describe_box(image, box, config):
+    return hog(crop_and_resize(image, box, config), config)
 
 
 # ---------------------------------------------------------------------------

@@ -94,6 +94,19 @@ def test_missing_and_malformed_inputs_exit_2(tmp_path, capsys, caplog):
         model.write_text(json.dumps({**saved, key: value}), encoding="utf-8")
         assert main(["rerank", str(data), str(ranked), "--model", str(model)]) == 2
         assert f"{model}: invalid model file" in caplog.messages[-1]
+    # Ill-typed config fields are refused by name instead of loading silently.
+    config = saved["config"]
+    for key, value, message in (
+        ("config", {**config, "per_image_slack": "no"}, "TrainingConfig.per_image_slack must be true or false"),
+        ("config", {**config, "k": 2.5}, "TrainingConfig.k must be an integer"),
+        ("config", {**config, "epochs": True}, "TrainingConfig.epochs must be an integer"),
+        ("hog_config", {"cell_size": True}, "HogConfig.cell_size must be an integer"),
+        ("hog_config", {"resize_w": 50.5}, "HogConfig.resize_w must be an integer"),
+    ):
+        model.write_text(json.dumps({**saved, key: value}), encoding="utf-8")
+        assert main(["rerank", str(data), str(ranked), "--model", str(model)]) == 2
+        assert f"{model}: invalid model file: {message}" in caplog.messages[-1]
+        assert not ranked.exists() and not (tmp_path / "ranked.jsonl.manifest.json").exists()
     model.write_bytes(b'{"weights": "\xff"}')
     assert main(["rerank", str(data), str(ranked), "--model", str(model)]) == 2
     assert f"{model}: not valid UTF-8" in caplog.messages[-1]

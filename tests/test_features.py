@@ -1,7 +1,10 @@
+import re
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import oracles
 from proprank import (
     Box,
     DataError,
@@ -16,6 +19,7 @@ from proprank import (
     read_pgm,
 )
 from conftest import make_record
+from proprank.features import _CHUNK_BOXES, _describe_boxes, _unsigned
 
 # Small geometry for fast tests: 8x8 patch, 4x4 cells -> 2x2 grid, one block.
 TINY = HogConfig(resize_w=8, resize_h=8, cell_size=4)
@@ -53,6 +57,19 @@ def test_hog_config_geometry_and_dimension():
         HogConfig(cell_size=0)
 
 
+def test_hog_config_field_types():
+    for field, bad, kind in (
+        ("cell_size", True, "an integer"), ("resize_w", 50.5, "an integer"), ("resize_h", "60", "an integer"),
+        ("orientation_bins", 9.0, "an integer"), ("block_size", None, "an integer"),
+        ("block_stride", False, "an integer"), ("clip_value", True, "a real number"),
+        ("clip_value", "0.2", "a real number"),
+    ):
+        with pytest.raises(DataError, match=f"^{re.escape(f'HogConfig.{field} must be {kind}, got {bad!r}')}$"):
+            HogConfig.from_dict({field: bad})
+    assert HogConfig.from_dict({"clip_value": 1}).clip_value == 1
+    assert HogConfig(resize_w=np.int64(50)).dimension == 1080
+
+
 def test_crop_full_image_at_native_size_is_identity():
     rng = np.random.default_rng(0)
     pixels = rng.uniform(size=(8, 8))
@@ -77,8 +94,9 @@ def test_crop_upsamples_checkerboard_bilinearly():
 
 def test_crop_rejects_out_of_image_boxes():
     img = gray(np.zeros((4, 4)))
-    with pytest.raises(DataError):
-        crop_and_resize(img, Box(1, 1, 5, 3), TINY)
+    for view in (crop_and_resize, describe_box, oracles.crop_and_resize):
+        with pytest.raises(DataError, match=re.escape("box [1.0, 1.0, 5.0, 3.0] lies outside the 4x4 image")):
+            view(img, Box(1, 1, 5, 3), TINY)
 
 
 def test_constant_patch_gives_zero_descriptor():
@@ -244,3 +262,126 @@ def test_pgm_directory_lookup(tmp_path):
     assert source.get("missing") is None
     img = source.get("here")
     assert img is not None and img.pixels.shape == (1, 1)
+
+
+# ---------------------------------------------------------------------------
+# The batched kernel against the per-box oracle (tests/oracles.py)
+
+GEOMETRIES = {
+    "default": HogConfig(),
+    "tiny": TINY,
+    "block-stride-2": HogConfig(block_stride=2),
+    "partial-cells": HogConfig(resize_w=10, resize_h=12, cell_size=4),  # 2 px of width dropped, none of height
+    "six-bins": HogConfig(orientation_bins=6),
+    "no-clip": HogConfig(clip_value=1.0),
+}
+
+
+def scene(width=23, height=17):
+    """Noise with saturated and black blocks, where resampled values sit at
+    exactly 1 or 0 and gradients vanish, and a flat-topped ramp that falls to
+    the right, whose gradient points at exactly 180 degrees."""
+    rng = np.random.default_rng(11)
+    pixels = rng.uniform(size=(height, width))
+    pixels[2:8, 3:10] = 1.0
+    pixels[10:, 12:20] = 0.0
+    pixels[:6, 14:] = np.linspace(1.0, 0.2, width - 14)
+    return gray(pixels)
+
+
+def scene_boxes(width=23, height=17, count=20):
+    """Whole-image, border-touching, 1-2 px and sub-pixel boxes, then random ones."""
+    boxes = [
+        [0, 0, width, height],
+        [0, 3, 5, 9],
+        [4, 0, 9, 6],
+        [width - 6, 2, width, 8],
+        [3, height - 5, 11, height],
+        [width - 1, height - 1, width, height],
+        [5, 5, 7, 7],
+        [10.5, 8.25, 12.0, 9.0],
+        [6.3, 4.1, 6.31, 4.12],
+        [0.0, 0.0, 0.5, 0.25],
+    ]
+    rng = np.random.default_rng(12)
+    while len(boxes) < count:
+        x0, x1 = np.sort(rng.uniform(0, width, size=2))
+        y0, y1 = np.sort(rng.uniform(0, height, size=2))
+        if x1 > x0 and y1 > y0:
+            boxes.append([x0, y0, x1, y1])
+    return [Box(*b) for b in boxes]
+
+
+def oracle_features(img, boxes, config):
+    return np.array([oracles.describe_box(img, b, config) for b in boxes]).reshape(len(boxes), config.dimension)
+
+
+def test_unsigned_orientation_is_np_mod_exactly():
+    tiny = np.nextafter(0.0, 1.0)
+    edges = [-np.pi, np.nextafter(-np.pi, 0.0), -1e-300, -tiny, -0.0, 0.0, tiny,
+             np.nextafter(np.pi, 0.0), np.pi, -np.pi / 2, np.pi / 2]
+    theta = np.concatenate([edges, np.random.default_rng(13).uniform(-np.pi, np.pi, size=10000)])
+    got = _unsigned(theta.copy(), np.empty_like(theta))
+    assert np.array_equal(got, np.mod(theta, np.pi)) and not np.any(np.signbit(got))
+
+
+def test_orientation_just_below_zero_wraps_to_bin_zero():
+    # Column 3 has gx = 1 and rows falling by one ulp, so gy is about -5.6e-17
+    # and the unsigned orientation rounds up to exactly 180 degrees: bin
+    # coordinate 9, which must wrap to bin 0 of the same cell.
+    pixels = np.zeros((8, 8))
+    pixels[:, 3] = 0.25 - np.arange(8) * 2.0**-55
+    pixels[:, 4:] = 1.0
+    patch = gray(pixels)
+    assert_allclose(hog(patch, TINY), oracles.hog(patch, TINY), rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("name", sorted(GEOMETRIES))
+@pytest.mark.parametrize("count", [0, 1, _CHUNK_BOXES, _CHUNK_BOXES + 1])
+def test_batched_kernel_matches_per_box_oracle(name, count):
+    config, img = GEOMETRIES[name], scene()
+    boxes = scene_boxes()[:count]
+    got = _describe_boxes(img, np.array([b.as_list() for b in boxes]).reshape(-1, 4), config)
+    assert got.shape == (count, config.dimension)
+    assert_allclose(got, oracle_features(img, boxes, config), rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("name", sorted(GEOMETRIES))
+def test_single_box_views_match_the_oracle(name):
+    config, img = GEOMETRIES[name], scene()
+    for box in scene_boxes():
+        patch = crop_and_resize(img, box, config)
+        assert_allclose(patch.pixels, oracles.crop_and_resize(img, box, config).pixels, rtol=0, atol=1e-12)
+        assert_allclose(hog(patch, config), oracles.hog(patch, config), rtol=0, atol=1e-12)
+        assert_allclose(describe_box(img, box, config), oracles.describe_box(img, box, config), rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("count", [0, 1, _CHUNK_BOXES, _CHUNK_BOXES + 1, 2 * _CHUNK_BOXES + 1])
+def test_featurize_dataset_chunks_match_the_oracle(count):
+    img = scene()
+    boxes = scene_boxes(count=max(count, 10))[:count]
+    rec = make_record("s", labels=[0.5] * count, cand_boxes=[b.as_list() for b in boxes], size=(23, 17))
+    out, failures = featurize_dataset(Dataset((rec,)), {"s": img}, HogConfig())
+    assert failures == []
+    assert out.records[0].num_candidates == count
+    got = np.array([c.features for c in out.records[0].candidates]).reshape(count, HogConfig().dimension)
+    assert_allclose(got, oracle_features(img, boxes, HogConfig()), rtol=0, atol=1e-12)
+
+
+def test_featurize_dataset_reports_a_record_with_a_bad_box_whole():
+    img = scene()
+    good = [b.as_list() for b in scene_boxes()]
+    bad = [20.0, 10.0, 30.0, 16.0]
+    # The records claim a larger image than the 23x17 one the source returns.
+    records = (
+        make_record("empty", labels=[], cand_boxes=[], size=(40, 20)),
+        make_record("outside", labels=[0.1], cand_boxes=[bad], size=(40, 20)),
+        # The bad box sits in the second chunk, after a first chunk of good boxes.
+        make_record("mixed", labels=[0.1] * (len(good) + 1), cand_boxes=good + [bad], size=(40, 20)),
+    )
+    out, failures = featurize_dataset(Dataset(records), {r.image_id: img for r in records}, HogConfig())
+    message = "box [20.0, 10.0, 30.0, 16.0] lies outside the 23x17 image"
+    assert failures == [f"outside: {message}", f"mixed: {message}"]
+    assert out.records[0].num_candidates == 0
+    assert out.records[1] is records[1] and out.records[2] is records[2]
+    assert all(c.features is None for c in out.records[2].candidates)

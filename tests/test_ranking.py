@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -50,6 +52,20 @@ def test_training_config_validation():
         TrainingConfig(mode="hard")  # hard margin is a large C, not a mode
     cfg = TrainingConfig(C=1e5, per_image_slack=False)
     assert TrainingConfig.from_dict(cfg.to_dict()) == cfg
+
+
+def test_training_config_field_types():
+    for field, bad, kind in (
+        ("k", 2.5, "an integer"), ("k", True, "an integer"), ("k", "3", "an integer"),
+        ("epochs", True, "an integer"), ("epochs", 10.0, "an integer"),
+        ("C", True, "a real number"), ("C", "1", "a real number"), ("C", None, "a real number"),
+        ("convergence_tol", False, "a real number"),
+        ("per_image_slack", "no", "true or false"), ("per_image_slack", 0, "true or false"),
+    ):
+        with pytest.raises(DataError, match=f"^{re.escape(f'TrainingConfig.{field} must be {kind}, got {bad!r}')}$"):
+            TrainingConfig.from_dict({field: bad})
+    # Any integral number is an integer and any real number a real.
+    assert TrainingConfig(k=np.int64(3), C=2, epochs=np.int32(4)) == TrainingConfig(k=3, C=2.0, epochs=4)
 
 
 def test_negatives_cap_values():
