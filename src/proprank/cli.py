@@ -20,11 +20,21 @@ import json
 import logging
 import sys
 import time
-from dataclasses import replace
 from pathlib import Path
 
 from . import __version__
-from .core import DataError, Dataset, atomic_write_text, decode_json, label_dataset, read_dataset, write_dataset
+from .core import (
+    DataError,
+    Dataset,
+    ImageRecord,
+    atomic_write_text,
+    candidate_columns,
+    decode_json,
+    label_dataset,
+    read_dataset,
+    record_from_columns,
+    write_dataset,
+)
 from .features import HogConfig, PgmDirectory, featurize_dataset
 from .metrics import EvalConfig, EvalReport, identity_rankings, render_csv, render_text, report
 from .ranking import (
@@ -182,6 +192,18 @@ def cmd_train(args: argparse.Namespace) -> Paths:
     return [args.input], [args.output]
 
 
+def _reordered(rec: ImageRecord, order: list[int]) -> ImageRecord:
+    """rec with its candidates in the given order, each keeping its source_index
+    or, without one, taking its position in rec."""
+    boxes, labels, features, sources = candidate_columns(rec)
+    if sources is None:
+        sources = range(len(boxes))
+    else:
+        sources = [i if s is None else s for i, s in enumerate(sources)]
+    picked = [None if column is None else [column[i] for i in order] for column in (labels, features, sources)]
+    return record_from_columns(rec.image_id, rec.width, rec.height, rec.groundtruth, boxes[order], *picked)
+
+
 def cmd_rerank(args: argparse.Namespace) -> Paths:
     dataset = read_dataset(args.input)
     model = load_model(args.model)
@@ -192,17 +214,7 @@ def cmd_rerank(args: argparse.Namespace) -> Paths:
                 f"HOG geometry of the dataset ({sidecar.to_dict()}) does not match "
                 f"the model's ({model.hog_config.to_dict()})"
             )
-    out_records = []
-    for rec in dataset.records:
-        order = rerank(model, rec)
-        cands = tuple(
-            replace(
-                rec.candidates[i],
-                source_index=rec.candidates[i].source_index if rec.candidates[i].source_index is not None else i,
-            )
-            for i in order
-        )
-        out_records.append(replace(rec, candidates=cands))
+    out_records = [_reordered(rec, rerank(model, rec)) for rec in dataset.records]
     write_dataset(Dataset(tuple(out_records), dataset.feature_dim), args.output)
     logger.info("reranked %d records -> %s", len(out_records), args.output)
     return [args.input, args.model], [args.output]

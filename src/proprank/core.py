@@ -12,7 +12,8 @@ import json
 import math
 import numbers
 import os
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
+from itertools import repeat
 from pathlib import Path
 from typing import Callable, Iterable, TypeVar
 
@@ -48,6 +49,15 @@ def check_field_types(obj) -> None:
             raise DataError(f"{type(obj).__name__}.{f.name} must be {kind}, got {value!r}")
 
 
+def _as_int(value, what: str) -> int:
+    """value as an int: any integral number or an integral float, never a bool."""
+    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
+        return int(value)
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    raise DataError(f"{what} must be an integer, got {value!r}")
+
+
 def decode_json(raw: bytes | str, build: Callable[[object], T], where: str, what: str = "") -> T:
     """build() applied to one JSON document: a whole file or one dataset line.
 
@@ -70,7 +80,7 @@ def decode_json(raw: bytes | str, build: Callable[[object], T], where: str, what
         raise DataError(f"{context}: {exc}") from exc
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Box:
     """Axis-aligned rectangle; must have strictly positive width and height."""
 
@@ -131,7 +141,7 @@ class GroundTruthObject:
             raise DataError("class label must be non-empty")
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class Candidate:
     """One proposal box, optionally carrying its overlap label and features.
 
@@ -165,8 +175,11 @@ class Candidate:
             if not np.all(np.isfinite(feats)):
                 raise DataError("features contain non-finite values")
             object.__setattr__(self, "features", feats)
-        if self.source_index is not None and self.source_index < 0:
-            raise DataError(f"source_index must be non-negative, got {self.source_index}")
+        if self.source_index is not None:
+            index = _as_int(self.source_index, "source_index")
+            if index < 0:
+                raise DataError(f"source_index must be non-negative, got {index}")
+            object.__setattr__(self, "source_index", index)
 
 
 @dataclass(frozen=True, eq=False)
@@ -244,6 +257,21 @@ class ImageRecord:
         return np.stack(rows)
 
 
+def _join(by_id: dict, dim: int | None, record: ImageRecord) -> int | None:
+    """Add record to by_id and return the feature dimension of the records so
+    far; a repeated image_id or a second feature dimension is a DataError."""
+    if record.image_id in by_id:
+        raise DataError(f"duplicate image_id: {record.image_id}")
+    by_id[record.image_id] = record
+    if record.feature_dim is None:
+        return dim
+    if dim is not None and record.feature_dim != dim:
+        raise DataError(
+            f"{record.image_id}: candidates have feature dimension {record.feature_dim}, expected {dim}"
+        )
+    return record.feature_dim
+
+
 @dataclass(frozen=True, eq=False)
 class Dataset:
     """An ordered collection of image records with unique image ids."""
@@ -254,21 +282,12 @@ class Dataset:
     def __post_init__(self) -> None:
         object.__setattr__(self, "records", tuple(self.records))
         by_id: dict[str, ImageRecord] = {}
-        for rec in self.records:
-            if rec.image_id in by_id:
-                raise DataError(f"duplicate image_id: {rec.image_id}")
-            by_id[rec.image_id] = rec
-        object.__setattr__(self, "_by_id", by_id)
         dim = self.feature_dim
         for rec in self.records:
-            if rec.feature_dim is None:
-                continue
-            if dim is None:
-                dim = rec.feature_dim
-            elif rec.feature_dim != dim:
-                raise DataError(f"{rec.image_id}: candidates have feature dimension {rec.feature_dim}, expected {dim}")
+            dim = _join(by_id, dim, rec)
         if dim is not None and dim <= 0:
             raise DataError("feature_dim must be positive")
+        object.__setattr__(self, "_by_id", by_id)
         object.__setattr__(self, "feature_dim", dim)
 
     def __len__(self) -> int:
@@ -278,6 +297,143 @@ class Dataset:
         return self._by_id[image_id]
 
 
+# ---------------------------------------------------------------------------
+# Column-wise record building
+#
+# A record's candidates are checked as arrays, once per record, against every
+# rule that Box, Candidate and ImageRecord enforce, and are then built without
+# running the per-object checks again. Columns that fail a check, or that are
+# not a regular table of numbers, are built entry by entry through the types
+# instead, so they fail with exactly the errors the types raise.
+
+# Largest image side that compares exactly against float64 coordinates.
+_EXACT_SIDE = 2**53
+
+
+class _Irregular(Exception):
+    """Columns that the array checks do not pass."""
+
+
+def _numbers(values, ndim: int, n: int, integer: bool = False) -> np.ndarray:
+    """values as an (n, ...) array of ndim axes: float64, or with integer an
+    integer array. Anything else (ragged, nested, missing or non-numeric
+    values) is _Irregular."""
+    if integer and not isinstance(values, np.ndarray) and bool in map(type, values):
+        raise _Irregular  # numpy would read a bool among ints as 0 or 1
+    try:
+        arr = np.asarray(values)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise _Irregular from exc
+    if arr.dtype.kind not in ("iu" if integer else "biuf") or arr.ndim != ndim or len(arr) != n:
+        raise _Irregular
+    return arr if integer else arr.astype(np.float64, copy=False)
+
+
+def _inside(boxes: np.ndarray, width: int, height: int) -> bool:
+    """Whether every (n, 4) box has positive extent and lies inside the image
+    (never for a non-finite coordinate)."""
+    lo, hi = boxes[:, :2], boxes[:, 2:]
+    return bool((lo >= 0.0).all() and (hi > lo).all() and (hi <= np.array([width, height], np.float64)).all())
+
+
+def _checked_record(image_id, width, height, groundtruth, boxes, labels, features, source_index) -> ImageRecord:
+    """The record, built without per-object checks once its columns pass them
+    all as arrays; _Irregular when they do not."""
+    n = len(boxes)
+    boxes = _numbers(boxes, 2, n)
+    labels = None if labels is None else _numbers(labels, 1, n)
+    features = None if features is None else _numbers(features, 2, n)
+    source_index = None if source_index is None else _numbers(source_index, 1, n, integer=True)
+    if not (
+        boxes.shape[1] == 4
+        and image_id
+        and type(width) is int and 0 < width <= _EXACT_SIDE
+        and type(height) is int and 0 < height <= _EXACT_SIDE
+        and _inside(boxes, width, height)
+        and _inside(box_array(g.box for g in groundtruth), width, height)
+        and (labels is None or bool(((labels >= 0.0) & (labels <= 1.0)).all()))
+        and (features is None or (features.shape[1] > 0 and bool(np.isfinite(features).all())))
+        and (source_index is None or bool((source_index >= 0).all()))
+    ):
+        raise _Irregular
+
+    new, put = object.__new__, object.__setattr__
+    absent = repeat(None)
+    cands = []
+    for (x_min, y_min, x_max, y_max), label, feats, index in zip(
+        boxes.tolist(),
+        absent if labels is None else labels.tolist(),
+        absent if features is None else features,  # row views of the one matrix
+        absent if source_index is None else source_index.tolist(),
+    ):
+        box = new(Box)
+        put(box, "x_min", x_min)
+        put(box, "y_min", y_min)
+        put(box, "x_max", x_max)
+        put(box, "y_max", y_max)
+        cand = new(Candidate)
+        put(cand, "box", box)
+        put(cand, "iou_label", label)
+        put(cand, "features", feats)
+        put(cand, "source_index", index)
+        cands.append(cand)
+    record = new(ImageRecord)
+    for name, value in (
+        ("image_id", image_id), ("width", width), ("height", height), ("groundtruth", groundtruth),
+        ("candidates", tuple(cands)), ("_feature_dim", features.shape[1] if features is not None and n else None),
+    ):
+        put(record, name, value)
+    return record
+
+
+def record_from_columns(
+    image_id: str,
+    width: int,
+    height: int,
+    groundtruth: Iterable[GroundTruthObject],
+    boxes,
+    labels=None,
+    features=None,
+    source_index=None,
+) -> ImageRecord:
+    """An ImageRecord whose candidates are given as columns.
+
+    boxes holds n [x_min, y_min, x_max, y_max] rows; labels (n values),
+    features (n vectors) and source_index (n values) are optional. Each is an
+    array or a list of per-candidate values, and candidate i takes entry i of
+    each. Checked as arrays, the candidates' features are row views of one
+    (n, d) matrix. Anything the types reject fails with their error, prefixed
+    with the image and the candidate as in "<image_id>: candidate 3 ...".
+    """
+    groundtruth = tuple(groundtruth)
+    try:
+        return _checked_record(image_id, width, height, groundtruth, boxes, labels, features, source_index)
+    except _Irregular:
+        pass
+    rows = boxes.tolist() if isinstance(boxes, np.ndarray) else boxes
+    entries = zip(rows, *(repeat(None) if c is None else c for c in (labels, features, source_index)))
+    cands = _each(image_id, "candidate", entries, lambda entry: Candidate(_box_from_list(entry[0]), *entry[1:]))
+    return ImageRecord(image_id, width, height, groundtruth, cands)
+
+
+def _column(values: list) -> list | None:
+    """values, or None when every one of them is None."""
+    return None if all(v is None for v in values) else values
+
+
+def candidate_columns(record: ImageRecord) -> tuple[np.ndarray, list | None, list | None, list | None]:
+    """A record's candidates as columns, the inverse of record_from_columns:
+    boxes (n, 4), then the iou_label, features and source_index of each
+    candidate, each None when no candidate has one."""
+    cands = record.candidates
+    return (
+        box_array(c.box for c in cands),
+        _column([c.iou_label for c in cands]),
+        _column([c.features for c in cands]),
+        _column([c.source_index for c in cands]),
+    )
+
+
 def label_candidates(record: ImageRecord) -> ImageRecord:
     """Return a copy whose candidates carry their best IoU against the groundtruth.
 
@@ -285,11 +441,11 @@ def label_candidates(record: ImageRecord) -> ImageRecord:
     of them; with none it is 0.0. Candidate order is preserved and existing
     labels are recomputed.
     """
-    cands = box_array(c.box for c in record.candidates)
-    gts = box_array(g.box for g in record.groundtruth)
-    best = iou_matrix(cands, gts).max(axis=1, initial=0.0)
-    labeled = tuple(replace(cand, iou_label=label) for cand, label in zip(record.candidates, best.tolist()))
-    return replace(record, candidates=labeled)
+    boxes, _, features, source_index = candidate_columns(record)
+    best = iou_matrix(boxes, box_array(g.box for g in record.groundtruth)).max(axis=1, initial=0.0)
+    return record_from_columns(
+        record.image_id, record.width, record.height, record.groundtruth, boxes, best, features, source_index
+    )
 
 
 def label_dataset(dataset: Dataset) -> Dataset:
@@ -325,22 +481,12 @@ def record_to_dict(record: ImageRecord) -> dict:
         if cand.iou_label is not None:
             entry["iou_label"] = cand.iou_label
         if cand.features is not None:
-            entry["features"] = [float(v) for v in cand.features]
+            entry["features"] = cand.features.tolist()
         if cand.source_index is not None:
             entry["source_index"] = cand.source_index
         cands.append(entry)
     obj["candidates"] = cands
     return obj
-
-
-def _as_int(value, what: str) -> int:
-    if isinstance(value, bool):
-        raise DataError(f"{what} must be an integer, got {value!r}")
-    if isinstance(value, int):
-        return value
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
-    raise DataError(f"{what} must be an integer, got {value!r}")
 
 
 def _box_from_list(value) -> Box:
@@ -358,36 +504,39 @@ def _groundtruth_from_dict(entry) -> GroundTruthObject:
 def _candidate_from_dict(entry) -> Candidate:
     if not isinstance(entry, dict) or "box" not in entry:
         raise DataError("needs a 'box' field")
-    source = entry.get("source_index")
     return Candidate(
-        box=_box_from_list(entry["box"]),
-        iou_label=entry.get("iou_label"),
-        features=entry.get("features"),
-        source_index=None if source is None else _as_int(source, "source_index"),
+        _box_from_list(entry["box"]), entry.get("iou_label"), entry.get("features"), entry.get("source_index")
     )
 
 
-def _entries(obj: dict, key: str, kind: str, build: Callable[[object], T]) -> tuple[T, ...]:
-    """build() of each entry of a record's list field; an error names the image and the entry."""
+def _list_field(obj: dict, key: str) -> list:
+    """A record's list field; [] when it is absent or null."""
     value = obj.get(key)
     if value is None:
-        return ()
+        return []
     if not isinstance(value, list):
         raise DataError(f"{obj['image_id']}: {key} must be a list, got {value!r}")
+    return value
+
+
+def _each(image_id: str, kind: str, entries: Iterable, build: Callable[[object], T]) -> tuple[T, ...]:
+    """build() of each entry; an error names the image and the entry."""
     built = []
-    for i, entry in enumerate(value):
+    for i, entry in enumerate(entries):
         try:
             built.append(build(entry))
         except DataError as exc:
-            raise DataError(f"{obj['image_id']}: {kind} {i} {exc}") from exc
+            raise DataError(f"{image_id}: {kind} {i} {exc}") from exc
     return tuple(built)
 
 
 def record_from_dict(obj: dict) -> ImageRecord:
     """An ImageRecord from one decoded JSON line.
 
-    Only the JSON shape is checked here; the types check their own fields, and
-    their errors are prefixed with the image and the entry they came from.
+    Only the JSON shape is checked here. The candidates go to
+    record_from_columns as columns; an entry that is not an object with a
+    box is built on its own. Errors of the types are prefixed with the image
+    and the entry they came from.
     """
     if not isinstance(obj, dict):
         raise DataError("record is not a JSON object")
@@ -397,13 +546,17 @@ def record_from_dict(obj: dict) -> ImageRecord:
     image_id = obj["image_id"]
     if not isinstance(image_id, str):
         raise DataError(f"image_id must be a string, got {image_id!r}")
-    return ImageRecord(
-        image_id,
-        _as_int(obj["width"], f"{image_id}: width"),
-        _as_int(obj["height"], f"{image_id}: height"),
-        _entries(obj, "groundtruth", "groundtruth", _groundtruth_from_dict),
-        _entries(obj, "candidates", "candidate", _candidate_from_dict),
-    )
+    width = _as_int(obj["width"], f"{image_id}: width")
+    height = _as_int(obj["height"], f"{image_id}: height")
+    groundtruth = _each(image_id, "groundtruth", _list_field(obj, "groundtruth"), _groundtruth_from_dict)
+    entries = _list_field(obj, "candidates")
+    try:
+        boxes = [entry["box"] for entry in entries]
+    except (TypeError, KeyError):
+        cands = _each(image_id, "candidate", entries, _candidate_from_dict)
+        return ImageRecord(image_id, width, height, groundtruth, cands)
+    columns = (_column([entry.get(key) for entry in entries]) for key in ("iou_label", "features", "source_index"))
+    return record_from_columns(image_id, width, height, groundtruth, boxes, *columns)
 
 
 def dataset_to_lines(dataset: Dataset) -> list[str]:
@@ -411,12 +564,24 @@ def dataset_to_lines(dataset: Dataset) -> list[str]:
 
 
 def dataset_from_lines(lines: Iterable[bytes | str]) -> Dataset:
-    """Dataset from JSON Lines, one record per line; blank lines are skipped."""
-    records = [
-        decode_json(line, record_from_dict, f"line {line_no}")
-        for line_no, line in enumerate(lines, start=1)
-        if line.strip()
-    ]
+    """Dataset from JSON Lines, one record per line; blank lines are skipped.
+
+    The checks that span records (unique image ids, one feature dimension)
+    run as each line is read, so their errors name the line too.
+    """
+    records: list[ImageRecord] = []
+    by_id: dict[str, ImageRecord] = {}
+    dim = None
+    for line_no, line in enumerate(lines, start=1):
+        if not line.strip():
+            continue
+        where = f"line {line_no}"
+        record = decode_json(line, record_from_dict, where)
+        try:
+            dim = _join(by_id, dim, record)
+        except DataError as exc:
+            raise DataError(f"{where}: {exc}") from exc
+        records.append(record)
     return Dataset(tuple(records))
 
 

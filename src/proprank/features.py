@@ -24,7 +24,16 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import Box, Candidate, DataError, Dataset, ImageRecord, box_array, check_field_types
+from .core import (
+    Box,
+    DataError,
+    Dataset,
+    ImageRecord,
+    box_array,
+    candidate_columns,
+    check_field_types,
+    record_from_columns,
+)
 
 _EPS = 1e-10
 
@@ -67,6 +76,9 @@ class HogConfig:
         for name in ("resize_w", "resize_h", "cell_size", "orientation_bins", "block_size", "block_stride"):
             if getattr(self, name) <= 0:
                 raise DataError(f"HogConfig.{name} must be positive")
+        for name in ("resize_w", "resize_h"):  # the [-1, 0, 1] gradient needs two pixels
+            if getattr(self, name) < 2:
+                raise DataError(f"HogConfig.{name} must be at least 2, got {getattr(self, name)}")
         if not 0.0 < self.clip_value <= 1.0:
             raise DataError("HogConfig.clip_value must lie in (0, 1]")
         if self.cells_x < self.block_size or self.cells_y < self.block_size:
@@ -276,18 +288,16 @@ def featurize_dataset(
             image = images.get(rec.image_id)
             if image is None:
                 raise DataError("image not found")
-            boxes = box_array(c.box for c in rec.candidates)
+            boxes, labels, _, sources = candidate_columns(rec)
             feats = np.empty((len(boxes), config.dimension))
             for start in range(0, len(boxes), _CHUNK_BOXES):
                 feats[start:start + _CHUNK_BOXES] = _describe_boxes(image, boxes[start:start + _CHUNK_BOXES], config)
-            cands = tuple(
-                Candidate(c.box, c.iou_label, f, c.source_index) for c, f in zip(rec.candidates, feats)
+            out_records.append(
+                record_from_columns(rec.image_id, rec.width, rec.height, rec.groundtruth, boxes, labels, feats, sources)
             )
         except (DataError, OSError) as exc:
             failures.append(f"{rec.image_id}: {exc}")
             out_records.append(rec)
-            continue
-        out_records.append(ImageRecord(rec.image_id, rec.width, rec.height, rec.groundtruth, cands))
     return Dataset(tuple(out_records)), failures
 
 

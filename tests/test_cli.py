@@ -52,6 +52,16 @@ def test_missing_and_malformed_inputs_exit_2(tmp_path, capsys, caplog):
         bad.write_text(good + record + "\n", encoding="utf-8")
         assert main(["label", str(bad), str(tmp_path / "out.jsonl")]) == 2
         assert caplog.messages[-1] == message
+    # Checks that span records name the line they fail on.
+    first = head + '"candidates": [{"box": [1, 1, 3, 3], "features": [1]}]}\n'
+    for record, message in (
+        (first, "line 3: duplicate image_id: a"),
+        (first.replace('"a"', '"b"').replace("[1]", "[1, 2]"),
+         "line 3: b: candidates have feature dimension 2, expected 1"),
+    ):
+        bad.write_text(good + first + record, encoding="utf-8")
+        assert main(["label", str(bad), str(tmp_path / "out.jsonl")]) == 2
+        assert caplog.messages[-1] == message
     # Integers beyond float range (OverflowError) and nesting too deep for the
     # JSON parser (RecursionError) used to crash with a traceback and exit 1.
     big = "1" + "0" * 400
@@ -79,6 +89,16 @@ def test_missing_and_malformed_inputs_exit_2(tmp_path, capsys, caplog):
     assert not (tmp_path / "model.json").exists()
 
     sidecar_path.unlink()
+    # A patch one pixel wide or high has no [-1, 0, 1] gradient; it used to
+    # fail inside HOG with an IndexError and exit 1.
+    for flag in ("--resize-w", "--resize-h"):
+        featurized = tmp_path / "featurized.jsonl"
+        argv = ["featurize", str(data), str(featurized), "--images", str(tmp_path), flag, "1",
+                "--cell-size", "1", "--block-size", "1"]
+        assert main(argv) == 2
+        assert f"HogConfig.{flag[2:].replace('-', '_')} must be at least 2, got 1" in caplog.messages[-1]
+        assert not featurized.exists() and not (tmp_path / "featurized.jsonl.meta.json").exists()
+        assert not (tmp_path / "featurized.jsonl.manifest.json").exists()
     for flag, value in (("--C", "nan"), ("--C", "inf"), ("--convergence-tol", "nan"), ("--convergence-tol", "inf")):
         assert main(["train", str(data), str(tmp_path / "model.json"), "--k", "1", flag, value]) == 2
         assert f"{flag[2:].replace('-', '_')} must be" in caplog.messages[-1]

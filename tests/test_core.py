@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from proprank import (
     rank_by_label,
     write_dataset,
 )
-from proprank.core import record_from_dict, record_to_dict
+from proprank.core import candidate_columns, record_from_columns, record_from_dict, record_to_dict
 
 
 def test_box_area_and_validation():
@@ -135,6 +136,84 @@ def test_candidate_validation():
         Candidate(Box(0, 0, 1, 1), features=[])
     c = Candidate(Box(0, 0, 1, 1), iou_label=np.float64(0.5))
     assert isinstance(c.iou_label, float)
+
+
+def test_candidate_source_index_takes_the_decoders_integer_rule():
+    box = Box(0, 0, 1, 1)
+    for bad in (1.5, True, False, "3", [1]):
+        with pytest.raises(DataError, match=f"^source_index must be an integer, got {re.escape(repr(bad))}$"):
+            Candidate(box, source_index=bad)
+    for bad, index in ((-1, -1), (-2.0, -2)):
+        with pytest.raises(DataError, match=f"^source_index must be non-negative, got {index}$"):
+            Candidate(box, source_index=bad)
+    for value, index in ((2.0, 2), (np.int64(3), 3), (0, 0)):
+        got = Candidate(box, source_index=value).source_index
+        assert got == index and type(got) is int
+    # What the type accepts, the decoder reads back.
+    rec = ImageRecord("s", 4, 4, (), (Candidate(box, source_index=2.0),))
+    assert record_to_dict(rec)["candidates"][0]["source_index"] == 2
+    assert dataset_from_lines(dataset_to_lines(Dataset((rec,)))).records[0].candidates[0].source_index == 2
+
+
+def test_record_from_columns_builds_what_the_types_build():
+    gts = (GroundTruthObject("cat", Box(1, 1, 8, 9)),)
+    boxes = np.array([[0, 0, 8, 8], [2, 2, 16, 12], [0.5, 0.25, 1, 1]])
+    feats = np.array([[0.5, -1.0], [2.0, 0.0], [1e300, -0.0]])
+    rec = record_from_columns("im", 16, 12, gts, boxes, [0.5, 1, 0.0], feats, np.array([2, 0, 1]))
+    expected = ImageRecord("im", 16, 12, gts, tuple(
+        Candidate(Box(*b), label, f, index)
+        for b, label, f, index in zip(boxes.tolist(), [0.5, 1.0, 0.0], feats, [2, 0, 1])
+    ))
+    assert dataset_digest(Dataset((rec,))) == dataset_digest(Dataset((expected,)))
+    assert rec.feature_dim == 2 and rec.groundtruth == gts
+    for got, want in zip(rec.candidates, expected.candidates):
+        assert got.box == want.box and type(got.box.x_min) is float
+        assert type(got.iou_label) is float and type(got.source_index) is int
+        # Each candidate's features are a row view of the one checked matrix.
+        assert got.features.tobytes() == want.features.tobytes() and np.shares_memory(got.features, feats)
+    assert candidate_columns(rec)[0].tolist() == boxes.tolist()
+    assert [c[:] for c in candidate_columns(rec)[1::2]] == [[0.5, 1.0, 0.0], [2, 0, 1]]
+    empty = record_from_columns("e", 4, 4, (), np.zeros((0, 4)), np.zeros(0), np.zeros((0, 3)), np.zeros(0, int))
+    assert empty.num_candidates == 0 and empty.feature_dim is None
+    assert candidate_columns(empty)[1:] == (None, None, None)
+    # Columns with gaps are built one candidate at a time.
+    mixed = record_from_columns("m", 4, 4, (), [[0, 0, 1, 1], [1, 1, 2, 2]], [None, 0.5], [[1.0], None], [None, 3])
+    assert [(c.iou_label, c.source_index) for c in mixed.candidates] == [(None, None), (0.5, 3)]
+    assert mixed.candidates[1].features is None and mixed.feature_dim == 1
+
+
+def test_record_from_columns_fails_with_the_types_errors():
+    box = [[0, 0, 2, 2]]
+    gts = (GroundTruthObject("cat", Box(0, 0, 5, 13)),)
+    for args, message in (
+        (([[0, 0, 2, 2], [0, 0, 1, 1]], [0.5, 1.5]), "im: candidate 1 iou_label must lie in [0, 1], got 1.5"),
+        (([[0, 0, 2, 2], [0, 0, 1, 1]], [0.5, np.nan]), "im: candidate 1 iou_label must lie in [0, 1], got nan"),
+        (([[0, 0, 2, 2], [0, 0, 1, 1]], [-0.5, 1]), "im: candidate 0 iou_label must lie in [0, 1], got -0.5"),
+        (([[0, 0, 2, 2], [3, 0, 1, 1]],), "im: candidate 1 box has non-positive extent: (3.0, 0.0, 1.0, 1.0)"),
+        (([[0, 0, 2, 2], [1, 0, 1, 2]],), "im: candidate 1 box has non-positive extent: (1.0, 0.0, 1.0, 2.0)"),
+        (([[0, 0, 2, 2], [0, 1, 2, 1]],), "im: candidate 1 box has non-positive extent: (0.0, 1.0, 2.0, 1.0)"),
+        (([[-1, 0, 2, 2]],), "im: box [-1.0, 0.0, 2.0, 2.0] lies outside the 16x12 image"),
+        (([[0, -0.5, 2, 2]],), "im: box [0.0, -0.5, 2.0, 2.0] lies outside the 16x12 image"),
+        (([[0, 0, 2, 13]],), "im: box [0.0, 0.0, 2.0, 13.0] lies outside the 16x12 image"),
+        (([[0, 0, np.inf, 2]],), "im: candidate 0 box has non-finite coordinates: (0.0, 0.0, inf, 2.0)"),
+        (([[0, 0, 17, 2]],), "im: box [0.0, 0.0, 17.0, 2.0] lies outside the 16x12 image"),
+        ((box, None, [[0.5, np.inf]]), "im: candidate 0 features contain non-finite values"),
+        ((box, None, np.zeros((1, 0))), "im: candidate 0 features must not be empty"),
+        ((box, None, None, [-1]), "im: candidate 0 source_index must be non-negative, got -1"),
+        ((box, None, None, [0.5]), "im: candidate 0 source_index must be an integer, got 0.5"),
+        ((box * 2, None, None, [0, False]), "im: candidate 1 source_index must be an integer, got False"),
+    ):
+        with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+            record_from_columns("im", 16, 12, (), *args)
+    with pytest.raises(DataError, match=re.escape("im: box [0.0, 0.0, 5.0, 13.0] lies outside the 16x12 image")):
+        record_from_columns("im", 16, 12, gts, box)
+    for image_id, width, boxes, message in (
+        ("im", 0, box, "im: image size must be positive"),
+        ("im", 0, np.zeros((0, 4)), "im: image size must be positive"),
+        ("", 16, box, "record has an empty image_id"),
+    ):
+        with pytest.raises(DataError, match=f"^{message}$"):
+            record_from_columns(image_id, width, 12, (), boxes)
 
 
 def test_record_rejects_out_of_bounds_boxes():
@@ -259,6 +338,15 @@ def test_jsonl_errors_carry_line_numbers():
         dataset_from_lines([good, "", json.dumps({"image_id": "bad", "width": 4})])
     with pytest.raises(DataError, match="line 1: .*width"):
         dataset_from_lines([json.dumps({"image_id": "f", "width": 4.5, "height": 4})])
+
+
+def test_jsonl_cross_record_errors_carry_line_numbers():
+    line = {"image_id": "a", "width": 4, "height": 4, "candidates": [{"box": [0, 0, 1, 1], "features": [1.0]}]}
+    other = {**line, "image_id": "b", "candidates": [{"box": [0, 0, 1, 1], "features": [1.0, 2.0]}]}
+    with pytest.raises(DataError, match="^line 3: duplicate image_id: a$"):
+        dataset_from_lines([json.dumps(line), "", json.dumps(line)])
+    with pytest.raises(DataError, match="^line 2: b: candidates have feature dimension 2, expected 1$"):
+        dataset_from_lines([json.dumps(line), json.dumps(other)])
 
 
 def test_record_dict_rejects_malformed_pieces():

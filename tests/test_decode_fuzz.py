@@ -7,15 +7,42 @@ parser allows, the two shapes that escaped as OverflowError and RecursionError.
 """
 
 import json
+from dataclasses import replace
 
+import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from proprank import DataError, SynthConfig, TrainingConfig, dataset_from_lines, generate_feature_dataset
-from proprank.core import decode_json
+from proprank import (
+    Box,
+    Candidate,
+    DataError,
+    Dataset,
+    GrayImage,
+    GroundTruthObject,
+    HogConfig,
+    ImageRecord,
+    SynthConfig,
+    TrainingConfig,
+    dataset_digest,
+    dataset_from_lines,
+    dataset_to_lines,
+    describe_box,
+    featurize_dataset,
+    generate_feature_dataset,
+    generate_geometric_dataset,
+    iou_matrix,
+    label_dataset,
+    read_dataset,
+    rerank,
+    save_model,
+    write_dataset,
+)
+from proprank.cli import main
+from proprank.core import _as_int, box_array, decode_json, record_from_dict
 from proprank.ranking import model_from_dict, model_to_dict, train_soft_margin
 
 RECORD = {
@@ -96,3 +123,202 @@ def test_model_file_with_any_value_replaced_decodes_or_raises_data_error(path, f
         decode_json(raw, model_from_dict, "model.json", "model")
     except DataError as exc:
         assert str(exc).startswith("model.json: ")
+
+
+# ---------------------------------------------------------------------------
+# The column-wise record builder against the per-entry type path
+#
+# record_from_dict checks a record's candidates as columns. The reference
+# below builds every candidate through Box and Candidate on its own and the
+# record through ImageRecord, as the decoder did before; the two must build
+# the same record or fail with the same text.
+
+
+def _box(value) -> Box:
+    if not isinstance(value, list) or len(value) != 4:
+        raise DataError("box must be a 4-element [x_min, y_min, x_max, y_max] list")
+    return Box(*value)
+
+
+def _built(image_id, kind: str, entries, build) -> tuple:
+    built = []
+    for i, entry in enumerate(entries):
+        try:
+            built.append(build(entry))
+        except DataError as exc:
+            raise DataError(f"{image_id}: {kind} {i} {exc}") from exc
+    return tuple(built)
+
+
+def _through_types(obj) -> ImageRecord:
+    """A record line decoded one validated object at a time."""
+    image_id = obj["image_id"]
+    width = _as_int(obj["width"], f"{image_id}: width")
+    height = _as_int(obj["height"], f"{image_id}: height")
+    groundtruth = _built(
+        image_id, "groundtruth", obj["groundtruth"], lambda g: GroundTruthObject(str(g["class"]), _box(g["box"]))
+    )
+    candidates = _built(image_id, "candidate", obj["candidates"], lambda c: Candidate(
+        _box(c["box"]), c.get("iou_label"), c.get("features"), c.get("source_index")
+    ))
+    return ImageRecord(image_id, width, height, groundtruth, candidates)
+
+
+def _outcome(text: str, build):
+    """(digest, features, feature_dim) of the decoded record, or its error text."""
+    try:
+        record = decode_json(text, build, "line 1")
+    except DataError as exc:
+        return str(exc)
+    features = [None if c.features is None else (c.features.dtype, c.features.tobytes()) for c in record.candidates]
+    return dataset_digest(Dataset((record,))), features, record.feature_dim
+
+
+_box_values = st.tuples(st.integers(0, 7) | st.floats(0, 7), st.integers(0, 5) | st.floats(0, 5),
+                        st.integers(8, 16) | st.floats(8, 16), st.integers(6, 12) | st.floats(6, 12)).map(list)
+_VALID = {
+    "iou_label": st.floats(0, 1) | st.integers(0, 1),
+    # Now and then an integer that numpy holds only as uint64 or object.
+    "source_index": st.integers(0, 9).flatmap(lambda roll: st.integers(0, 20) if roll else st.integers(2**62, 2**64)),
+}
+# What a fault puts in place of one value: in half the draws a number at or
+# just past a bound (an image side, the [0, 1] label range, another
+# coordinate), otherwise a bool, None, a string, a number beyond float range
+# or a list.
+_FAULTS = st.integers(0, 7).flatmap(lambda roll: [
+    st.sampled_from([-2.5, -1, -0.5, -0.0, 0, 0.5, 1, 1.5, 2, 5, 8, 12, 16, 16.5, 17]),
+    st.sampled_from([-2.5, -1, -0.5, -0.0, 0, 0.5, 1, 1.5, 2, 5, 8, 12, 16, 16.5, 17]),
+    st.integers(0, 16),
+    st.floats(-2, 20),
+    st.booleans(),
+    st.none() | st.text(max_size=3) | st.sampled_from(["1", "0.5", " 2"]),
+    st.sampled_from([10**400, -(10**400), 2**63, 2**64 + 1, float("inf"), float("nan"), 1e308]),
+    st.lists(st.integers(0, 16) | st.booleans() | st.none(), max_size=5) | st.just([[1.0]]),
+][roll])
+
+
+@st.composite
+def _record_lines(draw) -> str:
+    """A valid record line with up to two values replaced by a fault. Each
+    optional candidate key is absent, on every candidate or on some; in half
+    the lines every key is on every candidate and exactly one value is
+    faulty, the case the column checks decide."""
+    regular = draw(st.booleans())
+    dim = draw(st.integers(1, 3))
+    valid = {**_VALID, "features": st.lists(st.floats(-1e6, 1e6) | st.integers(-9, 9), min_size=dim, max_size=dim)}
+    plan = {key: "every" if regular else draw(st.sampled_from(["absent", "every", "every", "some"])) for key in valid}
+    candidates = []
+    for _ in range(draw(st.integers(1 if regular else 0, 5))):
+        entry = {"box": draw(_box_values)}
+        for key, mode in plan.items():
+            if mode == "every" or (mode == "some" and draw(st.booleans())):
+                entry[key] = draw(valid[key])
+        candidates.append(entry)
+    obj = {
+        "image_id": draw(st.integers(0, 9).map(lambda roll: "im" if roll else "")),
+        "width": 16,
+        "height": 12,
+        "groundtruth": [{"class": "c", "box": draw(_box_values)} for _ in range(draw(st.integers(0, 1)))],
+        "candidates": candidates,
+    }
+    for _ in range(1 if regular else draw(st.sampled_from([0, 1, 1, 2]))):
+        # A fault goes to the image size, a groundtruth value or one
+        # candidate field, each as likely as the others.
+        places = {("width",): [("width",)]}
+        for p in _paths(obj):
+            if p[:1] in (("candidates",), ("groundtruth",)) and len(p) > 2:
+                places.setdefault(p[:1] + p[2:3], []).append(p)
+        path = draw(st.sampled_from(places[draw(st.sampled_from(sorted(places)))]))
+        parent = obj
+        for key in path[:-1]:
+            parent = parent[key]
+        if path[-2:-1] == ("box",) and draw(st.booleans()):  # a box corner on its opposite edge
+            parent[path[-1]] = parent[(path[-1] + 2) % 4]
+        else:
+            parent[path[-1]] = draw(_FAULTS)
+    return json.dumps(obj)
+
+
+@settings(max_examples=800, deadline=None)
+@given(_record_lines())
+def test_column_builder_agrees_with_the_per_entry_types(line):
+    assert _outcome(line, record_from_dict) == _outcome(line, _through_types)
+
+
+# ---------------------------------------------------------------------------
+# label, rerank and featurize against candidates rebuilt with replace()
+
+
+def _labeled_by_replace(rec: ImageRecord) -> ImageRecord:
+    cands = box_array(c.box for c in rec.candidates)
+    best = iou_matrix(cands, box_array(g.box for g in rec.groundtruth)).max(axis=1, initial=0.0)
+    return replace(rec, candidates=tuple(replace(c, iou_label=v) for c, v in zip(rec.candidates, best.tolist())))
+
+
+def _reranked_by_replace(rec: ImageRecord, order: list[int]) -> ImageRecord:
+    cands = rec.candidates
+    return replace(rec, candidates=tuple(
+        replace(cands[i], source_index=i if cands[i].source_index is None else cands[i].source_index) for i in order
+    ))
+
+
+def _same_datasets(got: Dataset, want: Dataset) -> None:
+    assert dataset_to_lines(got) == dataset_to_lines(want)
+    assert got.feature_dim == want.feature_dim
+    for rec_got, rec_want in zip(got.records, want.records):
+        for a, b in zip(rec_got.candidates, rec_want.candidates):
+            assert (a.features is None) == (b.features is None)
+            if a.features is not None:
+                assert a.features.dtype == b.features.dtype and a.features.tobytes() == b.features.tobytes()
+
+
+def _geometric(seed: int) -> Dataset:
+    """A geometric synth dataset plus one record with gaps: features and
+    source_index on some of its candidates only, its labels dropped."""
+    config = SynthConfig(seed=seed, num_images=3, candidates_per_image=40, feature_dim=5, mode="geometric",
+                         image_size=(64, 48))
+    ds = generate_geometric_dataset(config)
+    first = ds.records[0]
+    gaps = replace(first, image_id="gaps", candidates=tuple(
+        replace(c, iou_label=None, features=None if i % 3 == 0 else c.features,
+                source_index=39 - i if i % 2 else None)
+        for i, c in enumerate(first.candidates)
+    ))
+    return Dataset(ds.records + (gaps,))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_label_rerank_and_featurize_build_what_replace_built(seed, tmp_path):
+    ds = _geometric(seed)
+    _same_datasets(label_dataset(ds), Dataset(tuple(_labeled_by_replace(r) for r in ds.records)))
+
+    # The record with gaps, featurized again, keeps its own source_index where it has one.
+    gaps = replace(ds.records[-1], candidates=tuple(
+        replace(c, features=first.features)
+        for c, first in zip(ds.records[-1].candidates, ds.records[0].candidates)
+    ))
+    featurized = Dataset(ds.records[:-1] + (gaps,))
+    data, model_path, ranked = tmp_path / "data.jsonl", tmp_path / "model.json", tmp_path / "ranked.jsonl"
+    write_dataset(featurized, data)
+    model = train_soft_margin(Dataset(ds.records[:-1]), TrainingConfig(k=3, epochs=20))
+    save_model(model, model_path)
+    assert main(["rerank", str(data), str(ranked), "--model", str(model_path)]) == 0
+    reread = read_dataset(data)
+    want = Dataset(tuple(_reranked_by_replace(r, rerank(model, r)) for r in reread.records))
+    _same_datasets(read_dataset(ranked), want)
+    assert ranked.read_text(encoding="utf-8") == "".join(line + "\n" for line in dataset_to_lines(want))
+
+    rng = np.random.default_rng(seed)
+    images = {r.image_id: GrayImage(r.width, r.height, rng.uniform(size=(r.height, r.width))) for r in ds.records}
+    config = HogConfig(resize_w=16, resize_h=16, cell_size=4)
+    out, failures = featurize_dataset(ds, images, config)
+    assert failures == []
+    want = Dataset(tuple(
+        replace(rec, candidates=tuple(
+            replace(c, features=describe_box(images[rec.image_id], c.box, config)) for c in rec.candidates
+        ))
+        for rec in ds.records
+    ))
+    _same_datasets(out, want)
+    for rec in out.records:  # row views of one (n, dim) matrix per record
+        assert len({id(c.features.base) for c in rec.candidates}) == 1

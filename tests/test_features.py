@@ -57,6 +57,19 @@ def test_hog_config_geometry_and_dimension():
         HogConfig(cell_size=0)
 
 
+def test_hog_config_needs_a_patch_two_pixels_wide_and_high():
+    # The [-1, 0, 1] gradient needs two pixels along each axis; a 1-pixel patch
+    # used to pass the config and fail in HOG with an IndexError.
+    for field in ("resize_w", "resize_h"):
+        with pytest.raises(DataError, match=f"^HogConfig.{field} must be at least 2, got 1$"):
+            HogConfig(**{field: 1}, cell_size=1, block_size=1)
+    config = HogConfig(resize_w=2, resize_h=2, cell_size=1, block_size=1)
+    img = gray(np.arange(12.0).reshape(3, 4) / 11.0)
+    box = Box(0.5, 0.0, 4.0, 3.0)
+    assert describe_box(img, box, config).shape == (config.dimension,)
+    assert_allclose(describe_box(img, box, config), oracles.describe_box(img, box, config), rtol=0, atol=1e-12)
+
+
 def test_hog_config_field_types():
     for field, bad, kind in (
         ("cell_size", True, "an integer"), ("resize_w", 50.5, "an integer"), ("resize_h", "60", "an integer"),
