@@ -58,6 +58,13 @@ def _as_int(value, what: str) -> int:
     raise DataError(f"{what} must be an integer, got {value!r}")
 
 
+def _as_float(value, what: str) -> float:
+    """value as a float: any real number, never a bool."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        return float(value)
+    raise DataError(f"{what} must be a real number, got {value!r}")
+
+
 def decode_json(raw: bytes | str, build: Callable[[object], T], where: str, what: str = "") -> T:
     """build() applied to one JSON document: a whole file or one dataset line.
 
@@ -126,6 +133,11 @@ def box_array(boxes: Iterable[Box]) -> np.ndarray:
     return np.array([b.as_list() for b in boxes], dtype=np.float64).reshape(-1, 4)
 
 
+def best_iou(boxes: np.ndarray, groundtruth: Iterable[GroundTruthObject]) -> np.ndarray:
+    """(n,) best IoU of each of an (n, 4) box array against the groundtruth; 0.0 with none."""
+    return iou_matrix(boxes, box_array(g.box for g in groundtruth)).max(axis=1, initial=0.0)
+
+
 def iou(a: Box, b: Box) -> float:
     """Intersection over union of two boxes; 0.0 when they do not overlap."""
     return float(iou_matrix(a.as_list(), b.as_list())[0, 0])
@@ -186,8 +198,10 @@ class Candidate:
 class ImageRecord:
     """All groundtruth objects and candidate boxes of a single image.
 
-    Every box must lie inside [0, width] x [0, height]; out-of-bounds boxes
-    are rejected here rather than clamped.
+    The one owner of the record-level rules: a non-empty image_id, a positive
+    size under the decoder's integer rule (8.0 becomes 8), every box inside
+    [0, width] x [0, height] (rejected rather than clamped) and one feature
+    dimension.
     """
 
     image_id: str
@@ -199,6 +213,8 @@ class ImageRecord:
     def __post_init__(self) -> None:
         if not self.image_id:
             raise DataError("record has an empty image_id")
+        for name in ("width", "height"):
+            object.__setattr__(self, name, _as_int(getattr(self, name), f"{self.image_id}: {name}"))
         if self.width <= 0 or self.height <= 0:
             raise DataError(f"{self.image_id}: image size must be positive")
         object.__setattr__(self, "groundtruth", tuple(self.groundtruth))
@@ -301,13 +317,11 @@ class Dataset:
 # Column-wise record building
 #
 # A record's candidates are checked as arrays, once per record, against every
-# rule that Box, Candidate and ImageRecord enforce, and are then built without
-# running the per-object checks again. Columns that fail a check, or that are
-# not a regular table of numbers, are built entry by entry through the types
-# instead, so they fail with exactly the errors the types raise.
-
-# Largest image side that compares exactly against float64 coordinates.
-_EXACT_SIDE = 2**53
+# rule that Box and Candidate enforce, built without running the per-object
+# checks again, and handed to ImageRecord, which applies the record-level
+# rules. Columns that fail a check, or that are not a regular table of
+# numbers, are built entry by entry through the types instead, so they fail
+# with exactly the errors the types raise.
 
 
 class _Irregular(Exception):
@@ -329,16 +343,10 @@ def _numbers(values, ndim: int, n: int, integer: bool = False) -> np.ndarray:
     return arr if integer else arr.astype(np.float64, copy=False)
 
 
-def _inside(boxes: np.ndarray, width: int, height: int) -> bool:
-    """Whether every (n, 4) box has positive extent and lies inside the image
-    (never for a non-finite coordinate)."""
-    lo, hi = boxes[:, :2], boxes[:, 2:]
-    return bool((lo >= 0.0).all() and (hi > lo).all() and (hi <= np.array([width, height], np.float64)).all())
-
-
 def _checked_record(image_id, width, height, groundtruth, boxes, labels, features, source_index) -> ImageRecord:
-    """The record, built without per-object checks once its columns pass them
-    all as arrays; _Irregular when they do not."""
+    """The record, its candidates built without per-object checks once their
+    columns pass the Box and Candidate rules as arrays; _Irregular when they
+    do not."""
     n = len(boxes)
     boxes = _numbers(boxes, 2, n)
     labels = None if labels is None else _numbers(labels, 1, n)
@@ -346,11 +354,7 @@ def _checked_record(image_id, width, height, groundtruth, boxes, labels, feature
     source_index = None if source_index is None else _numbers(source_index, 1, n, integer=True)
     if not (
         boxes.shape[1] == 4
-        and image_id
-        and type(width) is int and 0 < width <= _EXACT_SIDE
-        and type(height) is int and 0 < height <= _EXACT_SIDE
-        and _inside(boxes, width, height)
-        and _inside(box_array(g.box for g in groundtruth), width, height)
+        and bool(np.isfinite(boxes).all() and (boxes[:, 2:] > boxes[:, :2]).all())
         and (labels is None or bool(((labels >= 0.0) & (labels <= 1.0)).all()))
         and (features is None or (features.shape[1] > 0 and bool(np.isfinite(features).all())))
         and (source_index is None or bool((source_index >= 0).all()))
@@ -377,13 +381,7 @@ def _checked_record(image_id, width, height, groundtruth, boxes, labels, feature
         put(cand, "features", feats)
         put(cand, "source_index", index)
         cands.append(cand)
-    record = new(ImageRecord)
-    for name, value in (
-        ("image_id", image_id), ("width", width), ("height", height), ("groundtruth", groundtruth),
-        ("candidates", tuple(cands)), ("_feature_dim", features.shape[1] if features is not None and n else None),
-    ):
-        put(record, name, value)
-    return record
+    return ImageRecord(image_id, width, height, groundtruth, cands)
 
 
 def record_from_columns(
@@ -442,9 +440,9 @@ def label_candidates(record: ImageRecord) -> ImageRecord:
     labels are recomputed.
     """
     boxes, _, features, source_index = candidate_columns(record)
-    best = iou_matrix(boxes, box_array(g.box for g in record.groundtruth)).max(axis=1, initial=0.0)
     return record_from_columns(
-        record.image_id, record.width, record.height, record.groundtruth, boxes, best, features, source_index
+        record.image_id, record.width, record.height, record.groundtruth,
+        boxes, best_iou(boxes, record.groundtruth), features, source_index,
     )
 
 

@@ -15,6 +15,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .core import DataError, Dataset, GroundTruthObject, ImageRecord, box_array, dataset_digest, iou_matrix
+from .core import _as_float, _as_int
 
 DEFAULT_THRESHOLDS = (0.5, 0.7, 0.9)
 DEFAULT_BUDGETS = (1, 10, 50, 100, 200, 500, 800, 1000)
@@ -27,8 +28,10 @@ class EvalConfig:
     strict: bool = True
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "iou_thresholds", tuple(float(d) for d in self.iou_thresholds))
-        object.__setattr__(self, "proposal_budgets", tuple(int(m) for m in self.proposal_budgets))
+        thresholds = tuple(_as_float(d, "IoU threshold") for d in self.iou_thresholds)
+        budgets = tuple(_as_int(m, "proposal budget") for m in self.proposal_budgets)
+        object.__setattr__(self, "iou_thresholds", thresholds)
+        object.__setattr__(self, "proposal_budgets", budgets)
         if not self.iou_thresholds or not self.proposal_budgets:
             raise DataError("thresholds and budgets must be non-empty")
         for d in self.iou_thresholds:
@@ -177,11 +180,17 @@ class EvalReport:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "EvalReport":
+        def budget(e) -> int:
+            return _as_int(e["budget"], "budget")
+
+        def value(e) -> float:
+            return _as_float(e["value"], "value")
+
         return cls(
-            dr={(float(e["delta"]), int(e["budget"])): float(e["value"]) for e in obj.get("dr", [])},
-            abo={(str(e["class"]), int(e["budget"])): float(e["value"]) for e in obj.get("abo", [])},
-            mabo={int(e["budget"]): float(e["value"]) for e in obj.get("mabo", [])},
-            counts={str(k): int(v) for k, v in obj.get("counts", {}).items()},
+            dr={(_as_float(e["delta"], "delta"), budget(e)): value(e) for e in obj.get("dr", [])},
+            abo={(str(e["class"]), budget(e)): value(e) for e in obj.get("abo", [])},
+            mabo={budget(e): value(e) for e in obj.get("mabo", [])},
+            counts={str(k): _as_int(v, f"count of {k}") for k, v in obj.get("counts", {}).items()},
             metadata=dict(obj.get("metadata", {})),
         )
 

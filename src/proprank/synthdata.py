@@ -28,7 +28,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .core import Box, Candidate, DataError, Dataset, GroundTruthObject, ImageRecord, label_candidates
+from .core import Box, DataError, Dataset, GroundTruthObject, best_iou, record_from_columns
 
 PLANTED_STREAM = 2**64 - 1
 GEOMETRIC_FEATURE_DIM = 12
@@ -124,73 +124,60 @@ def generate_feature_dataset(config: SynthConfig) -> tuple[Dataset, np.ndarray]:
         if config.noise_sigma > 0.0:
             feats = feats + config.noise_sigma * rng.standard_normal((n, d - 1))
         feats = np.concatenate([feats, np.ones((n, 1))], axis=1)
-        cands = tuple(
-            Candidate(Box(0.0, 0.0, 1.0, 1.0), iou_label=float(quality[i]), features=feats[i])
-            for i in range(n)
-        )
-        records.append(ImageRecord(f"feat-{config.seed}-{j:05d}", 1, 1, (), cands))
+        boxes = np.tile([0.0, 0.0, 1.0, 1.0], (n, 1))  # unit placeholders
+        records.append(record_from_columns(f"feat-{config.seed}-{j:05d}", 1, 1, (), boxes, quality, feats))
     return Dataset(tuple(records), d), planted
 
 
-def _uniform_box(rng: np.random.Generator, width: int, height: int) -> Box:
+def _uniform_box(rng: np.random.Generator, width: int, height: int) -> list[float]:
     w = float(rng.uniform(4.0, 0.9 * width))
     h = float(rng.uniform(4.0, 0.9 * height))
     x0 = float(rng.uniform(0.0, width - w))
     y0 = float(rng.uniform(0.0, height - h))
-    return Box(x0, y0, x0 + w, y0 + h)
+    return [x0, y0, x0 + w, y0 + h]
 
 
-def _jittered_box(rng: np.random.Generator, base: Box, scale: float, width: int, height: int) -> Box:
-    bw = base.x_max - base.x_min
-    bh = base.y_max - base.y_min
+def _jittered_box(rng: np.random.Generator, base: list, scale: float, width: int, height: int) -> list[float]:
+    x_min, y_min, x_max, y_max = base
+    bw = x_max - x_min
+    bh = y_max - y_min
     dx0, dx1, dy0, dy1 = rng.uniform(-scale, scale, size=4)
-    x0 = min(max(base.x_min + dx0 * bw, 0.0), width - 2.0)
-    y0 = min(max(base.y_min + dy0 * bh, 0.0), height - 2.0)
-    x1 = min(max(base.x_max + dx1 * bw, x0 + 2.0), float(width))
-    y1 = min(max(base.y_max + dy1 * bh, y0 + 2.0), float(height))
-    return Box(x0, y0, x1, y1)
+    x0 = min(max(x_min + dx0 * bw, 0.0), width - 2.0)
+    y0 = min(max(y_min + dy0 * bh, 0.0), height - 2.0)
+    x1 = min(max(x_max + dx1 * bw, x0 + 2.0), float(width))
+    y1 = min(max(y_max + dy1 * bh, y0 + 2.0), float(height))
+    return [x0, y0, x1, y1]
 
 
-def _geometry_features(record: ImageRecord, rng: np.random.Generator, noise_sigma: float) -> ImageRecord:
-    n = record.num_candidates
-    noise = rng.standard_normal((n, 5))
-    cands = []
-    for i, cand in enumerate(record.candidates):
-        b = cand.box
-        label = cand.iou_label if cand.iou_label is not None else 0.0
-        bw = (b.x_max - b.x_min) / record.width
-        bh = (b.y_max - b.y_min) / record.height
-        cx = 0.5 * (b.x_min + b.x_max) / record.width
-        cy = 0.5 * (b.y_min + b.y_max) / record.height
-        vec = np.array(
-            [
-                label + noise_sigma * noise[i, 0],
-                2.0 * label - 1.0 + noise_sigma * noise[i, 1],
-                label * label + noise_sigma * noise[i, 2],
-                cx,
-                cy,
-                bw,
-                bh,
-                bw * bh,
-                bw / (bw + bh),
-                1.0,
-                noise[i, 3],
-                noise[i, 4],
-            ],
-            dtype=np.float64,
-        )
-        cands.append(Candidate(cand.box, cand.iou_label, vec, cand.source_index))
-    return ImageRecord(record.image_id, record.width, record.height, record.groundtruth, tuple(cands))
+def _geometry_features(
+    boxes: np.ndarray, labels: np.ndarray, width: int, height: int, rng: np.random.Generator, noise_sigma: float
+) -> np.ndarray:
+    """(n, GEOMETRIC_FEATURE_DIM) features of (n, 4) boxes and their (n,) labels."""
+    noise = rng.standard_normal((len(boxes), 5))
+    x_min, y_min, x_max, y_max = boxes.T
+    bw = (x_max - x_min) / width
+    bh = (y_max - y_min) / height
+    cx = 0.5 * (x_min + x_max) / width
+    cy = 0.5 * (y_min + y_max) / height
+    return np.stack([
+        labels + noise_sigma * noise[:, 0],
+        2.0 * labels - 1.0 + noise_sigma * noise[:, 1],
+        labels * labels + noise_sigma * noise[:, 2],
+        cx, cy, bw, bh, bw * bh, bw / (bw + bh),
+        np.ones(len(boxes)),
+        noise[:, 3], noise[:, 4],
+    ], axis=1)
 
 
 def generate_geometric_dataset(config: SynthConfig) -> Dataset:
     """Boxes, groundtruth, true overlap labels, and rankable embedded features.
 
     Candidate order is shuffled per image, mimicking an unranked upstream
-    proposal stage. Labels come from label_candidates applied to the real
-    geometry. Feature vectors have GEOMETRIC_FEATURE_DIM coordinates as
-    documented in _geometry_features (three noisy functions of the label,
-    normalized geometry, a constant intercept, and two pure noise channels).
+    proposal stage. Labels are each box's best IoU against the groundtruth
+    (core.best_iou, as label_candidates computes them). Feature vectors have
+    GEOMETRIC_FEATURE_DIM coordinates as documented in _geometry_features
+    (three noisy functions of the label, normalized geometry, a constant
+    intercept, and two pure noise channels).
     """
     if config.mode != "geometric":
         raise DataError(f"config mode is {config.mode!r}, expected 'geometric'")
@@ -210,23 +197,24 @@ def generate_geometric_dataset(config: SynthConfig) -> Dataset:
             y0 = float(rng.uniform(0.0, height - bh))
             groundtruth.append(GroundTruthObject(f"class-{cls}", Box(x0, y0, x0 + bw, y0 + bh)))
 
-        structured: list[Box] = []
+        structured: list[list[float]] = []
         for gt in groundtruth:
+            base = gt.box.as_list()
             for _ in range(_EXACT_COPIES):
-                structured.append(gt.box)  # exact copy, iou_label 1.0 by construction
+                structured.append(base)  # exact copy, iou_label 1.0 by construction
             for _ in range(_TIGHT_COPIES):
-                structured.append(_jittered_box(rng, gt.box, 0.03, width, height))
+                structured.append(_jittered_box(rng, base, 0.03, width, height))
             for _ in range(_LOOSE_COPIES):
-                structured.append(_jittered_box(rng, gt.box, float(rng.uniform(0.1, 0.35)), width, height))
+                structured.append(_jittered_box(rng, base, float(rng.uniform(0.1, 0.35)), width, height))
         max_structured = max(0, n - 2 * config.objects_per_image[1])
         structured = structured[:max_structured]
         boxes = structured + [_uniform_box(rng, width, height) for _ in range(n - len(structured))]
-        perm = rng.permutation(len(boxes))
-        cands = tuple(Candidate(boxes[int(i)]) for i in perm)
-        record = label_candidates(
-            ImageRecord(f"geo-{config.seed}-{j:05d}", width, height, tuple(groundtruth), cands)
-        )
-        records.append(_geometry_features(record, rng, config.noise_sigma))
+        boxes = np.array(boxes, dtype=np.float64)[rng.permutation(len(boxes))]
+        labels = best_iou(boxes, groundtruth)
+        features = _geometry_features(boxes, labels, width, height, rng, config.noise_sigma)
+        records.append(record_from_columns(
+            f"geo-{config.seed}-{j:05d}", width, height, groundtruth, boxes, labels, features
+        ))
     return Dataset(tuple(records), GEOMETRIC_FEATURE_DIM)
 
 

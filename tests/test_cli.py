@@ -220,6 +220,12 @@ def test_eval_and_report_round_trip(tmp_path, capsys, caplog):
     for key, value in (("proposal_budgets", [1, 5, 10, 77]), ("strict", "false")):
         bad.write_text(json.dumps({**saved, "config": {**saved["config"], key: value}}))
         assert main(["report", str(bad), "--output", str(tmp_path / "bad")]) == 2
+    # A budget of 1.7 or true used to re-render as budget 1 and exit 0.
+    for value in (1.7, True):
+        bad.write_text(json.dumps({**saved, "config": {**saved["config"], "proposal_budgets": [value, 5, 10]}}))
+        assert main(["report", str(bad), "--output", str(tmp_path / "bad")]) == 2
+        message = f"{bad}: invalid report file: proposal budget must be an integer, got {value!r}"
+        assert caplog.messages[-1] == message
     for raw in (b'{"config": "\xff"}', b"[" * 100000, json.dumps({**saved, "sources": 5}).encode()):
         bad.write_bytes(raw)
         assert main(["report", str(bad), "--output", str(tmp_path / "bad")]) == 2

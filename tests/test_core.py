@@ -155,6 +155,24 @@ def test_candidate_source_index_takes_the_decoders_integer_rule():
     assert dataset_from_lines(dataset_to_lines(Dataset((rec,)))).records[0].candidates[0].source_index == 2
 
 
+def test_record_size_takes_the_decoders_integer_rule():
+    box = (Candidate(Box(0, 0, 1, 1)),)
+    for name, bad in (("width", 8.5), ("width", True), ("width", "8"), ("width", None), ("height", False)):
+        size = {"width": 8, "height": 8, name: bad}
+        message = f"a: {name} must be an integer, got {bad!r}"
+        with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+            ImageRecord("a", **size, candidates=box)
+        with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+            record_from_columns("a", **size, groundtruth=(), boxes=[[0, 0, 1, 1]])
+    with pytest.raises(DataError, match="^a: image size must be positive$"):
+        ImageRecord("a", 8, -1.0)
+    for rec in (ImageRecord("a", 8.0, np.int64(8), (), box), record_from_columns("a", 8.0, 8, (), [[0, 0, 1, 1]])):
+        assert (rec.width, rec.height) == (8, 8) and type(rec.width) is int and type(rec.height) is int
+        # What the type accepts, the decoder reads back with the same digest.
+        ds = Dataset((rec,))
+        assert dataset_digest(dataset_from_lines(dataset_to_lines(ds))) == dataset_digest(ds)
+
+
 def test_record_from_columns_builds_what_the_types_build():
     gts = (GroundTruthObject("cat", Box(1, 1, 8, 9)),)
     boxes = np.array([[0, 0, 8, 8], [2, 2, 16, 12], [0.5, 0.25, 1, 1]])

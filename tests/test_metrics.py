@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -48,6 +50,14 @@ def test_eval_config_validation():
         EvalConfig(proposal_budgets=(0, 5))
     cfg = EvalConfig((0.5,), (1, 5))
     assert EvalConfig.from_dict(cfg.to_dict()) == cfg
+    # Budgets take the decoder's integer rule, thresholds any real number but a bool.
+    for budgets, bad in (((1.7, 5), 1.7), ((True, 5), True), ((1, "5"), "5")):
+        with pytest.raises(DataError, match=f"^proposal budget must be an integer, got {re.escape(repr(bad))}$"):
+            EvalConfig((0.5,), budgets)
+    for thresholds, bad in (((True,), True), (("0.5",), "0.5"), ((0.5, None), None)):
+        with pytest.raises(DataError, match=f"^IoU threshold must be a real number, got {re.escape(repr(bad))}$"):
+            EvalConfig(thresholds, (1, 5))
+    assert EvalConfig((1,), (np.int64(1), 5.0)) == EvalConfig((1.0,), (1, 5))
 
 
 def test_best_overlap_respects_budget_and_ranking():
@@ -231,6 +241,18 @@ def test_report_round_trip_and_renderings():
         assert rep.metadata == {"source": label, "dataset_digest": dataset_digest(ds)}
 
     rebuilt = EvalReport.from_dict(comp.a.to_dict())
+    saved = comp.a.to_dict()
+    for key, field, bad, message in (
+        ("dr", "budget", 1.7, "budget must be an integer, got 1.7"),
+        ("mabo", "budget", True, "budget must be an integer, got True"),
+        ("dr", "delta", True, "delta must be a real number, got True"),
+        ("abo", "value", "0.5", "value must be a real number, got '0.5'"),
+    ):
+        entries = [{**saved[key][0], field: bad}, *saved[key][1:]]
+        with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+            EvalReport.from_dict({**saved, key: entries})
+    with pytest.raises(DataError, match=r"^count of cat must be an integer, got 1\.5$"):
+        EvalReport.from_dict({**saved, "counts": {"cat": 1.5}})
     assert rebuilt.dr == comp.a.dr
     assert rebuilt.abo == comp.a.abo
     assert rebuilt.mabo == comp.a.mabo
