@@ -20,19 +20,19 @@ import json
 import logging
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 from . import __version__
 from .core import (
+    Candidates,
     DataError,
     Dataset,
     ImageRecord,
     atomic_write_text,
-    candidate_columns,
     decode_json,
     label_dataset,
     read_dataset,
-    record_from_columns,
     write_dataset,
 )
 from .features import HogConfig, PgmDirectory, featurize_dataset
@@ -195,13 +195,11 @@ def cmd_train(args: argparse.Namespace) -> Paths:
 def _reordered(rec: ImageRecord, order: list[int]) -> ImageRecord:
     """rec with its candidates in the given order, each keeping its source_index
     or, without one, taking its position in rec."""
-    boxes, labels, features, sources = candidate_columns(rec)
-    if sources is None:
-        sources = range(len(boxes))
-    else:
-        sources = [i if s is None else s for i, s in enumerate(sources)]
-    picked = [None if column is None else [column[i] for i in order] for column in (labels, features, sources)]
-    return record_from_columns(rec.image_id, rec.width, rec.height, rec.groundtruth, boxes[order], *picked)
+    cands, sources = rec.candidates, rec.candidates.source_index
+    kept = order if sources is None else [i if sources[i] is None else sources[i] for i in order]
+    labels = None if cands.labels is None else cands.labels[order]
+    features = None if cands.features is None else cands.features[order]
+    return replace(rec, candidates=Candidates(cands.boxes[order], labels, features, tuple(kept)))
 
 
 def cmd_rerank(args: argparse.Namespace) -> Paths:
@@ -223,21 +221,24 @@ def cmd_rerank(args: argparse.Namespace) -> Paths:
 def _recover_rankings(base: Dataset, other: Dataset) -> dict[str, list[int]]:
     """Ranking of base's candidates encoded by the other dataset's order.
 
-    Candidates carrying source_index (written by rerank) name their position
-    in the base dataset; without them the file's own order is the ranking.
+    label and rerank copy boxes exactly, so each candidate takes the first
+    unused base candidate with the identical box and the file's own order is
+    the ranking; the metrics read only the boxes. A candidate whose box no
+    unused base candidate has is a DataError.
     """
     rankings: dict[str, list[int]] = {}
     for rec in other.records:
-        base_rec = base.get(rec.image_id)
-        if base_rec.num_candidates != rec.num_candidates:
-            raise DataError(
-                f"{rec.image_id}: candidate counts differ "
-                f"({base_rec.num_candidates} vs {rec.num_candidates})"
-            )
-        if all(c.source_index is not None for c in rec.candidates):
-            rankings[rec.image_id] = [c.source_index for c in rec.candidates]
-        else:
-            rankings[rec.image_id] = list(range(rec.num_candidates))
+        base_boxes, boxes = base.get(rec.image_id).candidates.boxes.tolist(), rec.candidates.boxes.tolist()
+        if len(base_boxes) != len(boxes):
+            raise DataError(f"{rec.image_id}: candidate counts differ ({len(base_boxes)} vs {len(boxes)})")
+        unused: dict[tuple, list[int]] = {}  # each box's unused positions in base, the first one last
+        for i in reversed(range(len(base_boxes))):
+            unused.setdefault(tuple(base_boxes[i]), []).append(i)
+        rankings[rec.image_id] = []
+        for j, box in enumerate(boxes):
+            if not unused.get(tuple(box)):
+                raise DataError(f"{rec.image_id}: candidate {j} box {box} does not match the dataset's candidates")
+            rankings[rec.image_id].append(unused[tuple(box)].pop())
     return rankings
 
 

@@ -7,12 +7,14 @@ equals the size of its half-open pixel set.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import math
 import numbers
 import os
-from dataclasses import dataclass, fields
+from collections.abc import Sequence
+from dataclasses import dataclass, fields, replace
 from itertools import repeat
 from pathlib import Path
 from typing import Callable, Iterable, TypeVar
@@ -194,6 +196,69 @@ class Candidate:
             object.__setattr__(self, "source_index", index)
 
 
+@dataclass(frozen=True, eq=False, slots=True)
+class Candidates(Sequence):
+    """A record's candidates as read-only columns, built into Candidate rows
+    on demand: boxes (n, 4), labels (n,), features (n, d) and source_index,
+    a tuple of ints. A column that no candidate has is None, and so is every
+    column but boxes when there are no candidates. Every table checks its
+    columns as arrays against the Box and Candidate rules, a DataError if
+    they fail. A NaN label or feature row marks a candidate without one;
+    the reader, record_from_columns and replace_column reject a NaN value.
+    """
+
+    boxes: np.ndarray
+    labels: np.ndarray | None = None
+    features: np.ndarray | None = None
+    source_index: tuple[int | None, ...] | None = None
+
+    def __post_init__(self) -> None:
+        n = len(self.boxes)
+        for name in ("boxes", "labels", "features", "source_index"):
+            values = getattr(self, name) if n else np.zeros((0, 4)) if name == "boxes" else None
+            object.__setattr__(self, name, _checked_column(name, values, n))
+
+    @classmethod
+    def from_rows(cls, image_id: str, rows: Iterable[Candidate]) -> Candidates:
+        """The table of Candidate rows; features of a second dimension are a DataError."""
+        rows = tuple(rows)
+        featured = [(i, c.features) for i, c in enumerate(rows) if c.features is not None]
+        dim = len(featured[0][1]) if featured else 0
+        features = np.full((len(rows), dim), np.nan)
+        for i, feats in featured:
+            if len(feats) != dim:
+                raise DataError(f"{image_id}: candidate {i} has feature dimension {len(feats)}, expected {dim}")
+            features[i] = feats
+        labels = _column([c.iou_label for c in rows])
+        return cls(
+            box_array(c.box for c in rows),
+            None if labels is None else np.array(labels, dtype=np.float64),  # None becomes NaN
+            features if featured else None,
+            _column([c.source_index for c in rows]),
+        )
+
+    def __len__(self) -> int:
+        return len(self.boxes)
+
+    def __getitem__(self, i: int) -> Candidate:
+        """Candidate i; its features are a read-only row of the feature matrix."""
+        label = None if self.labels is None else float(self.labels[i])
+        feats = None if self.features is None else self.features[i]
+        return Candidate(
+            Box(*self.boxes[i].tolist()),
+            None if label is None or math.isnan(label) else label,
+            None if feats is None or math.isnan(feats[0]) else feats,
+            None if self.source_index is None else self.source_index[i],
+        )
+
+    def gaps(self, name: str) -> np.ndarray:
+        """(n,) mask of the candidates without a value in the labels or features column."""
+        column = getattr(self, name)
+        if column is None:
+            return np.ones(len(self), dtype=bool)
+        return np.isnan(column if column.ndim == 1 else column[:, 0])
+
+
 @dataclass(frozen=True, eq=False)
 class ImageRecord:
     """All groundtruth objects and candidate boxes of a single image.
@@ -201,14 +266,15 @@ class ImageRecord:
     The one owner of the record-level rules: a non-empty image_id, a positive
     size under the decoder's integer rule (8.0 becomes 8), every box inside
     [0, width] x [0, height] (rejected rather than clamped) and one feature
-    dimension.
+    dimension. candidates may be given as Candidate rows, which are
+    converted to a Candidates table once.
     """
 
     image_id: str
     width: int
     height: int
     groundtruth: tuple[GroundTruthObject, ...] = ()
-    candidates: tuple[Candidate, ...] = ()
+    candidates: Candidates = ()
 
     def __post_init__(self) -> None:
         if not self.image_id:
@@ -218,30 +284,15 @@ class ImageRecord:
         if self.width <= 0 or self.height <= 0:
             raise DataError(f"{self.image_id}: image size must be positive")
         object.__setattr__(self, "groundtruth", tuple(self.groundtruth))
-        object.__setattr__(self, "candidates", tuple(self.candidates))
-        for box in self._all_boxes():
-            if box.x_min < 0 or box.y_min < 0 or box.x_max > self.width or box.y_max > self.height:
-                raise DataError(
-                    f"{self.image_id}: box {box.as_list()} lies outside the "
-                    f"{self.width}x{self.height} image"
-                )
-        dim = None
-        for i, cand in enumerate(self.candidates):
-            if cand.features is None:
-                continue
-            if dim is None:
-                dim = len(cand.features)
-            elif len(cand.features) != dim:
-                raise DataError(
-                    f"{self.image_id}: candidate {i} has feature dimension {len(cand.features)}, expected {dim}"
-                )
-        object.__setattr__(self, "_feature_dim", dim)
-
-    def _all_boxes(self) -> Iterable[Box]:
-        for obj in self.groundtruth:
-            yield obj.box
-        for cand in self.candidates:
-            yield cand.box
+        if not isinstance(self.candidates, Candidates):
+            object.__setattr__(self, "candidates", Candidates.from_rows(self.image_id, self.candidates))
+        boxes = np.concatenate([box_array(g.box for g in self.groundtruth), self.candidates.boxes])
+        outside = (boxes[:, :2] < 0).any(axis=1) | (boxes[:, 2] > self.width) | (boxes[:, 3] > self.height)
+        if outside.any():
+            raise DataError(
+                f"{self.image_id}: box {boxes[outside.argmax()].tolist()} lies outside the "
+                f"{self.width}x{self.height} image"
+            )
 
     @property
     def num_candidates(self) -> int:
@@ -250,27 +301,25 @@ class ImageRecord:
     @property
     def feature_dim(self) -> int | None:
         """Dimension shared by every candidate that carries features; None if none does."""
-        return self._feature_dim
+        features = self.candidates.features
+        return None if features is None else features.shape[1]
+
+    def _complete(self, name: str, what: str) -> np.ndarray | None:
+        """The labels or features column; fails naming the first candidate without a value."""
+        gaps = self.candidates.gaps(name)
+        if gaps.any():
+            raise DataError(f"{self.image_id}: candidate {int(gaps.argmax())} has no {what}")
+        return getattr(self.candidates, name)
 
     def iou_labels(self) -> list[float]:
         """Labels of all candidates; fails if any candidate is unlabeled."""
-        labels = []
-        for i, cand in enumerate(self.candidates):
-            if cand.iou_label is None:
-                raise DataError(f"{self.image_id}: candidate {i} has no iou_label")
-            labels.append(cand.iou_label)
-        return labels
+        labels = self._complete("labels", "iou_label")
+        return [] if labels is None else labels.tolist()
 
     def features_matrix(self) -> np.ndarray:
-        """Candidate features stacked as an (n, d) array; fails if any are missing."""
-        rows = []
-        for i, cand in enumerate(self.candidates):
-            if cand.features is None:
-                raise DataError(f"{self.image_id}: candidate {i} has no features")
-            rows.append(cand.features)
-        if not rows:
-            return np.zeros((0, 0), dtype=np.float64)
-        return np.stack(rows)
+        """The record's read-only (n, d) feature matrix; fails if any candidate has no features."""
+        features = self._complete("features", "features")
+        return np.zeros((0, 0), dtype=np.float64) if features is None else features
 
 
 def _join(by_id: dict, dim: int | None, record: ImageRecord) -> int | None:
@@ -316,72 +365,59 @@ class Dataset:
 # ---------------------------------------------------------------------------
 # Column-wise record building
 #
-# A record's candidates are checked as arrays, once per record, against every
-# rule that Box and Candidate enforce, built without running the per-object
-# checks again, and handed to ImageRecord, which applies the record-level
-# rules. Columns that fail a check, or that are not a regular table of
-# numbers, are built entry by entry through the types instead, so they fail
-# with exactly the errors the types raise.
+# A record's candidate columns are checked as arrays against every rule that
+# Box and Candidate enforce whenever they become a Candidates table;
+# ImageRecord applies the record-level rules. record_from_columns builds
+# columns that fail a check, or that are not a regular table of numbers,
+# entry by entry through the types instead, so they fail with exactly the
+# errors the types raise.
 
 
-class _Irregular(Exception):
-    """Columns that the array checks do not pass."""
+class _Irregular(DataError):
+    """Candidate columns that the array checks do not pass."""
 
 
-def _numbers(values, ndim: int, n: int, integer: bool = False) -> np.ndarray:
-    """values as an (n, ...) array of ndim axes: float64, or with integer an
-    integer array. Anything else (ragged, nested, missing or non-numeric
-    values) is _Irregular."""
-    if integer and not isinstance(values, np.ndarray) and bool in map(type, values):
-        raise _Irregular  # numpy would read a bool among ints as 0 or 1
-    try:
-        arr = np.asarray(values)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise _Irregular from exc
-    if arr.dtype.kind not in ("iu" if integer else "biuf") or arr.ndim != ndim or len(arr) != n:
-        raise _Irregular
-    return arr if integer else arr.astype(np.float64, copy=False)
+# Each float column's axes and what the Box and Candidate rules ask of it as
+# one array. NaN, the mark of a candidate without a label or features, passes.
+_COLUMN_RULES = {
+    "boxes": (2, lambda c: c.shape[1] == 4 and np.isfinite(c).all() and (c[:, 2:] > c[:, :2]).all()),
+    "labels": (1, lambda c: not ((c < 0.0) | (c > 1.0)).any()),
+    "features": (2, lambda c: c.shape[1] > 0 and np.isnan(c[~np.isfinite(c).all(axis=1)]).all()),
+}
 
 
-def _checked_record(image_id, width, height, groundtruth, boxes, labels, features, source_index) -> ImageRecord:
-    """The record, its candidates built without per-object checks once their
-    columns pass the Box and Candidate rules as arrays; _Irregular when they
-    do not."""
-    n = len(boxes)
-    boxes = _numbers(boxes, 2, n)
-    labels = None if labels is None else _numbers(labels, 1, n)
-    features = None if features is None else _numbers(features, 2, n)
-    source_index = None if source_index is None else _numbers(source_index, 1, n, integer=True)
-    if not (
-        boxes.shape[1] == 4
-        and bool(np.isfinite(boxes).all() and (boxes[:, 2:] > boxes[:, :2]).all())
-        and (labels is None or bool(((labels >= 0.0) & (labels <= 1.0)).all()))
-        and (features is None or (features.shape[1] > 0 and bool(np.isfinite(features).all())))
-        and (source_index is None or bool((source_index >= 0).all()))
-    ):
-        raise _Irregular
+def _checked_column(name: str, values, n: int):
+    """values as the Candidates column of that name: a read-only (n, ...)
+    float64 array, or for source_index a tuple of ints and None. Values that
+    break the Box and Candidate rules, ragged, nested and non-numeric ones
+    included, are _Irregular."""
+    if values is None:
+        return None
+    valid = False
+    with contextlib.suppress(TypeError, ValueError, OverflowError):
+        if name == "source_index":  # Python ints, exact beyond 64 bits
+            column = tuple(None if i is None else _as_int(i, name) for i in values)
+            valid = len(column) == n and all(i is None or i >= 0 for i in column)
+        else:
+            ndim, rule = _COLUMN_RULES[name]
+            column = np.asarray(values)
+            if column.dtype.kind in "biuf" and column.ndim == ndim and len(column) == n:
+                column = column.astype(np.float64, copy=False).view()
+                column.flags.writeable = False  # rows share the feature matrix, so a write would change the record
+                valid = bool(rule(column))
+    if not valid:
+        raise _Irregular(f"candidate {name} column breaks the Box and Candidate rules")
+    return column
 
-    new, put = object.__new__, object.__setattr__
-    absent = repeat(None)
-    cands = []
-    for (x_min, y_min, x_max, y_max), label, feats, index in zip(
-        boxes.tolist(),
-        absent if labels is None else labels.tolist(),
-        absent if features is None else features,  # row views of the one matrix
-        absent if source_index is None else source_index.tolist(),
-    ):
-        box = new(Box)
-        put(box, "x_min", x_min)
-        put(box, "y_min", y_min)
-        put(box, "x_max", x_max)
-        put(box, "y_max", y_max)
-        cand = new(Candidate)
-        put(cand, "box", box)
-        put(cand, "iou_label", label)
-        put(cand, "features", feats)
-        put(cand, "source_index", index)
-        cands.append(cand)
-    return ImageRecord(image_id, width, height, groundtruth, cands)
+
+def _gapless(table: Candidates, *names: str) -> Candidates:
+    """table, or _Irregular if a caller's labels or features column among
+    names has NaN: the table would read it as a candidate without a value,
+    and the types reject it."""
+    for name in names:
+        if getattr(table, name) is not None and table.gaps(name).any():
+            raise _Irregular(f"candidate {name} column has NaN")
+    return table
 
 
 def record_from_columns(
@@ -399,37 +435,30 @@ def record_from_columns(
     boxes holds n [x_min, y_min, x_max, y_max] rows; labels (n values),
     features (n vectors) and source_index (n values) are optional. Each is an
     array or a list of per-candidate values, and candidate i takes entry i of
-    each. Checked as arrays, the candidates' features are row views of one
-    (n, d) matrix. Anything the types reject fails with their error, prefixed
-    with the image and the candidate as in "<image_id>: candidate 3 ...".
+    each. Checked as arrays, the columns are stored without a copy. Anything
+    the types reject fails with their error, prefixed with the image and the
+    candidate as in "<image_id>: candidate 3 ...".
     """
     groundtruth = tuple(groundtruth)
     try:
-        return _checked_record(image_id, width, height, groundtruth, boxes, labels, features, source_index)
+        table = _gapless(Candidates(boxes, labels, features, source_index), "labels", "features")
     except _Irregular:
-        pass
-    rows = boxes.tolist() if isinstance(boxes, np.ndarray) else boxes
-    entries = zip(rows, *(repeat(None) if c is None else c for c in (labels, features, source_index)))
-    cands = _each(image_id, "candidate", entries, lambda entry: Candidate(_box_from_list(entry[0]), *entry[1:]))
-    return ImageRecord(image_id, width, height, groundtruth, cands)
+        rows = boxes.tolist() if isinstance(boxes, np.ndarray) else boxes
+        entries = zip(rows, *(repeat(None) if c is None else c for c in (labels, features, source_index)))
+        table = _each(image_id, "candidate", entries, lambda entry: Candidate(_box_from_list(entry[0]), *entry[1:]))
+    return ImageRecord(image_id, width, height, groundtruth, table)
+
+
+def replace_column(record: ImageRecord, name: str, values) -> ImageRecord:
+    """record with its candidates' labels or features column replaced by
+    values, one per candidate; a DataError if they break the Box and
+    Candidate rules or hold NaN."""
+    return replace(record, candidates=_gapless(replace(record.candidates, **{name: values}), name))
 
 
 def _column(values: list) -> list | None:
     """values, or None when every one of them is None."""
     return None if all(v is None for v in values) else values
-
-
-def candidate_columns(record: ImageRecord) -> tuple[np.ndarray, list | None, list | None, list | None]:
-    """A record's candidates as columns, the inverse of record_from_columns:
-    boxes (n, 4), then the iou_label, features and source_index of each
-    candidate, each None when no candidate has one."""
-    cands = record.candidates
-    return (
-        box_array(c.box for c in cands),
-        _column([c.iou_label for c in cands]),
-        _column([c.features for c in cands]),
-        _column([c.source_index for c in cands]),
-    )
 
 
 def label_candidates(record: ImageRecord) -> ImageRecord:
@@ -439,11 +468,7 @@ def label_candidates(record: ImageRecord) -> ImageRecord:
     of them; with none it is 0.0. Candidate order is preserved and existing
     labels are recomputed.
     """
-    boxes, _, features, source_index = candidate_columns(record)
-    return record_from_columns(
-        record.image_id, record.width, record.height, record.groundtruth,
-        boxes, best_iou(boxes, record.groundtruth), features, source_index,
-    )
+    return replace_column(record, "labels", best_iou(record.candidates.boxes, record.groundtruth))
 
 
 def label_dataset(dataset: Dataset) -> Dataset:
@@ -453,8 +478,8 @@ def label_dataset(dataset: Dataset) -> Dataset:
 
 def rank_by_label(record: ImageRecord) -> list[int]:
     """Candidate indices ordered by iou_label descending; ties keep input order."""
-    labels = record.iou_labels()
-    return sorted(range(len(labels)), key=lambda i: -labels[i])
+    labels = record._complete("labels", "iou_label")
+    return [] if labels is None else np.argsort(-labels, kind="stable").tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -473,17 +498,18 @@ def record_to_dict(record: ImageRecord) -> dict:
             {"class": g.class_label, "box": g.box.as_list()} for g in record.groundtruth
         ],
     }
-    cands = []
-    for cand in record.candidates:
-        entry: dict = {"box": cand.box.as_list()}
-        if cand.iou_label is not None:
-            entry["iou_label"] = cand.iou_label
-        if cand.features is not None:
-            entry["features"] = cand.features.tolist()
-        if cand.source_index is not None:
-            entry["source_index"] = cand.source_index
-        cands.append(entry)
-    obj["candidates"] = cands
+    cands = record.candidates
+    entries = [{"box": box} for box in cands.boxes.tolist()]
+    for key, name in (("iou_label", "labels"), ("features", "features")):
+        column = getattr(cands, name)
+        if column is not None:
+            for entry, value, gap in zip(entries, column.tolist(), cands.gaps(name).tolist()):
+                if not gap:
+                    entry[key] = value
+    for entry, index in zip(entries, cands.source_index or ()):
+        if index is not None:
+            entry["source_index"] = index
+    obj["candidates"] = entries
     return obj
 
 

@@ -30,9 +30,8 @@ from .core import (
     Dataset,
     ImageRecord,
     box_array,
-    candidate_columns,
     check_field_types,
-    record_from_columns,
+    replace_column,
 )
 
 _EPS = 1e-10
@@ -281,20 +280,18 @@ def featurize_dataset(
     failures: list[str] = []
     out_records: list[ImageRecord] = []
     for rec in dataset.records:
-        if keep_existing and rec.candidates and all(c.features is not None for c in rec.candidates):
+        if keep_existing and rec.num_candidates and not rec.candidates.gaps("features").any():
             out_records.append(rec)
             continue
         try:
             image = images.get(rec.image_id)
             if image is None:
                 raise DataError("image not found")
-            boxes, labels, _, sources = candidate_columns(rec)
+            boxes = rec.candidates.boxes
             feats = np.empty((len(boxes), config.dimension))
             for start in range(0, len(boxes), _CHUNK_BOXES):
                 feats[start:start + _CHUNK_BOXES] = _describe_boxes(image, boxes[start:start + _CHUNK_BOXES], config)
-            out_records.append(
-                record_from_columns(rec.image_id, rec.width, rec.height, rec.groundtruth, boxes, labels, feats, sources)
-            )
+            out_records.append(replace_column(rec, "features", feats))
         except (DataError, OSError) as exc:
             failures.append(f"{rec.image_id}: {exc}")
             out_records.append(rec)

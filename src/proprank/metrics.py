@@ -95,7 +95,7 @@ def _prefix_best(
     """
     if min(budgets) < 1:
         raise DataError(f"budget must be at least 1, got {min(budgets)}")
-    overlaps = iou_matrix(box_array(g.box for g in gts), box_array(c.box for c in record.candidates))
+    overlaps = iou_matrix(box_array(g.box for g in gts), record.candidates.boxes)
     running = np.maximum.accumulate(np.hstack([np.zeros((len(gts), 1)), overlaps[:, order]]), axis=1)
     return running[:, [min(m, len(order)) for m in budgets]]
 

@@ -1,9 +1,10 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from proprank import load_model, read_dataset
+from proprank import Box, Dataset, load_model, rank_by_label, read_dataset, write_dataset
 from proprank.cli import main
 
 
@@ -237,6 +238,49 @@ def test_eval_and_report_round_trip(tmp_path, capsys, caplog):
     assert code == 0
     rows = [l for l in again.split("\n") if l.startswith(("x", "y"))]
     assert rows[0].split()[1:] == rows[1].split()[1:]
+
+
+def test_eval_takes_the_order_of_a_file_without_source_index_and_rejects_foreign_boxes(tmp_path, capsys, caplog):
+    data = tmp_path / "geo.jsonl"
+    run(capsys, "synth", data, "--mode", "geometric", "--seed", 0, "--num-images", 4, "--candidates", 1000)
+    dataset = read_dataset(data)
+
+    def sorted_by_label(name, with_source_index, moved=None):
+        """The dataset with each image's candidates sorted by iou_label; moved
+        replaces the box of candidate 5 of the first image."""
+        records = []
+        for rec in dataset.records:
+            rows = [replace(rec.candidates[i], source_index=i if with_source_index else None)
+                    for i in rank_by_label(rec)]
+            if moved is not None and not records:
+                rows[5] = replace(rows[5], box=moved(rows[5].box))
+            records.append(replace(rec, candidates=rows))
+        path = tmp_path / name
+        write_dataset(Dataset(tuple(records)), path)
+        return path
+
+    def detection_rates(path):
+        out = tmp_path / "ev"
+        code, _ = run(capsys, "eval", data, path, "--output", out, "--thresholds", "0.7", "--budgets", "10")
+        assert code == 0
+        return [source["dr"][0]["value"] for source in json.loads((tmp_path / "ev.json").read_text())["sources"]]
+
+    # Without source_index the file's own order used to be scored as the source order (0.0).
+    plain = detection_rates(sorted_by_label("plain.jsonl", False))
+    assert plain == detection_rates(sorted_by_label("indexed.jsonl", True))
+    assert plain[1] == 100.0 and plain[0] < plain[1]
+
+    # A box that is not the dataset's, with or without source_index, is exit 2 and writes nothing.
+    image_id = dataset.records[0].image_id
+    for with_source_index in (False, True):
+        shrunk = lambda b: Box(b.x_min, b.y_min, b.x_max, b.y_max - 0.5)  # noqa: E731
+        foreign = sorted_by_label("foreign.jsonl", with_source_index, shrunk)
+        out = tmp_path / "foreign"
+        assert main(["eval", str(data), str(foreign), "--output", str(out)]) == 2
+        assert caplog.messages[-1].startswith(f"{image_id}: candidate 5 box [")
+        assert caplog.messages[-1].endswith("does not match the dataset's candidates")
+        assert [p.name for p in tmp_path.glob("foreign*")] == ["foreign.jsonl"]
+    capsys.readouterr()
 
 
 def test_eval_rejects_mismatched_datasets(tmp_path, capsys):

@@ -24,7 +24,7 @@ from proprank import (
     rank_by_label,
     write_dataset,
 )
-from proprank.core import candidate_columns, record_from_columns, record_from_dict, record_to_dict
+from proprank.core import Candidates, record_from_columns, record_from_dict, record_to_dict, replace_column
 
 
 def test_box_area_and_validation():
@@ -189,15 +189,26 @@ def test_record_from_columns_builds_what_the_types_build():
         assert type(got.iou_label) is float and type(got.source_index) is int
         # Each candidate's features are a row view of the one checked matrix.
         assert got.features.tobytes() == want.features.tobytes() and np.shares_memory(got.features, feats)
-    assert candidate_columns(rec)[0].tolist() == boxes.tolist()
-    assert [c[:] for c in candidate_columns(rec)[1::2]] == [[0.5, 1.0, 0.0], [2, 0, 1]]
+    table = rec.candidates
+    assert table.boxes.tolist() == boxes.tolist() and table.labels.tolist() == [0.5, 1.0, 0.0]
+    assert table.source_index == (2, 0, 1) and all(type(i) is int for i in table.source_index)
+    # The columns are read-only, and so is every row's view of the feature matrix.
+    for column in (table.boxes, table.labels, table.features, rec.features_matrix(), rec.candidates[0].features):
+        with pytest.raises(ValueError, match="read-only"):
+            column[0] = 0.0
+    assert rec.features_matrix() is table.features and len(table) == 3 and len(list(table)) == 3
+    assert table[-1].box == Box(0.5, 0.25, 1, 1)
+    with pytest.raises(IndexError):
+        table[3]
     empty = record_from_columns("e", 4, 4, (), np.zeros((0, 4)), np.zeros(0), np.zeros((0, 3)), np.zeros(0, int))
     assert empty.num_candidates == 0 and empty.feature_dim is None
-    assert candidate_columns(empty)[1:] == (None, None, None)
-    # Columns with gaps are built one candidate at a time.
+    assert (empty.candidates.labels, empty.candidates.features, empty.candidates.source_index) == (None, None, None)
+    # Columns with gaps are built one candidate at a time; a gap is NaN in the table.
     mixed = record_from_columns("m", 4, 4, (), [[0, 0, 1, 1], [1, 1, 2, 2]], [None, 0.5], [[1.0], None], [None, 3])
     assert [(c.iou_label, c.source_index) for c in mixed.candidates] == [(None, None), (0.5, 3)]
     assert mixed.candidates[1].features is None and mixed.feature_dim == 1
+    assert np.isnan(mixed.candidates.labels[0]) and np.isnan(mixed.candidates.features[1]).all()
+    assert mixed.candidates.source_index == (None, 3)
 
 
 def test_record_from_columns_fails_with_the_types_errors():
@@ -217,6 +228,7 @@ def test_record_from_columns_fails_with_the_types_errors():
         (([[0, 0, 17, 2]],), "im: box [0.0, 0.0, 17.0, 2.0] lies outside the 16x12 image"),
         ((box, None, [[0.5, np.inf]]), "im: candidate 0 features contain non-finite values"),
         ((box, None, np.zeros((1, 0))), "im: candidate 0 features must not be empty"),
+        ((box * 2, None, [[1.0], [np.nan]]), "im: candidate 1 features contain non-finite values"),
         ((box, None, None, [-1]), "im: candidate 0 source_index must be non-negative, got -1"),
         ((box, None, None, [0.5]), "im: candidate 0 source_index must be an integer, got 0.5"),
         ((box * 2, None, None, [0, False]), "im: candidate 1 source_index must be an integer, got False"),
@@ -232,6 +244,32 @@ def test_record_from_columns_fails_with_the_types_errors():
     ):
         with pytest.raises(DataError, match=f"^{message}$"):
             record_from_columns(image_id, width, 12, (), boxes)
+
+
+def test_a_candidates_table_checks_its_columns():
+    ok = np.array([[0.0, 0.0, 1.0, 1.0], [1.0, 1.0, 2.0, 2.0]])
+    for columns in (
+        dict(boxes=np.array([[0, 0, np.nan, 1.0]]), source_index=(-1,)),
+        dict(boxes=ok, source_index=(0, -1)),
+        dict(boxes=ok, source_index=(0, True)),
+        dict(boxes=ok, labels=np.array([0.5, 1.5])),
+        dict(boxes=ok, labels=np.array([0.5])),
+        dict(boxes=ok, features=np.array([[1.0, np.nan], [1.0, 2.0]])),
+        dict(boxes=ok[:, :3]),
+    ):
+        with pytest.raises(DataError, match="column breaks the Box and Candidate rules"):
+            ImageRecord("a", 8, 8, (), Candidates(**columns))
+    # A NaN label or feature row in a table marks a candidate without one.
+    table = Candidates(ok, np.array([np.nan, 0.5]), np.array([[np.nan] * 2, [1.0, 2.0]]), (None, 2**64))
+    assert [(c.iou_label, c.features is None, c.source_index) for c in table] == [(None, True, None), (0.5, False, 2**64)]
+    # A caller's NaN is no gap but an error, through replace_column too.
+    rec = record_from_columns("im", 8, 8, (), ok, [0.5, 0.5], [[1.0], [2.0]])
+    for name, values in (("labels", [0.5, np.nan]), ("features", [[np.nan], [1.0]])):
+        with pytest.raises(DataError, match=f"^candidate {name} column has NaN$"):
+            replace_column(rec, name, np.array(values))
+    with pytest.raises(DataError, match="^candidate labels column breaks the Box and Candidate rules$"):
+        replace_column(rec, "labels", [0.5, 1.5])
+    assert replace_column(rec, "labels", [1.0, 0.0]).iou_labels() == [1.0, 0.0]
 
 
 def test_record_rejects_out_of_bounds_boxes():

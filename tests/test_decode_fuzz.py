@@ -7,7 +7,9 @@ parser allows, the two shapes that escaped as OverflowError and RecursionError.
 """
 
 import json
+import tempfile
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -243,6 +245,21 @@ def _record_lines(draw) -> str:
 @given(_record_lines())
 def test_column_builder_agrees_with_the_per_entry_types(line):
     assert _outcome(line, record_from_dict) == _outcome(line, _through_types)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_record_lines())
+def test_label_command_writes_what_label_dataset_gives_or_exits_2_writing_nothing(line):
+    with tempfile.TemporaryDirectory() as tmp:
+        source, out = Path(tmp) / "in.jsonl", Path(tmp) / "out.jsonl"
+        source.write_text(line + "\n", encoding="utf-8")
+        code = main(["label", str(source), str(out)])
+        if code == 0:
+            want = "".join(text + "\n" for text in dataset_to_lines(label_dataset(read_dataset(source))))
+            assert out.read_text(encoding="utf-8") == want
+        else:
+            assert code == 2
+            assert [p.name for p in Path(tmp).iterdir()] == ["in.jsonl"]
 
 
 # ---------------------------------------------------------------------------
