@@ -7,9 +7,10 @@ validates its inputs and computes results before writing anything.
 
 main() owns the run protocol: it starts the clock, runs the command, writes
 the manifest and maps errors to exit codes. A command only computes, writes
-its outputs and returns the (inputs, outputs) paths it read and wrote. Every
-successful run that writes files leaves a <output>.manifest.json beside its
-primary output, the first path it returns.
+its outputs and returns the inputs it read, each with the sha256 of the bytes
+its reader parsed when it has one, and the paths it wrote. Every successful
+run that writes files leaves a <output>.manifest.json beside its primary
+output, the first path it returns.
 """
 
 from __future__ import annotations
@@ -61,7 +62,12 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _sha256_file(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
+    """SHA-256 of a file, read in 1 MiB chunks."""
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        while chunk := fh.read(1 << 20):
+            digest.update(chunk)
+    return digest.hexdigest()
 
 
 def _beside(path: Path, suffix: str) -> Path:
@@ -69,7 +75,7 @@ def _beside(path: Path, suffix: str) -> Path:
     return path.with_name(path.name + suffix)
 
 
-def _write_manifest(args: argparse.Namespace, inputs: list[Path], outputs: list[Path], started: float) -> None:
+def _write_manifest(args: argparse.Namespace, inputs: Inputs, outputs: list[Path], started: float) -> None:
     resolved = {k: v for k, v in sorted(vars(args).items()) if k != "func"}
     manifest = {
         "command": args.command,
@@ -77,7 +83,7 @@ def _write_manifest(args: argparse.Namespace, inputs: list[Path], outputs: list[
         "config_digest": hashlib.sha256(
             json.dumps(resolved, sort_keys=True, default=str).encode("utf-8")
         ).hexdigest(),
-        "inputs": {str(p): _sha256_file(p) for p in inputs},
+        "inputs": {str(p): digest or _sha256_file(p) for p, digest in inputs.items()},
         "outputs": [str(p) for p in outputs],
         "wall_time_s": round(time.monotonic() - started, 3),
         "version": __version__,
@@ -112,7 +118,10 @@ def _write_tables(base: Path | None, tables: dict[str, str]) -> list[Path]:
 # Commands
 
 
-Paths = tuple[list[Path], list[Path]]
+# Each input path with the SHA-256 of the bytes its reader parsed, or None
+# for the manifest to hash the file; then the paths written.
+Inputs = dict[Path, str | None]
+Paths = tuple[Inputs, list[Path]]
 
 
 def cmd_label(args: argparse.Namespace) -> Paths:
@@ -125,7 +134,7 @@ def cmd_label(args: argparse.Namespace) -> Paths:
         "labeled %d records (%d groundtruth objects, %d candidates) -> %s",
         len(labeled.records), objects, candidates, args.output,
     )
-    return [args.input], [args.output]
+    return {args.input: dataset.source_sha256}, [args.output]
 
 
 def _hog_config_from(args: argparse.Namespace) -> HogConfig:
@@ -154,7 +163,7 @@ def cmd_featurize(args: argparse.Namespace) -> Paths:
         "featurized %d records (%d failures, dimension %d) -> %s",
         len(featurized.records), len(failures), config.dimension, args.output,
     )
-    return [args.input], [args.output, meta_path]
+    return {args.input: dataset.source_sha256}, [args.output, meta_path]
 
 
 def _hog_config_of_sidecar(meta) -> HogConfig | None:
@@ -189,7 +198,7 @@ def cmd_train(args: argparse.Namespace) -> Paths:
     )
     if model.violation_report is not None:  # the all-pairs baseline has none
         logger.info("violation report: %s", json.dumps(model.violation_report))
-    return [args.input], [args.output]
+    return {args.input: dataset.source_sha256}, [args.output]
 
 
 def _reordered(rec: ImageRecord, order: list[int]) -> ImageRecord:
@@ -215,7 +224,7 @@ def cmd_rerank(args: argparse.Namespace) -> Paths:
     out_records = [_reordered(rec, rerank(model, rec)) for rec in dataset.records]
     write_dataset(Dataset(tuple(out_records), dataset.feature_dim), args.output)
     logger.info("reranked %d records -> %s", len(out_records), args.output)
-    return [args.input, args.model], [args.output]
+    return {args.input: dataset.source_sha256, args.model: None}, [args.output]
 
 
 def _recover_rankings(base: Dataset, other: Dataset) -> dict[str, list[int]]:
@@ -270,7 +279,7 @@ def cmd_eval(args: argparse.Namespace) -> Paths:
     })
     if outputs:
         logger.info("wrote report to %s.{txt,csv,json}", args.output)
-    return [args.dataset, args.reranked], outputs
+    return {args.dataset: dataset.source_sha256, args.reranked: other.source_sha256}, outputs
 
 
 def cmd_synth(args: argparse.Namespace) -> Paths:
@@ -294,7 +303,7 @@ def cmd_synth(args: argparse.Namespace) -> Paths:
     meta_path = _beside(args.output, ".meta.json")
     atomic_write_text(meta_path, json.dumps(synth_metadata(config, planted), indent=2) + "\n")
     logger.info("generated %d %s records -> %s", len(dataset.records), config.mode, args.output)
-    return [], [args.output, meta_path]
+    return {}, [args.output, meta_path]
 
 
 def _saved_report(obj) -> tuple[EvalConfig, list[EvalReport]]:
@@ -314,9 +323,10 @@ def _saved_report(obj) -> tuple[EvalConfig, list[EvalReport]]:
 
 
 def cmd_report(args: argparse.Namespace) -> Paths:
-    config, reports = decode_json(args.input.read_bytes(), _saved_report, str(args.input), "report")
+    raw = args.input.read_bytes()
+    config, reports = decode_json(raw, _saved_report, str(args.input), "report")
     tables = {".txt": render_text(reports, config), ".csv": render_csv(reports, config)}
-    return [args.input], _write_tables(args.output, tables)
+    return {args.input: hashlib.sha256(raw).hexdigest()}, _write_tables(args.output, tables)
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass, fields, replace
 from itertools import repeat
 from pathlib import Path
-from typing import Callable, Iterable, TypeVar
+from typing import Callable, Iterable, Iterator, TypeVar
 
 import numpy as np
 
@@ -339,7 +339,13 @@ def _join(by_id: dict, dim: int | None, record: ImageRecord) -> int | None:
 
 @dataclass(frozen=True, eq=False)
 class Dataset:
-    """An ordered collection of image records with unique image ids."""
+    """An ordered collection of image records with unique image ids.
+
+    source_sha256 is the SHA-256 of the bytes read_dataset parsed it from,
+    None for a dataset built in memory. Neither it nor the cached
+    dataset_digest is a field, so a Dataset built from another one, by
+    dataclasses.replace or from its records, starts without both.
+    """
 
     records: tuple[ImageRecord, ...] = ()
     feature_dim: int | None = None
@@ -354,6 +360,8 @@ class Dataset:
             raise DataError("feature_dim must be positive")
         object.__setattr__(self, "_by_id", by_id)
         object.__setattr__(self, "feature_dim", dim)
+        object.__setattr__(self, "source_sha256", None)
+        object.__setattr__(self, "_digest", None)
 
     def __len__(self) -> int:
         return len(self.records)
@@ -609,27 +617,56 @@ def dataset_from_lines(lines: Iterable[bytes | str]) -> Dataset:
     return Dataset(tuple(records))
 
 
+def _hashed(lines: Iterable[bytes], digest) -> Iterator[bytes]:
+    """lines, each fed to digest as it passes."""
+    for line in lines:
+        digest.update(line)
+        yield line
+
+
 def read_dataset(path: str | Path) -> Dataset:
+    """The dataset in a JSON Lines file, with the SHA-256 of the bytes it
+    parsed as its source_sha256."""
+    digest = hashlib.sha256()
     with open(path, "rb") as fh:
-        return dataset_from_lines(fh)
+        dataset = dataset_from_lines(_hashed(fh, digest))
+    object.__setattr__(dataset, "source_sha256", digest.hexdigest())
+    return dataset
 
 
 def atomic_write_text(path: str | Path, text: str) -> None:
-    """Write text to path through a sibling .tmp file, so readers never see a partial file."""
+    """Write text to path through a sibling .tmp file, so readers never see a
+    partial file; a failed write removes the .tmp file and re-raises."""
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text, encoding="utf-8")
-    os.replace(tmp, path)
+    try:
+        tmp.write_text(text, encoding="utf-8")
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def write_dataset(dataset: Dataset, path: str | Path) -> None:
-    atomic_write_text(path, "".join(line + "\n" for line in dataset_to_lines(dataset)))
+    """Write the canonical JSON Lines of dataset, whose SHA-256 becomes its
+    cached dataset_digest."""
+    text = "".join(line + "\n" for line in dataset_to_lines(dataset))
+    atomic_write_text(path, text)
+    object.__setattr__(dataset, "_digest", hashlib.sha256(text.encode("utf-8")).hexdigest())
 
 
 def dataset_digest(dataset: Dataset) -> str:
-    """SHA-256 over the canonical JSON Lines serialization of the dataset."""
-    digest = hashlib.sha256()
-    for line in dataset_to_lines(dataset):
-        digest.update(line.encode("utf-8"))
-        digest.update(b"\n")
-    return digest.hexdigest()
+    """SHA-256 over the canonical JSON Lines serialization of the dataset.
+
+    It is computed once per Dataset object, or taken from write_dataset of
+    it; its records and their columns are read-only, so it cannot go stale.
+    For every file write_dataset writes it equals the file's source_sha256
+    when read back.
+    """
+    if dataset._digest is None:
+        digest = hashlib.sha256()
+        for line in dataset_to_lines(dataset):
+            digest.update(line.encode("utf-8"))
+            digest.update(b"\n")
+        object.__setattr__(dataset, "_digest", digest.hexdigest())
+    return dataset._digest

@@ -288,11 +288,13 @@ def report(
 ) -> ComparisonReport:
     """Evaluate two ranking sources over one dataset and render the tables.
 
-    Both sources' metadata carry the digest of the dataset they describe.
+    Both sources' metadata name the dataset they describe: by its
+    source_sha256 when it was read from a file, else by its dataset_digest.
     """
-    digest = dataset_digest(dataset)
+    source = dataset.source_sha256
+    name = {"source_sha256": source} if source else {"dataset_digest": dataset_digest(dataset)}
     rep_a, rep_b = pair = tuple(
-        replace(rep, metadata={**rep.metadata, "dataset_digest": digest})
+        replace(rep, metadata={**rep.metadata, **name})
         for rep in (evaluate(dataset, rankings_a, config, label_a), evaluate(dataset, rankings_b, config, label_b))
     )
     return ComparisonReport(

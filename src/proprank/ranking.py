@@ -275,8 +275,10 @@ class TrainedModel:
 
 
 def _provenance(dataset: Dataset, trainer: str) -> dict:
+    """The training set's source_sha256 when it was read from a file, else its dataset_digest."""
+    source = dataset.source_sha256
     return {
-        "dataset_digest": dataset_digest(dataset),
+        **({"source_sha256": source} if source else {"dataset_digest": dataset_digest(dataset)}),
         "created": _dt.datetime.now(_dt.timezone.utc).isoformat(timespec="seconds"),
         "trainer": trainer,
     }

@@ -1,10 +1,14 @@
+import errno
+import hashlib
 import json
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from proprank import Box, Dataset, load_model, rank_by_label, read_dataset, write_dataset
+from proprank import Box, Dataset, dataset_digest, load_model, rank_by_label, read_dataset, write_dataset
+from proprank import core
 from proprank.cli import main
 
 
@@ -419,6 +423,7 @@ def test_every_writing_command_leaves_one_manifest(chain, tmp_path, capsys, argv
     assert manifest["command"] == argv[0]
     assert manifest["outputs"][0] == str(tmp_path / primary)
     assert all((tmp_path / p).is_file() for p in manifest["outputs"])
+    assert manifest["inputs"] == {p: hashlib.sha256(Path(p).read_bytes()).hexdigest() for p in manifest["inputs"]}
     assert not list(chain.glob("*.manifest.json"))
 
 
@@ -430,3 +435,54 @@ def test_runs_that_write_nothing_leave_no_manifest(chain, tmp_path, capsys):
     assert run(capsys, "report", bad, "--output", tmp_path / "p")[0] == 2
     assert sorted(tmp_path.iterdir()) == [bad]
     assert not list(chain.glob("*.manifest.json"))
+
+
+def test_every_dataset_proprank_writes_is_named_alike_by_its_bytes_and_its_digest(chain, tmp_path, capsys):
+    argvs = (
+        ["synth", tmp_path / "feat.jsonl", "--num-images", 3, "--candidates", 5, "--feature-dim", 4],
+        ["featurize", chain / "labeled.jsonl", tmp_path / "hog.jsonl", "--images", chain / "imgs",
+         "--resize-w", 16, "--resize-h", 16],
+    )
+    for argv in argvs:
+        assert run(capsys, *argv)[0] == 0
+    written = [tmp_path / "feat.jsonl", tmp_path / "hog.jsonl"] + [
+        chain / name for name in ("geo.jsonl", "labeled.jsonl", "ranked.jsonl")
+    ]
+    for path in written:
+        sha256 = hashlib.sha256(path.read_bytes()).hexdigest()
+        assert read_dataset(path).source_sha256 == dataset_digest(read_dataset(path)) == sha256, path
+
+
+def test_model_report_and_manifest_name_the_training_file_alike(chain, tmp_path, capsys):
+    labeled = chain / "labeled.jsonl"
+    assert run(capsys, "train", labeled, tmp_path / "m.json", "--k", 2, "--epochs", 5)[0] == 0
+    assert run(capsys, "eval", labeled, chain / "ranked.jsonl", "--output", tmp_path / "e", "--budgets", "1,5")[0] == 0
+    sha256 = hashlib.sha256(labeled.read_bytes()).hexdigest()
+    provenance = json.loads((tmp_path / "m.json").read_text())["provenance"]
+    assert provenance["source_sha256"] == sha256 and "dataset_digest" not in provenance
+    sources = json.loads((tmp_path / "e.json").read_text())["sources"]
+    assert [s["metadata"]["source_sha256"] for s in sources] == [sha256, sha256]
+    for manifest in ("m.json", "e.txt"):
+        inputs = json.loads((tmp_path / f"{manifest}.manifest.json").read_text())["inputs"]
+        assert inputs[str(labeled)] == sha256
+
+
+def test_eval_serializes_no_dataset(chain, tmp_path, capsys, monkeypatch):
+    def refuse(dataset):
+        raise AssertionError("eval serialized a dataset")
+
+    monkeypatch.setattr(core, "dataset_to_lines", refuse)
+    argv = ("eval", chain / "labeled.jsonl", chain / "ranked.jsonl", "--output", tmp_path / "e", "--budgets", "1,5")
+    assert run(capsys, *argv)[0] == 0
+
+
+def test_a_failed_write_leaves_no_partial_file(chain, tmp_path, capsys, monkeypatch):
+    write_text = Path.write_text
+
+    def full_disk(self, text, *args, **kwargs):
+        write_text(self, text[: len(text) // 2], *args, **kwargs)
+        raise OSError(errno.ENOSPC, "No space left on device", str(self))
+
+    monkeypatch.setattr(Path, "write_text", full_disk)
+    assert run(capsys, "label", chain / "geo.jsonl", tmp_path / "out.jsonl")[0] == 2
+    assert list(tmp_path.iterdir()) == []

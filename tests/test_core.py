@@ -1,5 +1,7 @@
+import hashlib
 import json
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -22,8 +24,10 @@ from proprank import (
     label_candidates,
     label_dataset,
     rank_by_label,
+    read_dataset,
     write_dataset,
 )
+from proprank import core
 from proprank.core import Candidates, record_from_columns, record_from_dict, record_to_dict, replace_column
 
 
@@ -367,6 +371,44 @@ def test_jsonl_round_trip_is_exact(tmp_path):
     write_dataset(ds, path)
     assert path.read_text(encoding="utf-8") == "".join(line + "\n" for line in lines)
     assert [p.name for p in tmp_path.iterdir()] == ["ds.jsonl"]
+
+
+def test_a_read_dataset_is_named_by_the_bytes_it_was_parsed_from(tmp_path):
+    # Valid but not canonical: extra spaces, another key order, 0.50 for 0.5.
+    text = '{ "width": 8,  "height": 8, "image_id": "a", "candidates": [ {"iou_label": 0.50, "box": [1, 1, 3, 3]} ] }\n\n'
+    path = tmp_path / "hand.jsonl"
+    path.write_text(text, encoding="utf-8")
+    ds = read_dataset(path)
+    assert ds.source_sha256 == hashlib.sha256(path.read_bytes()).hexdigest()
+    assert dataset_digest(ds) != ds.source_sha256
+    assert dataset_digest(ds) == hashlib.sha256("".join(x + "\n" for x in dataset_to_lines(ds)).encode()).hexdigest()
+    built = dataset_from_lines(text.splitlines())
+    assert built.source_sha256 is None and dataset_digest(built) == dataset_digest(ds)
+
+
+def test_a_dataset_is_serialized_for_its_digest_at_most_once(tmp_path, monkeypatch):
+    calls = []
+    to_lines = core.dataset_to_lines
+    monkeypatch.setattr(core, "dataset_to_lines", lambda ds: calls.append(ds) or to_lines(ds))
+    ds = Dataset((make_record("once", labels=[0.5, 1.0], feats=[[1.0], [2.0]]),))
+    first = dataset_digest(ds)
+    assert dataset_digest(ds) == first and calls == [ds]
+    written = Dataset(ds.records)
+    write_dataset(written, tmp_path / "w.jsonl")
+    assert len(calls) == 2
+    assert dataset_digest(written) == first and len(calls) == 2
+    assert read_dataset(tmp_path / "w.jsonl").source_sha256 == first
+
+
+def test_a_derived_dataset_inherits_neither_hash(tmp_path):
+    path = tmp_path / "d.jsonl"
+    write_dataset(Dataset((make_record("d", labels=[0.5], feats=[[1.0]]),)), path)
+    ds = read_dataset(path)
+    dataset_digest(ds)
+    relabeled = tuple(replace_column(rec, "labels", [0.25]) for rec in ds.records)
+    for derived in (replace(ds, records=relabeled), Dataset(ds.records)):
+        assert derived.source_sha256 is None and derived._digest is None
+    assert dataset_digest(replace(ds, records=relabeled)) != dataset_digest(ds)
 
 
 def test_jsonl_reader_ignores_unknown_fields_and_blank_lines():
