@@ -19,6 +19,7 @@ image's boxes in fixed-size chunks.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -185,6 +186,25 @@ def _unsigned(theta: np.ndarray, work: np.ndarray) -> np.ndarray:
     return theta
 
 
+def _build_vote_tables(config: HogConfig, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The bin wrap table [0, 1, ..., bins - 1, 0] and the (n, used_h, used_w)
+    offset of each pixel's first bin in the flattened (box, cell, bin) histogram."""
+    bins, cell, cells_x = config.orientation_bins, config.cell_size, config.cells_x
+    rows, cols = np.indices((config.cells_y * cell, cells_x * cell))
+    pixel = ((rows // cell) * cells_x + cols // cell) * bins
+    box = np.arange(n) * (config.cells_y * cells_x * bins)
+    wrap, offsets = np.arange(bins + 1) % bins, box[:, None, None] + pixel
+    wrap.flags.writeable = offsets.flags.writeable = False
+    return wrap, offsets
+
+
+@functools.lru_cache(maxsize=8)
+def _chunk_vote_tables(config: HogConfig) -> tuple[np.ndarray, np.ndarray]:
+    """_build_vote_tables for a full chunk, which serves every smaller stack
+    too, so the cache never grows with the size of a stack."""
+    return _build_vote_tables(config, _CHUNK_BOXES)
+
+
 def _hog_stack(patches: np.ndarray, config: HogConfig) -> np.ndarray:
     """(B, dimension) descriptors of a (B, resize_h, resize_w) patch stack."""
     n = len(patches)
@@ -198,28 +218,36 @@ def _hog_stack(patches: np.ndarray, config: HogConfig) -> np.ndarray:
     _centered_differences(patches[:, :, :used_w].transpose(0, 2, 1), gy.transpose(0, 2, 1))
     # votes[1] holds the magnitude until it becomes the hi votes; gy becomes
     # the bin coordinate and gx the floor of it, so a chunk allocates little.
+    # Pixels lie in [0, 1], so |gx|, |gy| <= 1 and gx² + gy² cannot overflow;
+    # a gradient below about 1e-154 squares to 0, which moves no descriptor
+    # entry by more than about 1e-140.
     votes = np.empty((2, n, used_h, used_w))
-    magnitude = np.hypot(gx, gy, out=votes[1])
+    magnitude = np.multiply(gx, gx, out=votes[1])
+    magnitude += np.multiply(gy, gy, out=votes[0])
+    np.sqrt(magnitude, out=magnitude)
     coord = _unsigned(np.arctan2(gy, gx, out=gy), work=gx)
     coord *= bins / np.pi
     lo = np.floor(coord, out=gx)
     frac = np.subtract(coord, lo, out=coord)
 
-    # One bincount over flattened (box, cell, bin) indices. Within each box the
-    # lo votes come first, then the hi votes, each in pixel order, so every
-    # histogram entry adds its votes in the same order as one np.add.at per
-    # box would. coord lies in [0, bins], so lo is a bin or bins, which wraps to 0.
+    # coord lies in [0, bins], so lo is a bin or bins, which wraps to 0, and
+    # wrap[1:] maps the wrapped lo to the hi bin (lo + 1) % bins. The raw lo
+    # sits in index[1] so that no take reads the array it writes. Indices are
+    # in range, so mode="clip" changes no value and only spares take a copy
+    # of its output.
+    wrap, offsets = _chunk_vote_tables(config) if n <= _CHUNK_BOXES else _build_vote_tables(config, n)
     index = np.empty((2, n, used_h, used_w), dtype=np.intp)
-    index[0] = lo
-    index[0][index[0] == bins] = 0
-    np.add(index[0], 1, out=index[1])
-    index[1][index[1] == bins] = 0
-    rows, cols = np.indices((used_h, used_w))
-    index += ((rows // cell) * cells_x + cols // cell) * bins
-    index += (np.arange(n) * (cells_y * cells_x * bins))[:, None, None]
+    index[1] = lo
+    wrap.take(index[1], out=index[0], mode="clip")
+    wrap[1:].take(index[0], out=index[1], mode="clip")
+    index += offsets[:n]
     np.subtract(1.0, frac, out=votes[0])
     votes[0] *= magnitude
     magnitude *= frac
+    # One bincount over flattened (box, cell, bin) indices. Within each box the
+    # lo votes come first, then the hi votes, each in pixel order, so every
+    # histogram entry adds its votes in the same order as one np.add.at per
+    # box would.
     hist = np.bincount(index.ravel(), votes.ravel(), minlength=n * cells_y * cells_x * bins)
     hist = hist.reshape(n, cells_y, cells_x, bins)
 
@@ -302,7 +330,7 @@ def featurize_dataset(
 # PGM (P5, 8-bit) image source
 
 
-def _parse_pgm_tokens(data: bytes, count: int, start: int) -> tuple[list[int], int]:
+def _parse_pgm_tokens(data: bytes, count: int, start: int, path: str | Path) -> tuple[list[int], int]:
     tokens: list[int] = []
     pos = start
     while len(tokens) < count:
@@ -316,11 +344,11 @@ def _parse_pgm_tokens(data: bytes, count: int, start: int) -> tuple[list[int], i
         while end < len(data) and not data[end:end + 1].isspace():
             end += 1
         if end == pos:
-            raise DataError("truncated PGM header")
+            raise DataError(f"{path}: truncated PGM header")
         try:
             tokens.append(int(data[pos:end]))
         except ValueError as exc:
-            raise DataError(f"invalid PGM header token {data[pos:end]!r}") from exc
+            raise DataError(f"{path}: invalid PGM header token {data[pos:end]!r}") from exc
         pos = end
     return tokens, pos
 
@@ -328,9 +356,10 @@ def _parse_pgm_tokens(data: bytes, count: int, start: int) -> tuple[list[int], i
 def read_pgm(path: str | Path) -> GrayImage:
     """Read a binary (P5) 8-bit PGM file into a GrayImage."""
     data = Path(path).read_bytes()
-    if data[:2] != b"P5":
+    # The magic ends at whitespace: "P512 2" is not a 12x2 image.
+    if data[:2] != b"P5" or not data[2:3].isspace():
         raise DataError(f"{path}: not a binary PGM (P5) file")
-    (width, height, maxval), pos = _parse_pgm_tokens(data, 3, 2)
+    (width, height, maxval), pos = _parse_pgm_tokens(data, 3, 2, path)
     if maxval <= 0 or maxval > 255:
         raise DataError(f"{path}: only 8-bit PGM is supported, maxval={maxval}")
     pos += 1  # single whitespace byte separates header and raster

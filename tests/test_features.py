@@ -12,14 +12,16 @@ from proprank import (
     GrayImage,
     HogConfig,
     PgmDirectory,
+    SynthConfig,
     crop_and_resize,
     describe_box,
     featurize_dataset,
+    generate_geometric_dataset,
     hog,
     read_pgm,
 )
 from conftest import make_record
-from proprank.features import _CHUNK_BOXES, _describe_boxes, _unsigned
+from proprank.features import _CHUNK_BOXES, _chunk_vote_tables, _describe_boxes, _unsigned
 
 # Small geometry for fast tests: 8x8 patch, 4x4 cells -> 2x2 grid, one block.
 TINY = HogConfig(resize_w=8, resize_h=8, cell_size=4)
@@ -267,6 +269,18 @@ def test_pgm_rejects_bad_files(tmp_path):
         short.write_bytes(header)
         with pytest.raises(DataError, match="short.pgm: image size must be positive"):
             read_pgm(short)
+    # Width digits glued to the magic are not a 12x2 image.
+    glued = tmp_path / "glued.pgm"
+    glued.write_bytes(b"P512 2\n255\n" + bytes(24))
+    with pytest.raises(DataError, match="glued.pgm: not a binary PGM"):
+        read_pgm(glued)
+    header = tmp_path / "header.pgm"
+    header.write_bytes(b"P5\n4 4\n")
+    with pytest.raises(DataError, match="header.pgm: truncated PGM header"):
+        read_pgm(header)
+    header.write_bytes(b"P5\n4 x4\n255\n" + bytes(16))
+    with pytest.raises(DataError, match=re.escape("header.pgm: invalid PGM header token b'x4'")):
+        read_pgm(header)
 
 
 def test_pgm_directory_lookup(tmp_path):
@@ -379,6 +393,49 @@ def test_featurize_dataset_chunks_match_the_oracle(count):
     assert out.records[0].num_candidates == count
     got = np.array([c.features for c in out.records[0].candidates]).reshape(count, HogConfig().dimension)
     assert_allclose(got, oracle_features(img, boxes, HogConfig()), rtol=0, atol=1e-12)
+
+
+def test_featurize_dataset_matches_the_oracle_at_benchmark_scale():
+    # A 320x240 noise scene with bright groundtruth rectangles and 100
+    # generated boxes, described with the default geometry.
+    rec = generate_geometric_dataset(
+        SynthConfig(seed=3, num_images=1, candidates_per_image=100, mode="geometric", image_size=(320, 240))
+    ).records[0]
+    rng = np.random.default_rng(14)
+    pixels = rng.uniform(0.0, 0.4, size=(240, 320))
+    for obj in rec.groundtruth:
+        x0, y0, x1, y1 = (int(v) for v in obj.box.as_list())
+        pixels[y0:y1 + 1, x0:x1 + 1] = rng.uniform(0.7, 1.0, size=(y1 + 1 - y0, x1 + 1 - x0))
+    img = gray(pixels)
+    out, failures = featurize_dataset(Dataset((rec,)), {rec.image_id: img}, HogConfig())
+    assert failures == []
+    boxes = [Box(*b) for b in rec.candidates.boxes.tolist()]
+    assert_allclose(out.records[0].features_matrix(), oracle_features(img, boxes, HogConfig()), rtol=0, atol=1e-12)
+
+
+def test_gradients_whose_squares_underflow_match_the_oracle():
+    # Gradients of about 1e-200 square to 0, so the kernel's magnitude is 0
+    # where the oracle's np.hypot keeps it; both descriptors are all but zero.
+    patch = gray(np.random.default_rng(15).uniform(size=(60, 50)) * 1e-200)
+    got = hog(patch, HogConfig())
+    assert np.all(np.isfinite(got))
+    assert_allclose(got, oracles.hog(patch, HogConfig()), rtol=0, atol=1e-12)
+
+
+def test_a_descriptor_does_not_depend_on_what_was_described_before():
+    # A chunk's vote tables are cached per config; larger stacks and another
+    # config described in between must not change a stack's bytes.
+    img, configs = scene(), (HogConfig(), GEOMETRIES["six-bins"])
+    boxes = np.array([b.as_list() for b in scene_boxes(count=2 * _CHUNK_BOXES + 1)])
+    for count in (5, _CHUNK_BOXES):
+        for config in configs:
+            _chunk_vote_tables.cache_clear()
+            first = _describe_boxes(img, boxes[:count], config).tobytes()
+            for other in (1, _CHUNK_BOXES + 1, 2 * _CHUNK_BOXES + 1):
+                _describe_boxes(img, boxes[:other], config)
+            for other_config in configs:
+                _describe_boxes(img, boxes[:count], other_config)
+            assert _describe_boxes(img, boxes[:count], config).tobytes() == first
 
 
 def test_featurize_dataset_reports_a_record_with_a_bad_box_whole():
