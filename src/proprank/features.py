@@ -345,10 +345,12 @@ def _parse_pgm_tokens(data: bytes, count: int, start: int, path: str | Path) -> 
             end += 1
         if end == pos:
             raise DataError(f"{path}: truncated PGM header")
-        try:
-            tokens.append(int(data[pos:end]))
-        except ValueError as exc:
-            raise DataError(f"{path}: invalid PGM header token {data[pos:end]!r}") from exc
+        # ASCII digits with an optional "-", so that a negative size reaches its
+        # own check; int() alone would also take "+2" and "1_2".
+        token = data[pos:end]
+        if not token.removeprefix(b"-").isdigit():
+            raise DataError(f"{path}: invalid PGM header token {token!r}")
+        tokens.append(int(token))
         pos = end
     return tokens, pos
 

@@ -6,10 +6,12 @@ min(n - k, 2k)). The model is a homogeneous linear scorer w trained so that
 every positive outscores every negative; the margin form asks for scores of
 at least +1 on P and at most -1 on Q. Both are rows of one system A w >= 1:
 an image contributes its P feature rows and its negated Q rows [P; -Q]. The
-all-pairs baseline is the same system with one row x_p - x_q per ordered
-pair. The soft objective charges each image a single slack equal to its
-worst row violation (per-image slack), or every row its own hinge (per-row
-slack, used by the per-constraint variant and the baseline):
+all-pairs baseline asks (x_p - x_q) . w >= 1 of every ordered pair, which it
+evaluates as s_p - s_q from the candidate scores s = X w without building the
+n(n-1)/2 difference rows. The soft objective charges each image a single
+slack equal to its worst row violation (per-image slack), or every row or
+pair its own hinge (per-row slack, used by the per-constraint variant and
+the baseline):
 
     J(w) = 0.5 * ||w||^2 + C * sum_j max(0, 1 - min_{r in image j} a_r . w)
 
@@ -145,31 +147,65 @@ def constraint_count(n: int, k: int) -> tuple[int, int]:
 # Constraint rows and the objective
 
 
+class _Pairs:
+    """The ordered pairs (i, j), i < j, of n label-ordered rows, with gather buffers.
+
+    The pairs are row-major, the order build_full_constraints lists them in.
+    Images with the same number of candidates share one instance, so its
+    buffers hold one image's pair margins at a time.
+    """
+
+    def __init__(self, n: int):
+        self.better, self.worse = np.triu_indices(n, 1)
+        self._margins = np.empty(self.better.size, dtype=np.float64)
+        self._worse_scores = np.empty(self.better.size, dtype=np.float64)
+
+    def margins(self, scores: np.ndarray) -> np.ndarray:
+        """s_i - s_j of every pair, in a buffer that the next call overwrites."""
+        # The indices are in range by construction; mode="raise" would gather
+        # through a temporary copy to keep out intact on an error.
+        scores.take(self.better, out=self._margins, mode="clip")
+        scores.take(self.worse, out=self._worse_scores, mode="clip")
+        return np.subtract(self._margins, self._worse_scores, out=self._margins)
+
+    def hinge_sum(self, scores: np.ndarray) -> float:
+        """Sum over every pair of max(0, 1 - (s_i - s_j))."""
+        hinge = np.subtract(1.0, self.margins(scores), out=self._margins)
+        return float(np.maximum(hinge, 0.0, out=hinge).sum())
+
+
 @dataclass(eq=False)
 class _Rows:
-    """Every image's constraint rows stacked into one matrix A; the model asks A @ w >= 1.
+    """Every image's rows stacked into one matrix; image j owns rows starts[j]:starts[j+1].
 
-    Image j owns rows starts[j]:starts[j+1]. A partial image's rows are its
-    positives, then its negated negatives, and num_pos[j] counts the
-    positives; a baseline image has one x_p - x_q row per ordered pair.
+    A partial image's rows are its positives, then its negated negatives, and
+    num_pos[j] counts the positives; the model asks A @ w >= 1. A baseline
+    image's rows are its candidates' features in label order, and pairs[j]
+    asks (x_i - x_j) . w >= 1 of each of its ordered pairs.
     """
 
     matrix: np.ndarray
     starts: np.ndarray
     num_pos: list[int] | None = None
+    pairs: list[_Pairs] | None = None
 
     @classmethod
-    def stack(cls, blocks: list[np.ndarray], num_pos: list[int] | None = None) -> "_Rows":
+    def stack(
+        cls,
+        blocks: list[np.ndarray],
+        num_pos: list[int] | None = None,
+        pairs: list[_Pairs] | None = None,
+    ) -> "_Rows":
         starts = np.cumsum([0] + [b.shape[0] for b in blocks[:-1]])
-        return cls(np.concatenate(blocks, axis=0), starts, num_pos)
+        return cls(np.concatenate(blocks, axis=0), starts, num_pos, pairs)
 
     @property
     def dim(self) -> int:
         return self.matrix.shape[1]
 
-    def blocks(self) -> list[np.ndarray]:
-        """Per-image row blocks as views of the matrix."""
-        return np.split(self.matrix, self.starts[1:])
+    def split(self, values: np.ndarray) -> list[np.ndarray]:
+        """Per-image views of an array with one entry (or row) per matrix row."""
+        return np.split(values, self.starts[1:])
 
 
 def _feature_dim(dataset: Dataset) -> int:
@@ -196,26 +232,32 @@ def _partial_rows(dataset: Dataset, partitions: list[ConstraintPartition]) -> _R
     return _Rows.stack(blocks, [len(part.positives) for part in partitions])
 
 
-def _pair_rows(dataset: Dataset) -> _Rows:
-    """One x_p - x_q row per ordered pair (better, worse) of every image."""
+def _ranked_rows(dataset: Dataset) -> _Rows:
+    """Every image's feature rows in label order, with the index of its ordered pairs."""
     dim = _feature_dim(dataset)
-    blocks = []
+    blocks, pairs = [], []
+    by_size: dict[int, _Pairs] = {}
     for rec in dataset.records:
         feats = rec.features_matrix()
-        pairs = build_full_constraints(rec)
-        if pairs:
-            blocks.append(feats[[p for p, _ in pairs]] - feats[[q for _, q in pairs]])
-        else:
-            blocks.append(np.zeros((0, dim), dtype=np.float64))
-    return _Rows.stack(blocks)
+        order = rank_by_label(rec)
+        blocks.append(feats[order] if order else np.zeros((0, dim), dtype=np.float64))
+        n = len(order)
+        if n not in by_size:
+            by_size[n] = _Pairs(n)
+        pairs.append(by_size[n])
+    return _Rows.stack(blocks, pairs=pairs)
 
 
 def _objective(w: np.ndarray, rows: _Rows, config: TrainingConfig) -> float:
-    """0.5 ||w||^2 + C * slack, charging each image its worst row or every row its own hinge."""
+    """0.5 ||w||^2 + C * slack: each image's worst row, or every row's or pair's own hinge."""
     margins = rows.matrix @ w
-    if config.per_image_slack:
-        margins = np.minimum.reduceat(margins, rows.starts)
-    return 0.5 * float(w @ w) + config.C * float(np.sum(np.maximum(0.0, 1.0 - margins)))
+    if rows.pairs is not None:
+        slack = sum(pairs.hinge_sum(scores) for scores, pairs in zip(rows.split(margins), rows.pairs))
+    else:
+        if config.per_image_slack:
+            margins = np.minimum.reduceat(margins, rows.starts)
+        slack = float(np.sum(np.maximum(0.0, 1.0 - margins)))
+    return 0.5 * float(w @ w) + config.C * slack
 
 
 def objective(
@@ -241,7 +283,7 @@ def _violation_summary(w: np.ndarray, rows: _Rows) -> dict:
     """
     margins = rows.matrix @ w
     rank_violations = 0
-    for m, n_pos in zip(np.split(margins, rows.starts[1:]), rows.num_pos):
+    for m, n_pos in zip(rows.split(margins), rows.num_pos):
         rank_violations += int(np.sum(m[:n_pos, None] <= -m[None, n_pos:]))
     return {
         "rank_violations": rank_violations,
@@ -296,15 +338,26 @@ def _descend(
     1 - eta_t/N and adds eta_t * C times its most violated row (the lowest
     margin below 1; on ties the earlier row, so positives before negatives,
     then the lowest rank index), or with every_violated_row the sum of every
-    row whose margin is below 1. The step size is eta_t = N / (1 + t) for N
-    images. Progress is measured by the objective with the slack form of
-    config.per_image_slack. The best iterate by objective value (the zero
-    start included) is returned together with the best-so-far per-epoch
-    objective history. A convergence_tol of zero disables early stopping.
+    row whose margin is below 1. A baseline image's margins are its pair
+    margins s_i - s_j and its most violated row is x_i - x_j of the first
+    such pair; an image without rows or pairs only shrinks w. The step size
+    is eta_t = N / (1 + t) for N images. Progress is measured by the
+    objective with the slack form of config.per_image_slack. The best
+    iterate by objective value (the zero start included) is returned
+    together with the best-so-far per-epoch objective history. A
+    convergence_tol of zero disables early stopping.
+
+    Each image computes its margins into a buffer of its own and every
+    single-row step goes through one scratch row, so those visits allocate
+    no array: at tens of rows per image, allocation and the np.argmin
+    wrapper cost more than the arithmetic.
     """
-    blocks = rows.blocks()
+    blocks = rows.split(rows.matrix)
     num_images = len(blocks)
     C = config.C
+    buffers = rows.split(np.empty(rows.matrix.shape[0], dtype=np.float64))
+    pairs = rows.pairs or [None] * num_images
+    step = np.empty(rows.dim, dtype=np.float64)
 
     w = np.zeros(rows.dim, dtype=np.float64)
     best_w = w.copy()
@@ -313,19 +366,27 @@ def _descend(
     stall = 0
     t = 0
     for epoch in range(config.epochs):
-        for block in blocks:
+        for block, buffer, pair in zip(blocks, buffers, pairs):
             t += 1
             eta = num_images / (1.0 + t)
-            margins = block @ w
+            margins = block.dot(w, out=buffer)
+            if pair is not None:
+                margins = pair.margins(margins)
             w *= 1.0 - eta / num_images
             if every_violated_row:
                 violated = margins < 1.0
-                if np.any(violated):
-                    w += (eta * C) * np.sum(block[violated], axis=0)
+                if violated.any():
+                    np.add.reduce(block[violated], axis=0, out=step)
+                    w += np.multiply(step, eta * C, out=step)
             elif margins.size:
-                i = int(np.argmin(margins))
+                i = margins.argmin()
                 if margins[i] < 1.0:
-                    w += (eta * C) * block[i]
+                    if pair is None:
+                        np.multiply(block[i], eta * C, out=step)
+                    else:
+                        np.subtract(block[pair.better[i]], block[pair.worse[i]], out=step)
+                        np.multiply(step, eta * C, out=step)
+                    w += step
         epoch_obj = _objective(w, rows, config)
         if not math.isfinite(epoch_obj):
             raise NumericError(f"objective became non-finite at epoch {epoch}")
@@ -401,12 +462,14 @@ def train_full_rank_baseline(
     The objective sums one hinge max(0, 1 - w . (x_p - x_q)) per ordered pair
     over every pair of candidates, n(n-1)/2 per image; each step takes the
     image's most violated pair. Images with a single candidate contribute no
-    pairs and leave the weights untouched. The hinge is per pair whatever
-    config.per_image_slack says, and the model records per_image_slack as
-    false.
+    pairs, so their visits only shrink the weights. The hinge is per pair
+    whatever config.per_image_slack says, and the model records
+    per_image_slack as false. Pair margins are taken as score differences,
+    so no difference row is built: each distinct candidate count n holds two
+    index and two float entries per pair, about 16 MB at n = 1000.
     """
     config = replace(config, per_image_slack=False)
-    return _fit(dataset, _pair_rows(dataset), config, hog_config, "full_rank_baseline", every_violated_row=False)
+    return _fit(dataset, _ranked_rows(dataset), config, hog_config, "full_rank_baseline", every_violated_row=False)
 
 
 # ---------------------------------------------------------------------------

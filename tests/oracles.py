@@ -5,7 +5,9 @@ code under test: pixel-set enumeration for IoU, plain-Python loops for the
 metrics, for HOG the per-box code (np.add.at cell votes, a Python loop over
 blocks), and for the training objective both a full-batch subgradient pass
 plus shrinking pattern search and an exact dual QP whose duality gap
-certifies its optimum. Slow is fine; these only run on tiny inputs.
+certifies its optimum, and for the trainer's steps the descent loop as it
+ran on materialized constraint rows, one x_p - x_q row per baseline pair.
+Slow is fine; these only run on small inputs.
 """
 
 from __future__ import annotations
@@ -320,6 +322,119 @@ def certified_minimum(problem, C, dim, per_image=True):
     w = A.T @ alpha
     lower = float(alpha.sum() - 0.5 * w @ w)
     return w, float(eval_objective(w, problem, C, per_image)), lower
+
+
+# ---------------------------------------------------------------------------
+# Subgradient descent on materialized constraint rows
+#
+# The trainer's loop as it ran before its steps were made allocation-free:
+# every image's rows are stacked into one matrix (partial images as [P; -Q],
+# baseline images as one x_p - x_q row per ordered pair) and each step
+# allocates its margins and its update. Datasets are proprank.Dataset; only
+# their labels and feature matrices are read.
+
+
+def _label_order(rec):
+    labels = rec.iou_labels()
+    return sorted(range(len(labels)), key=lambda i: -labels[i])
+
+
+def partial_row_blocks(dataset, k):
+    """Per image its top-k rows and negated capped bottom rows, [P; -Q]; and k per image."""
+    blocks = []
+    for rec in dataset.records:
+        feats = rec.features_matrix()
+        order = _label_order(rec)
+        n = len(order)
+        cap = min(n - k, 2 * k)
+        blocks.append(np.concatenate([feats[order[:k]], -feats[order[n - cap:]]]))
+    return blocks, [k] * len(blocks)
+
+
+def pair_row_blocks(dataset):
+    """Per image one x_p - x_q row per ordered pair (better, worse) under the label ranking."""
+    blocks = []
+    for rec in dataset.records:
+        feats = rec.features_matrix()
+        order = _label_order(rec)
+        pairs = [(order[i], order[j]) for i in range(len(order)) for j in range(i + 1, len(order))]
+        if pairs:
+            blocks.append(feats[[p for p, _ in pairs]] - feats[[q for _, q in pairs]])
+        else:
+            blocks.append(np.zeros((0, dataset.feature_dim), dtype=np.float64))
+    return blocks
+
+
+def _stacked_objective(w, matrix, starts, C, per_image_slack):
+    margins = matrix @ w
+    if per_image_slack:
+        margins = np.minimum.reduceat(margins, starts)
+    return 0.5 * float(w @ w) + C * float(np.sum(np.maximum(0.0, 1.0 - margins)))
+
+
+def materialized_descent(row_blocks, config, every_violated_row, patience=50):
+    """(best w, best objective, best-so-far history) of the N/(1+t) subgradient loop.
+
+    config is a proprank.TrainingConfig; only C, epochs, convergence_tol and
+    per_image_slack are read.
+    """
+    starts = np.cumsum([0] + [b.shape[0] for b in row_blocks[:-1]])
+    matrix = np.concatenate(row_blocks, axis=0)
+    blocks = np.split(matrix, starts[1:])
+    num_images = len(blocks)
+    C = config.C
+
+    def total(w):
+        return _stacked_objective(w, matrix, starts, C, config.per_image_slack)
+
+    w = np.zeros(matrix.shape[1], dtype=np.float64)
+    best_w = w.copy()
+    best_obj = total(w)
+    history = []
+    stall = 0
+    t = 0
+    for epoch in range(config.epochs):
+        for block in blocks:
+            t += 1
+            eta = num_images / (1.0 + t)
+            margins = block @ w
+            w *= 1.0 - eta / num_images
+            if every_violated_row:
+                violated = margins < 1.0
+                if np.any(violated):
+                    w += (eta * C) * np.sum(block[violated], axis=0)
+            elif margins.size:
+                i = int(np.argmin(margins))
+                if margins[i] < 1.0:
+                    w += (eta * C) * block[i]
+        epoch_obj = total(w)
+        improved = best_obj - epoch_obj
+        if epoch_obj < best_obj:
+            best_obj = epoch_obj
+            best_w = w.copy()
+        history.append(best_obj)
+        if config.convergence_tol > 0.0:
+            if improved <= config.convergence_tol * max(abs(best_obj), 1.0):
+                stall += 1
+                if stall >= patience:
+                    break
+            else:
+                stall = 0
+    return best_w, best_obj, history
+
+
+def violation_report(w, row_blocks, num_pos):
+    """rank_violations, hinge_violations and max_hinge_residual of [P; -Q] rows at w."""
+    margins = np.concatenate(row_blocks, axis=0) @ w
+    starts = np.cumsum([0] + [b.shape[0] for b in row_blocks[:-1]])
+    rank_violations = 0
+    for m, n_pos in zip(np.split(margins, starts[1:]), num_pos):
+        rank_violations += int(np.sum(m[:n_pos, None] <= -m[None, n_pos:]))
+    return {
+        "rank_violations": rank_violations,
+        "hinge_violations": int(np.sum(margins < 1.0)),
+        "max_hinge_residual": max(float(np.max(1.0 - margins)), 0.0),
+    }
 
 
 def grid_minimum_1d(problem, C, per_image=True, lo=-3.0, hi=3.0, step=1e-4):

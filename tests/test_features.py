@@ -281,6 +281,11 @@ def test_pgm_rejects_bad_files(tmp_path):
     header.write_bytes(b"P5\n4 x4\n255\n" + bytes(16))
     with pytest.raises(DataError, match=re.escape("header.pgm: invalid PGM header token b'x4'")):
         read_pgm(header)
+    # int() alone would read these tokens as 12 and 2, a 12x2 image.
+    for size, token in ((b"1_2 +2", b"1_2"), (b"12 +2", b"+2")):
+        header.write_bytes(b"P5\n" + size + b"\n255\n" + bytes(24))
+        with pytest.raises(DataError, match=re.escape(f"header.pgm: invalid PGM header token {token!r}")):
+            read_pgm(header)
 
 
 def test_pgm_directory_lookup(tmp_path):

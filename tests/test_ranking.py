@@ -1,11 +1,23 @@
 import re
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from conftest import make_dataset, make_record
-from oracles import eval_objective, grid_minimum_1d, minimize_objective, problem_from_instance, random_instance
+from oracles import (
+    eval_objective,
+    grid_minimum_1d,
+    materialized_descent,
+    minimize_objective,
+    pair_row_blocks,
+    partial_row_blocks,
+    problem_from_instance,
+    random_instance,
+    violation_report,
+)
 from proprank import (
     ConstraintPartition,
     DataError,
@@ -24,8 +36,9 @@ from proprank import (
     train_full_rank_baseline,
     train_soft_margin,
 )
+from proprank.core import label_dataset
 from proprank.ranking import model_from_dict, model_to_dict
-from proprank.synthdata import SynthConfig, generate_feature_dataset
+from proprank.synthdata import SynthConfig, generate_feature_dataset, generate_geometric_dataset
 
 
 def tiny_config(**kw):
@@ -338,6 +351,17 @@ def test_full_rank_baseline_handles_images_without_pairs():
     flat = train_full_rank_baseline(solo_only, tiny_config(epochs=5))
     assert flat.weights[0] == 0.0
     assert flat.final_objective == 0.0
+    # Images without pairs still take their visits: each shrinks w and
+    # advances the step count. One epoch over duo, solo and an image without
+    # candidates (N = 3): duo steps to w = eta_1 * (0.5 - -0.5) with
+    # eta_1 = 3/2, then solo and the empty image shrink w by 1 - eta_t/3.
+    empty = make_record("empty", labels=[])
+    one_epoch = train_full_rank_baseline(Dataset((rec2, rec1, empty)), tiny_config(epochs=1))
+    w = 1.5 * 1.0
+    w *= 1.0 - (3 / (1.0 + 2)) / 3
+    w *= 1.0 - (3 / (1.0 + 3)) / 3
+    assert one_epoch.weights[0] == w
+    assert one_epoch.final_objective == 0.5 * w * w + (1.0 - w)
 
 
 def test_score_matches_manual_dot_products():
@@ -437,3 +461,91 @@ def test_model_from_dict_accepts_older_files():
     assert model_from_dict(obj).training_config == TrainingConfig(k=1, C=1e5, epochs=5)
     del obj["config"]["hard_mode_C"]
     assert model_from_dict(obj).training_config == TrainingConfig(k=1, C=1e6, epochs=5)
+
+
+# ---------------------------------------------------------------------------
+# Both trainers against the descent loop on materialized rows (tests/oracles.py)
+
+
+def _geometric_4x1000():
+    return label_dataset(generate_geometric_dataset(
+        SynthConfig(seed=0, num_images=4, candidates_per_image=1000, mode="geometric")
+    ))
+
+
+def _feature_set(seed, images, candidates, dim, **kw):
+    return generate_feature_dataset(SynthConfig(
+        seed=seed, num_images=images, candidates_per_image=candidates, feature_dim=dim, **kw,
+    ))[0]
+
+
+PARTIAL_CASES = {
+    "per-image-slack": (
+        lambda: _feature_set(21, 12, 15, 6, noise_sigma=0.1),
+        TrainingConfig(k=3, epochs=150, convergence_tol=0.0),
+    ),
+    "per-row-slack": (
+        lambda: _feature_set(21, 12, 15, 6, noise_sigma=0.1),
+        TrainingConfig(k=3, epochs=150, convergence_tol=0.0, per_image_slack=False),
+    ),
+    "large-C": (
+        lambda: _feature_set(11, 6, 12, 8),
+        TrainingConfig(k=2, C=1e6, epochs=1000, convergence_tol=0.0),
+    ),
+    "early-stopping": (
+        lambda: _feature_set(22, 10, 14, 5, noise_sigma=0.1),
+        TrainingConfig(k=3, epochs=2000, convergence_tol=1e-6),
+    ),
+    "geometric-4x1000": (_geometric_4x1000, TrainingConfig(k=10)),
+}
+
+
+@pytest.mark.parametrize("case", PARTIAL_CASES)
+def test_partial_model_is_bit_identical_to_the_materialized_loop(case):
+    make, cfg = PARTIAL_CASES[case]
+    ds = make()
+    model = train_soft_margin(ds, cfg)
+    blocks, num_pos = partial_row_blocks(ds, cfg.k)
+    w, best, history = materialized_descent(blocks, cfg, every_violated_row=not cfg.per_image_slack)
+    assert np.any(w != 0.0)
+    assert model.weights.tobytes() == w.tobytes()
+    assert model.final_objective == best
+    assert model.objective_history == tuple(history)
+    assert model.violation_report == violation_report(w, blocks, num_pos)
+    if case == "early-stopping":
+        assert len(history) < cfg.epochs
+
+
+def _assert_baseline_matches_materialized(ds, cfg):
+    model = train_full_rank_baseline(ds, cfg)
+    w, best, _ = materialized_descent(pair_row_blocks(ds), replace(cfg, per_image_slack=False), every_violated_row=False)
+    assert np.max(np.abs(model.weights - w)) <= 1e-9 * np.max(np.abs(w))
+    assert abs(model.final_objective - best) <= 1e-9 * abs(best)
+
+
+def test_full_rank_baseline_matches_materialized_pairs_on_tiny_instances():
+    rng = np.random.default_rng(1234)
+    for trial in range(20):
+        instance, _ = random_instance(rng)
+        cfg = TrainingConfig(k=1, C=float(rng.uniform(0.3, 2.0)), epochs=300, convergence_tol=0.0)
+        _assert_baseline_matches_materialized(make_dataset(instance, prefix=f"fb{trial}"), cfg)
+
+
+def test_full_rank_baseline_matches_materialized_pairs_at_benchmark_scale():
+    # The first 25 images of the seed-0 feature-only set of 250 x 40 at d = 32.
+    ds = _feature_set(0, 250, 40, 32, noise_sigma=0.02)
+    subset = Dataset(ds.records[:25], ds.feature_dim)
+    _assert_baseline_matches_materialized(subset, TrainingConfig(k=10, epochs=200, convergence_tol=0.0))
+
+
+def test_full_rank_baseline_memory_stays_flat_at_a_thousand_candidates():
+    # 4 x 499500 pairs at d = 12: materialized difference rows alone take 192 MB.
+    ds = _geometric_4x1000()
+    tracemalloc.start()
+    try:
+        model = train_full_rank_baseline(ds, TrainingConfig(k=10, epochs=5))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(model.objective_history) == 5
+    assert peak < 64 * 2**20
