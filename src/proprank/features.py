@@ -123,6 +123,13 @@ class HogConfig:
 _CHUNK_BOXES = 16
 
 
+def _shifted(flat: np.ndarray, offset: int) -> np.ndarray:
+    """flat from offset on, or its last pixel alone when offset runs past it:
+    in a raster 1 pixel wide or high, where every read of that neighbour has
+    weight 0."""
+    return flat[min(offset, flat.size - 1):]
+
+
 def _resample(image: GrayImage, boxes: np.ndarray, config: HogConfig) -> np.ndarray:
     """(B, resize_h, resize_w) bilinear resamples of the (B, 4) box regions."""
     width, height = image.width, image.height
@@ -139,22 +146,24 @@ def _resample(image: GrayImage, boxes: np.ndarray, config: HogConfig) -> np.ndar
     y0 = np.floor(ys).astype(np.int64)
     fx = (xs - x0)[:, None, :]
     fy = (ys - y0)[:, :, None]
-    col0, col1 = x0[:, None, :], np.minimum(x0 + 1, width - 1)[:, None, :]
-    row0, row1 = (y0 * width)[:, :, None], (np.minimum(y0 + 1, height - 1) * width)[:, :, None]
 
-    # Gathers from the flat raster, each corner weighted as it arrives. The
-    # last one reuses a buffer: its indices are in range (the samples were
-    # clamped), so mode="clip" changes no value and only spares take a copy.
+    # Each corner is gathered at the top-left corner's flat index from the
+    # raster shifted by 1, width or width + 1 pixels, and weighted as it
+    # arrives. The shifted read leaves the clamped neighbour only where x0 is
+    # the last column or y0 the last row. Samples are clamped to the raster,
+    # so there the sample sits on that column or row, fx or fy is exactly 0,
+    # and the finite pixel read instead (mode="clip" keeps every read in the
+    # raster) adds exactly 0.
     flat = image.pixels.ravel()
-    index = row0 + col0
+    index = (y0 * width)[:, :, None] + x0[:, None, :]
     top = flat.take(index)
     top *= 1.0 - fx
-    corner = flat.take(np.add(row0, col1, out=index))
+    corner = _shifted(flat, 1).take(index, mode="clip")
     corner *= fx
     top += corner
-    bottom = flat.take(np.add(row1, col0, out=index))
+    bottom = _shifted(flat, width).take(index, mode="clip")
     bottom *= 1.0 - fx
-    flat.take(np.add(row1, col1, out=index), out=corner, mode="clip")
+    _shifted(flat, width + 1).take(index, out=corner, mode="clip")
     corner *= fx
     bottom += corner
     top *= 1.0 - fy

@@ -129,12 +129,20 @@ def generate_feature_dataset(config: SynthConfig) -> tuple[Dataset, np.ndarray]:
     return Dataset(tuple(records), d), planted
 
 
-def _uniform_box(rng: np.random.Generator, width: int, height: int) -> list[float]:
-    w = float(rng.uniform(4.0, 0.9 * width))
-    h = float(rng.uniform(4.0, 0.9 * height))
-    x0 = float(rng.uniform(0.0, width - w))
-    y0 = float(rng.uniform(0.0, height - h))
-    return [x0, y0, x0 + w, y0 + h]
+def _uniform_boxes(rng: np.random.Generator, m: int, width: int, height: int) -> np.ndarray:
+    """(m, 4) boxes of uniform size (4 px to 0.9 of the image) and position.
+
+    Generator.uniform(low, high) is low + (high - low) * next_double, and
+    Generator.random draws the same doubles in the same order. So one (m, 4)
+    block of them, a row per box with columns w, h, x0 and y0, gives the same
+    bits as four scalar uniform draws per box, one box after another.
+    """
+    u = rng.random((m, 4))
+    w = 4.0 + (0.9 * width - 4.0) * u[:, 0]
+    h = 4.0 + (0.9 * height - 4.0) * u[:, 1]
+    x0 = (width - w) * u[:, 2]
+    y0 = (height - h) * u[:, 3]
+    return np.stack([x0, y0, x0 + w, y0 + h], axis=1)
 
 
 def _jittered_box(rng: np.random.Generator, base: list, scale: float, width: int, height: int) -> list[float]:
@@ -208,8 +216,8 @@ def generate_geometric_dataset(config: SynthConfig) -> Dataset:
                 structured.append(_jittered_box(rng, base, float(rng.uniform(0.1, 0.35)), width, height))
         max_structured = max(0, n - 2 * config.objects_per_image[1])
         structured = structured[:max_structured]
-        boxes = structured + [_uniform_box(rng, width, height) for _ in range(n - len(structured))]
-        boxes = np.array(boxes, dtype=np.float64)[rng.permutation(len(boxes))]
+        uniform = _uniform_boxes(rng, n - len(structured), width, height)
+        boxes = np.concatenate([np.reshape(structured, (-1, 4)), uniform])[rng.permutation(n)]
         labels = best_iou(boxes, groundtruth)
         features = _geometry_features(boxes, labels, width, height, rng, config.noise_sigma)
         records.append(record_from_columns(

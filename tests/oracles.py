@@ -3,11 +3,14 @@
 Everything here is deliberately written with different machinery than the
 code under test: pixel-set enumeration for IoU, plain-Python loops for the
 metrics, for HOG the per-box code (np.add.at cell votes, a Python loop over
-blocks), and for the training objective both a full-batch subgradient pass
-plus shrinking pattern search and an exact dual QP whose duality gap
-certifies its optimum, and for the trainer's steps the descent loop as it
-ran on materialized constraint rows, one x_p - x_q row per baseline pair.
-Slow is fine; these only run on small inputs.
+blocks) and the batched bilinear resampler as it gathered its four corners
+through four broadcast index sums, for the training objective both a
+full-batch subgradient pass plus shrinking pattern search and an exact dual
+QP whose duality gap certifies its optimum, for the trainer's steps the
+descent loop as it ran on materialized constraint rows, one x_p - x_q row per
+baseline pair, and for the geometric synth its uniform clutter boxes drawn
+with four scalar Generator.uniform calls each. Slow is fine; these only run
+on small inputs.
 """
 
 from __future__ import annotations
@@ -16,7 +19,17 @@ import itertools
 
 import numpy as np
 
-from proprank import DataError, GrayImage
+from proprank import Box, DataError, Dataset, GrayImage, GroundTruthObject
+from proprank.core import best_iou, record_from_columns
+from proprank.synthdata import (
+    _EXACT_COPIES,
+    _LOOSE_COPIES,
+    _TIGHT_COPIES,
+    GEOMETRIC_FEATURE_DIM,
+    _geometry_features,
+    _jittered_box,
+    _rng,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -191,6 +204,44 @@ def hog(patch, config):
 
 def describe_box(image, box, config):
     return hog(crop_and_resize(image, box, config), config)
+
+
+def resample_stack(image, boxes, config):
+    """(B, resize_h, resize_w) bilinear resamples of the (B, 4) box regions,
+    each corner gathered from the flat raster at its own clamped index sum."""
+    width, height = image.width, image.height
+    outside = (boxes[:, 0] < 0) | (boxes[:, 1] < 0) | (boxes[:, 2] > width) | (boxes[:, 3] > height)
+    if outside.any():
+        box = [float(v) for v in boxes[np.argmax(outside)]]
+        raise DataError(f"box {box} lies outside the {width}x{height} image")
+    x_min, y_min, x_max, y_max = boxes.T[:, :, None]
+    xs = x_min + (np.arange(config.resize_w) + 0.5) * ((x_max - x_min) / config.resize_w) - 0.5
+    ys = y_min + (np.arange(config.resize_h) + 0.5) * ((y_max - y_min) / config.resize_h) - 0.5
+    np.clip(xs, 0.0, width - 1.0, out=xs)
+    np.clip(ys, 0.0, height - 1.0, out=ys)
+    x0 = np.floor(xs).astype(np.int64)
+    y0 = np.floor(ys).astype(np.int64)
+    fx = (xs - x0)[:, None, :]
+    fy = (ys - y0)[:, :, None]
+    col0, col1 = x0[:, None, :], np.minimum(x0 + 1, width - 1)[:, None, :]
+    row0, row1 = (y0 * width)[:, :, None], (np.minimum(y0 + 1, height - 1) * width)[:, :, None]
+
+    flat = image.pixels.ravel()
+    index = row0 + col0
+    top = flat.take(index)
+    top *= 1.0 - fx
+    corner = flat.take(np.add(row0, col1, out=index))
+    corner *= fx
+    top += corner
+    bottom = flat.take(np.add(row1, col0, out=index))
+    bottom *= 1.0 - fx
+    flat.take(np.add(row1, col1, out=index), out=corner, mode="clip")
+    corner *= fx
+    bottom += corner
+    top *= 1.0 - fy
+    bottom *= fy
+    top += bottom
+    return np.clip(top, 0.0, 1.0, out=top)
 
 
 # ---------------------------------------------------------------------------
@@ -476,3 +527,58 @@ def problem_from_instance(instance, k):
         cap = min(n - k, 2 * k)
         problem.append((feats[order[:k]], feats[order[n - cap:]]))
     return problem
+
+
+# ---------------------------------------------------------------------------
+# Geometric synth with scalar uniform draws
+#
+# synthdata.generate_geometric_dataset as it drew each uniform clutter box
+# with four scalar Generator.uniform calls and assembled the boxes as a list.
+# Everything else (groundtruth, jittered copies, labels, features) goes
+# through the same draws in the same order.
+
+
+def _uniform_box(rng, width, height):
+    w = float(rng.uniform(4.0, 0.9 * width))
+    h = float(rng.uniform(4.0, 0.9 * height))
+    x0 = float(rng.uniform(0.0, width - w))
+    y0 = float(rng.uniform(0.0, height - h))
+    return [x0, y0, x0 + w, y0 + h]
+
+
+def scalar_geometric_dataset(config):
+    width, height = config.image_size
+    n = config.candidates_per_image
+    records = []
+    for j in range(config.num_images):
+        rng = _rng(config.seed, j)
+        lo, hi = config.objects_per_image
+        num_objects = int(rng.integers(lo, hi + 1))
+        groundtruth = []
+        for _ in range(num_objects):
+            cls = int(rng.integers(0, config.classes))
+            bw = float(rng.uniform(0.15, 0.45) * width)
+            bh = float(rng.uniform(0.15, 0.45) * height)
+            x0 = float(rng.uniform(0.0, width - bw))
+            y0 = float(rng.uniform(0.0, height - bh))
+            groundtruth.append(GroundTruthObject(f"class-{cls}", Box(x0, y0, x0 + bw, y0 + bh)))
+
+        structured = []
+        for gt in groundtruth:
+            base = gt.box.as_list()
+            for _ in range(_EXACT_COPIES):
+                structured.append(base)
+            for _ in range(_TIGHT_COPIES):
+                structured.append(_jittered_box(rng, base, 0.03, width, height))
+            for _ in range(_LOOSE_COPIES):
+                structured.append(_jittered_box(rng, base, float(rng.uniform(0.1, 0.35)), width, height))
+        max_structured = max(0, n - 2 * config.objects_per_image[1])
+        structured = structured[:max_structured]
+        boxes = structured + [_uniform_box(rng, width, height) for _ in range(n - len(structured))]
+        boxes = np.array(boxes, dtype=np.float64)[rng.permutation(len(boxes))]
+        labels = best_iou(boxes, groundtruth)
+        features = _geometry_features(boxes, labels, width, height, rng, config.noise_sigma)
+        records.append(record_from_columns(
+            f"geo-{config.seed}-{j:05d}", width, height, groundtruth, boxes, labels, features
+        ))
+    return Dataset(tuple(records), GEOMETRIC_FEATURE_DIM)

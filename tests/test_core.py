@@ -250,6 +250,19 @@ def test_record_from_columns_fails_with_the_types_errors():
             record_from_columns(image_id, width, 12, (), boxes)
 
 
+def test_source_index_column_keeps_the_integer_rule():
+    box = np.array([[0.0, 0.0, 1.0, 1.0]])
+    for value, index in ((2.0, 2), (np.int64(3), 3), (7, 7), (2**64, 2**64)):
+        for got in (record_from_columns("im", 8, 8, (), box, source_index=[value]).candidates.source_index,
+                    Candidates(box, source_index=(value,)).source_index):
+            assert got == (index,) and type(got[0]) is int
+    for value, message in ((True, "an integer, got True"), (2.5, "an integer, got 2.5"), (-1, "non-negative, got -1")):
+        with pytest.raises(DataError, match=f"^im: candidate 0 source_index must be {message}$"):
+            record_from_columns("im", 8, 8, (), box, source_index=[value])
+        with pytest.raises(DataError, match="^candidate source_index column breaks the Box and Candidate rules$"):
+            Candidates(box, source_index=(value,))
+
+
 def test_a_candidates_table_checks_its_columns():
     ok = np.array([[0.0, 0.0, 1.0, 1.0], [1.0, 1.0, 2.0, 2.0]])
     for columns in (

@@ -21,7 +21,7 @@ from proprank import (
     read_pgm,
 )
 from conftest import make_record
-from proprank.features import _CHUNK_BOXES, _chunk_vote_tables, _describe_boxes, _unsigned
+from proprank.features import _CHUNK_BOXES, _chunk_vote_tables, _describe_boxes, _hog_stack, _resample, _unsigned
 
 # Small geometry for fast tests: 8x8 patch, 4x4 cells -> 2x2 grid, one block.
 TINY = HogConfig(resize_w=8, resize_h=8, cell_size=4)
@@ -400,22 +400,68 @@ def test_featurize_dataset_chunks_match_the_oracle(count):
     assert_allclose(got, oracle_features(img, boxes, HogConfig()), rtol=0, atol=1e-12)
 
 
-def test_featurize_dataset_matches_the_oracle_at_benchmark_scale():
-    # A 320x240 noise scene with bright groundtruth rectangles and 100
-    # generated boxes, described with the default geometry.
+def benchmark_scene(seed=3):
+    """A 320x240 noise scene with bright groundtruth rectangles, and its
+    record of 100 generated boxes."""
     rec = generate_geometric_dataset(
-        SynthConfig(seed=3, num_images=1, candidates_per_image=100, mode="geometric", image_size=(320, 240))
+        SynthConfig(seed=seed, num_images=1, candidates_per_image=100, mode="geometric", image_size=(320, 240))
     ).records[0]
     rng = np.random.default_rng(14)
     pixels = rng.uniform(0.0, 0.4, size=(240, 320))
     for obj in rec.groundtruth:
         x0, y0, x1, y1 = (int(v) for v in obj.box.as_list())
         pixels[y0:y1 + 1, x0:x1 + 1] = rng.uniform(0.7, 1.0, size=(y1 + 1 - y0, x1 + 1 - x0))
-    img = gray(pixels)
+    return rec, gray(pixels)
+
+
+def test_featurize_dataset_matches_the_oracle_at_benchmark_scale():
+    # Described with the default geometry.
+    rec, img = benchmark_scene()
     out, failures = featurize_dataset(Dataset((rec,)), {rec.image_id: img}, HogConfig())
     assert failures == []
     boxes = [Box(*b) for b in rec.candidates.boxes.tolist()]
     assert_allclose(out.records[0].features_matrix(), oracle_features(img, boxes, HogConfig()), rtol=0, atol=1e-12)
+
+
+def thin_rasters():
+    """1x1, 1xN and Nx1 images (and 2-pixel ones, whose diagonal neighbour
+    lies past the raster) with whole-image, inner and sub-pixel boxes."""
+    rng = np.random.default_rng(16)
+    for width, height in [(1, 1), (1, 9), (9, 1), (1, 2), (2, 1), (2, 2)]:
+        boxes = [[0, 0, width, height], [0.25 * width, 0.5 * height, 0.75 * width, height],
+                 [width - 0.1, height - 0.3, width, height], [0.0, 0.0, 0.01, 0.02]]
+        yield gray(rng.uniform(size=(height, width))), np.array(boxes, dtype=np.float64)
+
+
+def edge_scenes():
+    """Benchmark-like scenes with their generated boxes, then the small scene
+    with boxes flush with its right and bottom edges and boxes under a pixel."""
+    for seed in (3, 4):
+        rec, img = benchmark_scene(seed)
+        yield img, rec.candidates.boxes
+    w, h = 23, 17
+    flush = [[w - 5, h - 7, w, h], [0, h - 1, w, h], [w - 1, 0, w, h], [w - 0.3, h - 0.2, w, h],
+             [3.5, h - 2.75, 11.0, h], [w - 7.25, 4.5, w, 9.0], [6.3, 4.1, 6.31, 4.12], [0.0, 0.0, 0.5, 0.25]]
+    yield scene(w, h), np.array(flush + [b.as_list() for b in scene_boxes(w, h)], dtype=np.float64)
+    yield from thin_rasters()
+
+
+@pytest.mark.parametrize("name", sorted(GEOMETRIES))
+def test_resampled_patches_and_descriptors_are_bitwise_the_four_index_kernel(name):
+    # The corners are read through one index on shifted views of the raster;
+    # the reference adds a clamped index per corner.
+    config = GEOMETRIES[name]
+    for img, boxes in edge_scenes():
+        got, want = _resample(img, boxes, config), oracles.resample_stack(img, boxes, config)
+        assert got.tobytes() == want.tobytes()
+        assert _describe_boxes(img, boxes, config).tobytes() == _hog_stack(want, config).tobytes()
+
+
+def test_thin_rasters_give_finite_descriptors():
+    for img, boxes in thin_rasters():
+        for box in boxes:
+            got = describe_box(img, Box(*box), HogConfig())
+            assert got.shape == (HogConfig().dimension,) and np.all(np.isfinite(got))
 
 
 def test_gradients_whose_squares_underflow_match_the_oracle():

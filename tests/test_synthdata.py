@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import oracles
 from proprank import (
     DataError,
     SynthConfig,
@@ -196,7 +197,7 @@ def test_synth_metadata_documents_generator():
 
 
 # dataset_digest of generated datasets: any change to a generated byte, or to
-# the order of the scalar random draws that fixes those bytes, shows here.
+# the order of the random draws that fixes those bytes, shows here.
 PINNED_DIGESTS = [
     (SynthConfig(seed=0, mode="geometric", num_images=4, candidates_per_image=1000, objects_per_image=(2, 2)),
      "ccae1c16d20b777e5fc97a692191bbf7a756b3d38fc1e9e8d3d70c8c48473148"),
@@ -223,3 +224,35 @@ def test_generated_bytes_are_pinned(config, digest):
     else:
         ds, _ = generate_feature_dataset(config)
     assert dataset_digest(ds) == digest
+
+
+def _random_geometric_configs(count):
+    rng = np.random.default_rng(20)
+    edges = [
+        SynthConfig(mode="geometric", num_images=2, candidates_per_image=1, image_size=(8, 8)),
+        SynthConfig(mode="geometric", num_images=1, candidates_per_image=400, image_size=(2000, 2000),
+                    objects_per_image=(4, 4)),
+        SynthConfig(mode="geometric", num_images=2, candidates_per_image=7, image_size=(9, 2000), noise_sigma=0.1),
+        SynthConfig(mode="geometric", num_images=2, candidates_per_image=60, image_size=(8, 11),
+                    objects_per_image=(1, 4)),
+    ]
+    for i in range(count):
+        lo = int(rng.integers(1, 5))
+        yield SynthConfig(
+            seed=int(rng.integers(0, 2**63)),
+            mode="geometric",
+            num_images=int(rng.integers(1, 4)),
+            # Counts under 2 * hi + 12 * objects keep fewer structured boxes than were drawn.
+            candidates_per_image=int(rng.integers(1, 401)) if i % 2 else int(rng.integers(1, 30)),
+            image_size=(int(rng.integers(8, 2001)), int(rng.integers(8, 2001))),
+            objects_per_image=(lo, int(rng.integers(lo, 5))),
+            classes=int(rng.integers(1, 4)),
+            noise_sigma=(0.0, 0.1)[i % 3 == 0],
+        )
+    yield from edges
+
+
+@pytest.mark.parametrize("config", list(_random_geometric_configs(30)))
+def test_geometric_dataset_matches_scalar_uniform_draws(config):
+    expected = dataset_to_lines(oracles.scalar_geometric_dataset(config))
+    assert dataset_to_lines(generate_geometric_dataset(config)) == expected
