@@ -173,11 +173,16 @@ def _hog_config_of_sidecar(meta) -> HogConfig | None:
     return HogConfig.from_dict(meta["hog_config"]) if "hog_config" in meta else None
 
 
-def _sidecar_hog_config(dataset_path: Path) -> HogConfig | None:
+def _sidecar_hog_config(dataset_path: Path) -> tuple[HogConfig | None, Inputs]:
+    """The HOG geometry in the dataset's <input>.meta.json, and the sidecar
+    with the sha256 of the bytes decoded as an input; None and no input
+    when there is no sidecar."""
     meta_path = _beside(dataset_path, ".meta.json")
     if not meta_path.is_file():
-        return None
-    return decode_json(meta_path.read_bytes(), _hog_config_of_sidecar, str(meta_path), "sidecar")
+        return None, {}
+    raw = meta_path.read_bytes()
+    hog_config = decode_json(raw, _hog_config_of_sidecar, str(meta_path), "sidecar")
+    return hog_config, {meta_path: hashlib.sha256(raw).hexdigest()}
 
 
 def cmd_train(args: argparse.Namespace) -> Paths:
@@ -190,7 +195,8 @@ def cmd_train(args: argparse.Namespace) -> Paths:
         per_image_slack=not args.per_constraint_slack,
     )
     trainer = train_full_rank_baseline if args.constraints == "full" else train_soft_margin
-    model = trainer(dataset, config, hog_config=_sidecar_hog_config(args.input))
+    hog_config, sidecar = _sidecar_hog_config(args.input)
+    model = trainer(dataset, config, hog_config=hog_config)
     save_model(model, args.output)
     logger.info(
         "trained on %d images in %d epochs: final objective %.6g -> %s",
@@ -198,7 +204,7 @@ def cmd_train(args: argparse.Namespace) -> Paths:
     )
     if model.violation_report is not None:  # the all-pairs baseline has none
         logger.info("violation report: %s", json.dumps(model.violation_report))
-    return {args.input: dataset.source_sha256}, [args.output]
+    return {args.input: dataset.source_sha256, **sidecar}, [args.output]
 
 
 def _reordered(rec: ImageRecord, order: list[int]) -> ImageRecord:
@@ -214,17 +220,18 @@ def _reordered(rec: ImageRecord, order: list[int]) -> ImageRecord:
 def cmd_rerank(args: argparse.Namespace) -> Paths:
     dataset = read_dataset(args.input)
     model = load_model(args.model)
+    sidecar: Inputs = {}
     if model.hog_config is not None:
-        sidecar = _sidecar_hog_config(args.input)
-        if sidecar is not None and sidecar != model.hog_config:
+        hog_config, sidecar = _sidecar_hog_config(args.input)
+        if hog_config is not None and hog_config != model.hog_config:
             raise DataError(
-                f"HOG geometry of the dataset ({sidecar.to_dict()}) does not match "
+                f"HOG geometry of the dataset ({hog_config.to_dict()}) does not match "
                 f"the model's ({model.hog_config.to_dict()})"
             )
     out_records = [_reordered(rec, rerank(model, rec)) for rec in dataset.records]
     write_dataset(Dataset(tuple(out_records), dataset.feature_dim), args.output)
     logger.info("reranked %d records -> %s", len(out_records), args.output)
-    return {args.input: dataset.source_sha256, args.model: None}, [args.output]
+    return {args.input: dataset.source_sha256, args.model: None, **sidecar}, [args.output]
 
 
 def _recover_rankings(base: Dataset, other: Dataset) -> dict[str, list[int]]:

@@ -28,27 +28,37 @@ class DataError(ValueError):
 
 T = TypeVar("T")
 
-# Declared field type -> (accepted types, name in messages).
+
+def _integer(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+# Declared field type -> (test of a value, name in messages). No number kind
+# takes a bool, so a JSON true cannot stand for a count or a weight.
 _FIELD_KINDS = {
-    "int": (numbers.Integral, "an integer"),
-    "float": (numbers.Real, "a real number"),
-    "bool": (bool, "true or false"),
+    "int": (_integer, "an integer"),
+    "float": (lambda v: isinstance(v, numbers.Real) and not isinstance(v, bool), "a real number"),
+    "bool": (lambda v: isinstance(v, bool), "true or false"),
+    "str": (lambda v: isinstance(v, str), "a string"),
+    "tuple[int, int]": (
+        lambda v: isinstance(v, (list, tuple)) and len(v) == 2 and all(map(_integer, v)),
+        "a list of two integers",
+    ),
 }
 
 
 def check_field_types(obj) -> None:
     """Raise a DataError naming the first field of a config dataclass whose
-    value does not match its declared int, float or bool type.
-
-    An int field takes any integral number and a float field any real number,
-    but neither takes a bool, so a JSON true cannot stand for a count or a
-    weight.
+    value does not match its declared int, float, bool, str or
+    tuple[int, int] type. A pair is stored as a tuple of ints.
     """
     for f in fields(obj):
-        accepted, kind = _FIELD_KINDS[getattr(f.type, "__name__", f.type)]
+        test, kind = _FIELD_KINDS[getattr(f.type, "__name__", f.type)]
         value = getattr(obj, f.name)
-        if not isinstance(value, accepted) or (accepted is not bool and isinstance(value, bool)):
+        if not test(value):
             raise DataError(f"{type(obj).__name__}.{f.name} must be {kind}, got {value!r}")
+        if isinstance(value, (list, tuple)):
+            object.__setattr__(obj, f.name, tuple(map(int, value)))
 
 
 def _as_int(value, what: str) -> int:
@@ -522,7 +532,13 @@ def record_to_dict(record: ImageRecord) -> dict:
     return obj
 
 
+# The box column's entry for a candidate that is not an object with a "box".
+_NO_BOX = object()
+
+
 def _box_from_list(value) -> Box:
+    if value is _NO_BOX:
+        raise DataError("needs a 'box' field")
     if not isinstance(value, (list, tuple)) or len(value) != 4:
         raise DataError("box must be a 4-element [x_min, y_min, x_max, y_max] list")
     return Box(*value)
@@ -532,14 +548,6 @@ def _groundtruth_from_dict(entry) -> GroundTruthObject:
     if not isinstance(entry, dict) or "class" not in entry or "box" not in entry:
         raise DataError("needs 'class' and 'box' fields")
     return GroundTruthObject(str(entry["class"]), _box_from_list(entry["box"]))
-
-
-def _candidate_from_dict(entry) -> Candidate:
-    if not isinstance(entry, dict) or "box" not in entry:
-        raise DataError("needs a 'box' field")
-    return Candidate(
-        _box_from_list(entry["box"]), entry.get("iou_label"), entry.get("features"), entry.get("source_index")
-    )
 
 
 def _list_field(obj: dict, key: str) -> list:
@@ -567,9 +575,9 @@ def record_from_dict(obj: dict) -> ImageRecord:
     """An ImageRecord from one decoded JSON line.
 
     Only the JSON shape is checked here. The candidates go to
-    record_from_columns as columns; an entry that is not an object with a
-    box is built on its own. Errors of the types are prefixed with the image
-    and the entry they came from.
+    record_from_columns as columns, an entry that is not an object with a box
+    as a marker in the box column. Errors of the types are prefixed with the
+    image and the entry they came from.
     """
     if not isinstance(obj, dict):
         raise DataError("record is not a JSON object")
@@ -582,12 +590,8 @@ def record_from_dict(obj: dict) -> ImageRecord:
     width = _as_int(obj["width"], f"{image_id}: width")
     height = _as_int(obj["height"], f"{image_id}: height")
     groundtruth = _each(image_id, "groundtruth", _list_field(obj, "groundtruth"), _groundtruth_from_dict)
-    entries = _list_field(obj, "candidates")
-    try:
-        boxes = [entry["box"] for entry in entries]
-    except (TypeError, KeyError):
-        cands = _each(image_id, "candidate", entries, _candidate_from_dict)
-        return ImageRecord(image_id, width, height, groundtruth, cands)
+    entries = [entry if isinstance(entry, dict) else {} for entry in _list_field(obj, "candidates")]
+    boxes = [entry.get("box", _NO_BOX) for entry in entries]
     columns = (_column([entry.get(key) for entry in entries]) for key in ("iou_label", "features", "source_index"))
     return record_from_columns(image_id, width, height, groundtruth, boxes, *columns)
 

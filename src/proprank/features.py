@@ -12,9 +12,9 @@ and overlapping blocks of cells are contrast-normalized with L2-hys
 concatenation of all block vectors.
 
 One kernel describes a stack of boxes of one image at once, with the same
-arithmetic in the same order for every box; describe_box, hog and
-crop_and_resize are its single-box views, and featurize_dataset feeds it an
-image's boxes in fixed-size chunks.
+arithmetic in the same order for every box, in fixed-size chunks of boxes;
+describe_box, hog and crop_and_resize are its single-box views, and
+featurize_dataset feeds it all the boxes of an image.
 """
 
 from __future__ import annotations
@@ -117,9 +117,8 @@ class HogConfig:
         return cls(**{f: obj[f] for f in cls.__dataclass_fields__ if f in obj})
 
 
-# Boxes per kernel call in featurize_dataset. A chunk's temporaries are a few
-# (16, resize_h, resize_w) arrays, so peak memory does not grow with the number
-# of candidates of an image.
+# Boxes per _hog_stack call. A chunk's temporaries are a few (16, resize_h,
+# resize_w) arrays, so peak memory does not grow with the number of boxes.
 _CHUNK_BOXES = 16
 
 
@@ -195,27 +194,24 @@ def _unsigned(theta: np.ndarray, work: np.ndarray) -> np.ndarray:
     return theta
 
 
-def _build_vote_tables(config: HogConfig, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The bin wrap table [0, 1, ..., bins - 1, 0] and the (n, used_h, used_w)
-    offset of each pixel's first bin in the flattened (box, cell, bin) histogram."""
+@functools.lru_cache(maxsize=8)
+def _vote_tables(config: HogConfig) -> tuple[np.ndarray, np.ndarray]:
+    """The bin wrap table [0, 1, ..., bins - 1, 0] and the (_CHUNK_BOXES,
+    used_h, used_w) offset of each pixel's first bin in the flattened
+    (box, cell, bin) histogram of a full chunk; a smaller stack uses its
+    first rows."""
     bins, cell, cells_x = config.orientation_bins, config.cell_size, config.cells_x
     rows, cols = np.indices((config.cells_y * cell, cells_x * cell))
     pixel = ((rows // cell) * cells_x + cols // cell) * bins
-    box = np.arange(n) * (config.cells_y * cells_x * bins)
+    box = np.arange(_CHUNK_BOXES) * (config.cells_y * cells_x * bins)
     wrap, offsets = np.arange(bins + 1) % bins, box[:, None, None] + pixel
     wrap.flags.writeable = offsets.flags.writeable = False
     return wrap, offsets
 
 
-@functools.lru_cache(maxsize=8)
-def _chunk_vote_tables(config: HogConfig) -> tuple[np.ndarray, np.ndarray]:
-    """_build_vote_tables for a full chunk, which serves every smaller stack
-    too, so the cache never grows with the size of a stack."""
-    return _build_vote_tables(config, _CHUNK_BOXES)
-
-
 def _hog_stack(patches: np.ndarray, config: HogConfig) -> np.ndarray:
-    """(B, dimension) descriptors of a (B, resize_h, resize_w) patch stack."""
+    """(B, dimension) descriptors of a (B, resize_h, resize_w) patch stack,
+    B <= _CHUNK_BOXES."""
     n = len(patches)
     cells_y, cells_x, cell = config.cells_y, config.cells_x, config.cell_size
     bins, size, stride = config.orientation_bins, config.block_size, config.block_stride
@@ -244,7 +240,7 @@ def _hog_stack(patches: np.ndarray, config: HogConfig) -> np.ndarray:
     # sits in index[1] so that no take reads the array it writes. Indices are
     # in range, so mode="clip" changes no value and only spares take a copy
     # of its output.
-    wrap, offsets = _chunk_vote_tables(config) if n <= _CHUNK_BOXES else _build_vote_tables(config, n)
+    wrap, offsets = _vote_tables(config)
     index = np.empty((2, n, used_h, used_w), dtype=np.intp)
     index[1] = lo
     wrap.take(index[1], out=index[0], mode="clip")
@@ -271,8 +267,13 @@ def _hog_stack(patches: np.ndarray, config: HogConfig) -> np.ndarray:
 
 
 def _describe_boxes(image: GrayImage, boxes: np.ndarray, config: HogConfig) -> np.ndarray:
-    """(B, dimension) descriptors of the (B, 4) boxes of one image."""
-    return _hog_stack(_resample(image, boxes, config), config)
+    """(B, dimension) descriptors of the (B, 4) boxes of one image, described
+    _CHUNK_BOXES at a time."""
+    feats = np.empty((len(boxes), config.dimension))
+    for start in range(0, len(boxes), _CHUNK_BOXES):
+        chunk = boxes[start:start + _CHUNK_BOXES]
+        feats[start:start + _CHUNK_BOXES] = _hog_stack(_resample(image, chunk, config), config)
+    return feats
 
 
 def crop_and_resize(image: GrayImage, box: Box, config: HogConfig) -> GrayImage:
@@ -324,10 +325,7 @@ def featurize_dataset(
             image = images.get(rec.image_id)
             if image is None:
                 raise DataError("image not found")
-            boxes = rec.candidates.boxes
-            feats = np.empty((len(boxes), config.dimension))
-            for start in range(0, len(boxes), _CHUNK_BOXES):
-                feats[start:start + _CHUNK_BOXES] = _describe_boxes(image, boxes[start:start + _CHUNK_BOXES], config)
+            feats = _describe_boxes(image, rec.candidates.boxes, config)
             out_records.append(replace_column(rec, "features", feats))
         except (DataError, OSError) as exc:
             failures.append(f"{rec.image_id}: {exc}")

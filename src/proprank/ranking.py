@@ -129,13 +129,6 @@ def build_partial_constraints(record: ImageRecord, config: TrainingConfig) -> Co
     return ConstraintPartition(tuple(order[:config.k]), tuple(order[n - cap:]))
 
 
-def build_full_constraints(record: ImageRecord) -> list[tuple[int, int]]:
-    """Every ordered pair (better, worse) under the label ranking."""
-    order = rank_by_label(record)
-    n = len(order)
-    return [(order[i], order[j]) for i in range(n) for j in range(i + 1, n)]
-
-
 def constraint_count(n: int, k: int) -> tuple[int, int]:
     """(partial, full) constraint counts for one image: k(n-k) and n(n-1)/2."""
     if k < 1 or k >= n:
@@ -150,7 +143,7 @@ def constraint_count(n: int, k: int) -> tuple[int, int]:
 class _Pairs:
     """The ordered pairs (i, j), i < j, of n label-ordered rows, with gather buffers.
 
-    The pairs are row-major, the order build_full_constraints lists them in.
+    The pairs are row-major: (0, 1), (0, 2), ..., (0, n - 1), (1, 2), ...
     Images with the same number of candidates share one instance, so its
     buffers hold one image's pair margins at a time.
     """
@@ -329,7 +322,6 @@ def _provenance(dataset: Dataset, trainer: str) -> dict:
 def _descend(
     rows: _Rows,
     config: TrainingConfig,
-    every_violated_row: bool,
     trainer: str,
 ) -> tuple[np.ndarray, float, list[float]]:
     """Subgradient descent on the stacked rows, visiting images in order.
@@ -337,15 +329,15 @@ def _descend(
     Each visit t = 1, 2, ... computes the image's margins, shrinks w by
     1 - eta_t/N and adds eta_t * C times its most violated row (the lowest
     margin below 1; on ties the earlier row, so positives before negatives,
-    then the lowest rank index), or with every_violated_row the sum of every
-    row whose margin is below 1. A baseline image's margins are its pair
-    margins s_i - s_j and its most violated row is x_i - x_j of the first
-    such pair; an image without rows or pairs only shrinks w. The step size
-    is eta_t = N / (1 + t) for N images. Progress is measured by the
-    objective with the slack form of config.per_image_slack. The best
-    iterate by objective value (the zero start included) is returned
-    together with the best-so-far per-epoch objective history. A
-    convergence_tol of zero disables early stopping.
+    then the lowest rank index), or on partial rows with per-constraint
+    slack the sum of every row whose margin is below 1. A baseline image's
+    margins are its pair margins s_i - s_j and its most violated row is
+    x_i - x_j of the first such pair; an image without rows or pairs only
+    shrinks w. The step size is eta_t = N / (1 + t) for N images. Progress
+    is measured by the objective with the slack form of
+    config.per_image_slack. The best iterate by objective value (the zero
+    start included) is returned together with the best-so-far per-epoch
+    objective history. A convergence_tol of zero disables early stopping.
 
     Each image computes its margins into a buffer of its own and every
     single-row step goes through one scratch row, so those visits allocate
@@ -357,6 +349,7 @@ def _descend(
     C = config.C
     buffers = rows.split(np.empty(rows.matrix.shape[0], dtype=np.float64))
     pairs = rows.pairs or [None] * num_images
+    every_violated_row = rows.pairs is None and not config.per_image_slack
     step = np.empty(rows.dim, dtype=np.float64)
 
     w = np.zeros(rows.dim, dtype=np.float64)
@@ -413,13 +406,12 @@ def _fit(
     config: TrainingConfig,
     hog_config: HogConfig | None,
     trainer: str,
-    every_violated_row: bool,
 ) -> TrainedModel:
     """Descend on the rows and package the result as a model trained with config.
 
     Rows with a P/Q split (a partial model) also get a violation report.
     """
-    best_w, best_obj, history = _descend(rows, config, every_violated_row, trainer)
+    best_w, best_obj, history = _descend(rows, config, trainer)
     return TrainedModel(
         weights=best_w,
         feature_dim=rows.dim,
@@ -449,7 +441,7 @@ def train_soft_margin(
     final_objective never exceeds the zero-weight objective.
     """
     rows = _partial_rows(dataset, [build_partial_constraints(rec, config) for rec in dataset.records])
-    return _fit(dataset, rows, config, hog_config, "partial", every_violated_row=not config.per_image_slack)
+    return _fit(dataset, rows, config, hog_config, "partial")
 
 
 def train_full_rank_baseline(
@@ -469,7 +461,7 @@ def train_full_rank_baseline(
     index and two float entries per pair, about 16 MB at n = 1000.
     """
     config = replace(config, per_image_slack=False)
-    return _fit(dataset, _ranked_rows(dataset), config, hog_config, "full_rank_baseline", every_violated_row=False)
+    return _fit(dataset, _ranked_rows(dataset), config, hog_config, "full_rank_baseline")
 
 
 # ---------------------------------------------------------------------------

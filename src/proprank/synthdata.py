@@ -28,7 +28,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .core import Box, DataError, Dataset, GroundTruthObject, best_iou, record_from_columns
+from .core import Box, DataError, Dataset, GroundTruthObject, best_iou, check_field_types, record_from_columns
 
 PLANTED_STREAM = 2**64 - 1
 GEOMETRIC_FEATURE_DIM = 12
@@ -57,13 +57,11 @@ class SynthConfig:
     image_size: tuple[int, int] = (640, 480)
     objects_per_image: tuple[int, int] = (1, 3)
     classes: int = 3
-    planted_weight: tuple[float, ...] | None = None
 
     def __post_init__(self) -> None:
+        check_field_types(self)
         if not 0 <= self.seed < 2**63:
             raise DataError("seed must lie in [0, 2**63)")
-        object.__setattr__(self, "image_size", tuple(int(v) for v in self.image_size))
-        object.__setattr__(self, "objects_per_image", tuple(int(v) for v in self.objects_per_image))
         if self.num_images < 1 or self.candidates_per_image < 1:
             raise DataError("num_images and candidates_per_image must be positive")
         if self.mode not in ("feature_only", "geometric"):
@@ -80,16 +78,6 @@ class SynthConfig:
             raise DataError("objects_per_image must be an increasing range starting at 1 or more")
         if self.classes < 1:
             raise DataError("classes must be positive")
-        if self.planted_weight is not None:
-            vec = tuple(float(v) for v in self.planted_weight)
-            if len(vec) != self.feature_dim - 1:
-                raise DataError(
-                    f"planted_weight must have length feature_dim - 1 = {self.feature_dim - 1} "
-                    "(the last coordinate is the constant intercept)"
-                )
-            if not all(np.isfinite(vec)):
-                raise DataError("planted_weight must be finite")
-            object.__setattr__(self, "planted_weight", vec)
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -105,14 +93,11 @@ def generate_feature_dataset(config: SynthConfig) -> tuple[Dataset, np.ndarray]:
     if config.mode != "feature_only":
         raise DataError(f"config mode is {config.mode!r}, expected 'feature_only'")
     d = config.feature_dim
-    if config.planted_weight is not None:
-        direction = np.asarray(config.planted_weight, dtype=np.float64)
-    else:
-        raw = _rng(config.seed, PLANTED_STREAM).standard_normal(d - 1)
-        norm = float(np.sqrt(raw @ raw))
-        if norm == 0.0:  # pragma: no cover - measure-zero draw
-            raise DataError("degenerate planted direction")
-        direction = raw / norm
+    raw = _rng(config.seed, PLANTED_STREAM).standard_normal(d - 1)
+    norm = float(np.sqrt(raw @ raw))
+    if norm == 0.0:  # pragma: no cover - measure-zero draw
+        raise DataError("degenerate planted direction")
+    direction = raw / norm
     planted = np.concatenate([direction, [0.0]])
 
     records = []

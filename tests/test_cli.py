@@ -371,7 +371,8 @@ def test_manifest_records_input_digests(tmp_path, capsys):
     run(capsys, "train", data, model_path, "--k", 2, "--epochs", 5)
     manifest = json.loads((tmp_path / "m.json.manifest.json").read_text())
     assert manifest["command"] == "train"
-    assert list(manifest["inputs"]) == [str(data)]
+    # The synth sidecar beside the training file is read for a HOG geometry.
+    assert list(manifest["inputs"]) == [str(data), str(data) + ".meta.json"]
     digest = manifest["inputs"][str(data)]
     assert len(digest) == 64 and int(digest, 16) >= 0
     assert manifest["arguments"]["k"] == 2
@@ -465,6 +466,22 @@ def test_model_report_and_manifest_name_the_training_file_alike(chain, tmp_path,
     for manifest in ("m.json", "e.txt"):
         inputs = json.loads((tmp_path / f"{manifest}.manifest.json").read_text())["inputs"]
         assert inputs[str(labeled)] == sha256
+
+
+def test_train_and_rerank_manifests_name_the_sidecar_they_read(chain, tmp_path, capsys):
+    feat, model = tmp_path / "f.jsonl", tmp_path / "m.json"
+    argvs = (
+        ["featurize", chain / "labeled.jsonl", feat, "--images", chain / "imgs", "--resize-w", 16, "--resize-h", 16],
+        ["train", feat, model, "--k", 2, "--epochs", 5],
+        ["rerank", feat, tmp_path / "r.jsonl", "--model", model],
+    )
+    for argv in argvs:
+        assert run(capsys, *argv)[0] == 0
+    sidecar = tmp_path / "f.jsonl.meta.json"
+    sha256 = hashlib.sha256(sidecar.read_bytes()).hexdigest()
+    for primary in ("m.json", "r.jsonl"):
+        inputs = json.loads((tmp_path / f"{primary}.manifest.json").read_text())["inputs"]
+        assert inputs[str(sidecar)] == sha256
 
 
 def test_eval_serializes_no_dataset(chain, tmp_path, capsys, monkeypatch):

@@ -483,6 +483,16 @@ def test_record_dict_rejects_malformed_pieces():
     for feats in (["a"], {"a": 1}):
         with pytest.raises(DataError, match="candidate 0 features must be a list of numbers"):
             record_from_dict({**base, "candidates": [{"box": box, "features": feats}]})
+    # An entry that is not an object with a box fails at its own index, after
+    # any earlier candidate's own error.
+    for cands, message in (
+        ([5], "m: candidate 0 needs a 'box' field"),
+        ([{"iou_label": 0.5}], "m: candidate 0 needs a 'box' field"),
+        ([{"box": box, "iou_label": 2}, 5], "m: candidate 0 iou_label must lie in [0, 1], got 2.0"),
+        ([{"box": box}, "x", {"box": [0, 0, 0, 1]}], "m: candidate 1 needs a 'box' field"),
+    ):
+        with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+            record_from_dict({**base, "candidates": cands})
     rec = record_from_dict({**base, "width": 8.0})
     assert rec.width == 8
 

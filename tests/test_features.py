@@ -21,7 +21,7 @@ from proprank import (
     read_pgm,
 )
 from conftest import make_record
-from proprank.features import _CHUNK_BOXES, _chunk_vote_tables, _describe_boxes, _hog_stack, _resample, _unsigned
+from proprank.features import _CHUNK_BOXES, _describe_boxes, _hog_stack, _resample, _unsigned, _vote_tables
 
 # Small geometry for fast tests: 8x8 patch, 4x4 cells -> 2x2 grid, one block.
 TINY = HogConfig(resize_w=8, resize_h=8, cell_size=4)
@@ -454,7 +454,8 @@ def test_resampled_patches_and_descriptors_are_bitwise_the_four_index_kernel(nam
     for img, boxes in edge_scenes():
         got, want = _resample(img, boxes, config), oracles.resample_stack(img, boxes, config)
         assert got.tobytes() == want.tobytes()
-        assert _describe_boxes(img, boxes, config).tobytes() == _hog_stack(want, config).tobytes()
+        chunks = [_hog_stack(want[i:i + _CHUNK_BOXES], config) for i in range(0, len(want), _CHUNK_BOXES)]
+        assert _describe_boxes(img, boxes, config).tobytes() == np.concatenate(chunks).tobytes()
 
 
 def test_thin_rasters_give_finite_descriptors():
@@ -480,7 +481,7 @@ def test_a_descriptor_does_not_depend_on_what_was_described_before():
     boxes = np.array([b.as_list() for b in scene_boxes(count=2 * _CHUNK_BOXES + 1)])
     for count in (5, _CHUNK_BOXES):
         for config in configs:
-            _chunk_vote_tables.cache_clear()
+            _vote_tables.cache_clear()
             first = _describe_boxes(img, boxes[:count], config).tobytes()
             for other in (1, _CHUNK_BOXES + 1, 2 * _CHUNK_BOXES + 1):
                 _describe_boxes(img, boxes[:other], config)

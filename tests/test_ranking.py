@@ -24,7 +24,6 @@ from proprank import (
     Dataset,
     NumericError,
     TrainingConfig,
-    build_full_constraints,
     build_partial_constraints,
     constraint_count,
     load_model,
@@ -115,11 +114,6 @@ def test_partition_validation():
     with pytest.raises(DataError):
         ConstraintPartition((1, 2), (2, 3))
     assert ConstraintPartition((0,), (1, 2)).num_constraints == 2
-
-
-def test_full_constraints_enumerate_ordered_pairs():
-    rec = make_record("f", labels=[0.5, 0.9, 0.1])
-    assert build_full_constraints(rec) == [(1, 0), (1, 2), (0, 2)]
 
 
 def test_constraint_count_examples():

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -37,8 +39,30 @@ def test_synth_config_validation():
         SynthConfig(objects_per_image=(2, 1))
     with pytest.raises(DataError):
         SynthConfig(image_size=(4, 100))
-    with pytest.raises(DataError, match="feature_dim - 1"):
-        SynthConfig(feature_dim=4, planted_weight=(1.0, 0.0, 0.0, 0.0))
+
+
+@pytest.mark.parametrize("field, value, kind", [
+    ("num_images", 2.5, "an integer"),
+    ("noise_sigma", "0.1", "a real number"),
+    ("seed", True, "an integer"),
+    ("classes", True, "an integer"),
+    ("mode", 1, "a string"),
+    ("image_size", (640.7, 480), "a list of two integers"),
+    ("objects_per_image", ("1", "2"), "a list of two integers"),
+    ("objects_per_image", (1, 2, 3), "a list of two integers"),
+    ("image_size", (True, 480), "a list of two integers"),
+    ("image_size", 640, "a list of two integers"),
+])
+def test_synth_config_checks_field_types(field, value, kind):
+    message = f"SynthConfig.{field} must be {kind}, got {value!r}"
+    with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+        SynthConfig(**{field: value})
+
+
+def test_synth_config_stores_a_pair_as_a_tuple_of_ints():
+    config = SynthConfig(image_size=[np.int64(64), 48], objects_per_image=[2, 2])
+    assert config.image_size == (64, 48) and type(config.image_size[0]) is int
+    assert config.objects_per_image == (2, 2)
 
 
 def test_mode_mismatch_is_rejected():
@@ -77,15 +101,6 @@ def test_planted_vector_scores_noiseless_data_perfectly():
         assert_allclose(scores, rec.iou_labels(), atol=1e-12)
         order = sorted(range(rec.num_candidates), key=lambda i: -scores[i])
         assert order == rank_by_label(rec)
-
-
-def test_planted_weight_override():
-    cfg = SynthConfig(seed=5, num_images=2, candidates_per_image=4, feature_dim=3,
-                      planted_weight=(0.6, 0.8))
-    ds, planted = generate_feature_dataset(cfg)
-    assert_allclose(planted, [0.6, 0.8, 0.0])
-    for rec in ds.records:
-        assert_allclose(rec.features_matrix() @ planted, rec.iou_labels(), atol=1e-12)
 
 
 def test_noise_perturbs_features_but_not_labels():
