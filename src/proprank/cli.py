@@ -209,9 +209,9 @@ def cmd_train(args: argparse.Namespace) -> Paths:
 
 def _reordered(rec: ImageRecord, order: list[int]) -> ImageRecord:
     """rec with its candidates in the given order, each keeping its source_index
-    or, without one, taking its position in rec."""
+    or, when rec has none, taking its position in rec."""
     cands, sources = rec.candidates, rec.candidates.source_index
-    kept = order if sources is None else [i if sources[i] is None else sources[i] for i in order]
+    kept = order if sources is None else [sources[i] for i in order]
     labels = None if cands.labels is None else cands.labels[order]
     features = None if cands.features is None else cands.features[order]
     return replace(rec, candidates=Candidates(cands.boxes[order], labels, features, tuple(kept)))

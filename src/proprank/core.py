@@ -61,6 +61,13 @@ def check_field_types(obj) -> None:
             object.__setattr__(obj, f.name, tuple(map(int, value)))
 
 
+def _real(value) -> float:
+    """value as a float if it is a real number (never parsed from a string), else a TypeError."""
+    if type(value) is float or isinstance(value, numbers.Real):  # the ABC check alone costs about 1 us
+        return float(value)
+    raise TypeError(f"not a real number: {value!r}")
+
+
 def _as_int(value, what: str) -> int:
     """value as an int: any integral number or an integral float, never a bool."""
     if isinstance(value, numbers.Integral) and not isinstance(value, bool):
@@ -110,8 +117,8 @@ class Box:
 
     def __post_init__(self) -> None:
         try:
-            coords = tuple(float(v) for v in (self.x_min, self.y_min, self.x_max, self.y_max))
-        except (TypeError, ValueError, OverflowError) as exc:
+            coords = tuple(_real(v) for v in (self.x_min, self.y_min, self.x_max, self.y_max))
+        except (TypeError, OverflowError) as exc:
             raise DataError("box has a non-numeric coordinate") from exc
         if not all(math.isfinite(v) for v in coords):
             raise DataError(f"box has non-finite coordinates: {coords}")
@@ -161,6 +168,8 @@ class GroundTruthObject:
     box: Box
 
     def __post_init__(self) -> None:
+        if not isinstance(self.class_label, str):
+            raise DataError(f"class must be a string, got {self.class_label!r}")
         if not self.class_label:
             raise DataError("class label must be non-empty")
 
@@ -181,15 +190,18 @@ class Candidate:
     def __post_init__(self) -> None:
         if self.iou_label is not None:
             try:
-                label = float(self.iou_label)
-            except (TypeError, ValueError, OverflowError) as exc:
+                label = _real(self.iou_label)
+            except (TypeError, OverflowError) as exc:
                 raise DataError(f"iou_label must be a number, got {self.iou_label!r}") from exc
             if not math.isfinite(label) or not 0.0 <= label <= 1.0:
                 raise DataError(f"iou_label must lie in [0, 1], got {label!r}")
             object.__setattr__(self, "iou_label", label)
         if self.features is not None:
             try:
-                feats = np.asarray(self.features, dtype=np.float64)
+                feats = np.asarray(self.features)
+                if feats.dtype.kind not in "biuf" and not all(isinstance(v, numbers.Real) for v in feats.flat):
+                    raise TypeError("features are not numbers")  # strings are never parsed as numbers
+                feats = feats.astype(np.float64, copy=False)
             except (TypeError, ValueError, OverflowError) as exc:
                 raise DataError("features must be a list of numbers") from exc
             if feats.ndim != 1:
@@ -210,17 +222,16 @@ class Candidate:
 class Candidates(Sequence):
     """A record's candidates as read-only columns, built into Candidate rows
     on demand: boxes (n, 4), labels (n,), features (n, d) and source_index,
-    a tuple of ints. A column that no candidate has is None, and so is every
-    column but boxes when there are no candidates. Every table checks its
-    columns as arrays against the Box and Candidate rules, a DataError if
-    they fail. A NaN label or feature row marks a candidate without one;
-    the reader, record_from_columns and replace_column reject a NaN value.
+    a tuple of ints. Each column but boxes is complete or absent: a value for
+    every candidate or None, and None for all of them when there are no
+    candidates. Every table checks its columns as arrays against the Box and
+    Candidate rules, a DataError if they fail.
     """
 
     boxes: np.ndarray
     labels: np.ndarray | None = None
     features: np.ndarray | None = None
-    source_index: tuple[int | None, ...] | None = None
+    source_index: tuple[int, ...] | None = None
 
     def __post_init__(self) -> None:
         n = len(self.boxes)
@@ -230,43 +241,36 @@ class Candidates(Sequence):
 
     @classmethod
     def from_rows(cls, image_id: str, rows: Iterable[Candidate]) -> Candidates:
-        """The table of Candidate rows; features of a second dimension are a DataError."""
+        """The table of Candidate rows. A field that some rows have and others
+        lack, or features of a second dimension, are a DataError."""
         rows = tuple(rows)
-        featured = [(i, c.features) for i, c in enumerate(rows) if c.features is not None]
-        dim = len(featured[0][1]) if featured else 0
-        features = np.full((len(rows), dim), np.nan)
-        for i, feats in featured:
+        columns = []
+        for name in ("iou_label", "features", "source_index"):
+            values = [getattr(c, name) for c in rows]
+            present = [v is not None for v in values]
+            if any(present) and not all(present):
+                i, j = present.index(False), present.index(True)
+                raise DataError(f"{image_id}: candidate {i} has no {name}, but candidate {j} has one")
+            columns.append(values if any(present) else None)
+        labels, features, source_index = columns
+        dim = len(features[0]) if features else 0
+        for i, feats in enumerate(features or ()):
             if len(feats) != dim:
                 raise DataError(f"{image_id}: candidate {i} has feature dimension {len(feats)}, expected {dim}")
-            features[i] = feats
-        labels = _column([c.iou_label for c in rows])
-        return cls(
-            box_array(c.box for c in rows),
-            None if labels is None else np.array(labels, dtype=np.float64),  # None becomes NaN
-            features if featured else None,
-            _column([c.source_index for c in rows]),
-        )
+        features = None if features is None else np.stack(features)
+        return cls(box_array(c.box for c in rows), labels, features, source_index)
 
     def __len__(self) -> int:
         return len(self.boxes)
 
     def __getitem__(self, i: int) -> Candidate:
         """Candidate i; its features are a read-only row of the feature matrix."""
-        label = None if self.labels is None else float(self.labels[i])
-        feats = None if self.features is None else self.features[i]
         return Candidate(
             Box(*self.boxes[i].tolist()),
-            None if label is None or math.isnan(label) else label,
-            None if feats is None or math.isnan(feats[0]) else feats,
+            None if self.labels is None else float(self.labels[i]),
+            None if self.features is None else self.features[i],
             None if self.source_index is None else self.source_index[i],
         )
-
-    def gaps(self, name: str) -> np.ndarray:
-        """(n,) mask of the candidates without a value in the labels or features column."""
-        column = getattr(self, name)
-        if column is None:
-            return np.ones(len(self), dtype=bool)
-        return np.isnan(column if column.ndim == 1 else column[:, 0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -310,16 +314,16 @@ class ImageRecord:
 
     @property
     def feature_dim(self) -> int | None:
-        """Dimension shared by every candidate that carries features; None if none does."""
+        """The candidates' feature dimension; None when they carry no features."""
         features = self.candidates.features
         return None if features is None else features.shape[1]
 
     def _complete(self, name: str, what: str) -> np.ndarray | None:
-        """The labels or features column; fails naming the first candidate without a value."""
-        gaps = self.candidates.gaps(name)
-        if gaps.any():
-            raise DataError(f"{self.image_id}: candidate {int(gaps.argmax())} has no {what}")
-        return getattr(self.candidates, name)
+        """The labels or features column; fails if the record has candidates but not the column."""
+        column = getattr(self.candidates, name)
+        if column is None and len(self.candidates):
+            raise DataError(f"{self.image_id}: candidate 0 has no {what}")
+        return column
 
     def iou_labels(self) -> list[float]:
         """Labels of all candidates; fails if any candidate is unlabeled."""
@@ -396,17 +400,17 @@ class _Irregular(DataError):
 
 
 # Each float column's axes and what the Box and Candidate rules ask of it as
-# one array. NaN, the mark of a candidate without a label or features, passes.
+# one array. A NaN label fails both comparisons.
 _COLUMN_RULES = {
     "boxes": (2, lambda c: c.shape[1] == 4 and np.isfinite(c).all() and (c[:, 2:] > c[:, :2]).all()),
-    "labels": (1, lambda c: not ((c < 0.0) | (c > 1.0)).any()),
-    "features": (2, lambda c: c.shape[1] > 0 and np.isnan(c[~np.isfinite(c).all(axis=1)]).all()),
+    "labels": (1, lambda c: ((c >= 0.0) & (c <= 1.0)).all()),
+    "features": (2, lambda c: c.shape[1] > 0 and np.isfinite(c).all()),
 }
 
 
 def _checked_column(name: str, values, n: int):
     """values as the Candidates column of that name: a read-only (n, ...)
-    float64 array, or for source_index a tuple of ints and None. Values that
+    float64 array, or for source_index a tuple of ints. Values that
     break the Box and Candidate rules, ragged, nested and non-numeric ones
     included, are _Irregular."""
     if values is None:
@@ -415,8 +419,8 @@ def _checked_column(name: str, values, n: int):
     with contextlib.suppress(TypeError, ValueError, OverflowError):
         if name == "source_index":  # Python ints, exact beyond 64 bits
             # A plain int is taken as it is; _as_int's ABC check costs about 1 us an entry.
-            column = tuple(i if i is None or type(i) is int else _as_int(i, name) for i in values)
-            valid = len(column) == n and all(i is None or i >= 0 for i in column)
+            column = tuple(i if type(i) is int else _as_int(i, name) for i in values)
+            valid = len(column) == n and all(i >= 0 for i in column)
         else:
             ndim, rule = _COLUMN_RULES[name]
             column = np.asarray(values)
@@ -427,16 +431,6 @@ def _checked_column(name: str, values, n: int):
     if not valid:
         raise _Irregular(f"candidate {name} column breaks the Box and Candidate rules")
     return column
-
-
-def _gapless(table: Candidates, *names: str) -> Candidates:
-    """table, or _Irregular if a caller's labels or features column among
-    names has NaN: the table would read it as a candidate without a value,
-    and the types reject it."""
-    for name in names:
-        if getattr(table, name) is not None and table.gaps(name).any():
-            raise _Irregular(f"candidate {name} column has NaN")
-    return table
 
 
 def record_from_columns(
@@ -460,7 +454,7 @@ def record_from_columns(
     """
     groundtruth = tuple(groundtruth)
     try:
-        table = _gapless(Candidates(boxes, labels, features, source_index), "labels", "features")
+        table = Candidates(boxes, labels, features, source_index)
     except _Irregular:
         rows = boxes.tolist() if isinstance(boxes, np.ndarray) else boxes
         entries = zip(rows, *(repeat(None) if c is None else c for c in (labels, features, source_index)))
@@ -471,8 +465,8 @@ def record_from_columns(
 def replace_column(record: ImageRecord, name: str, values) -> ImageRecord:
     """record with its candidates' labels or features column replaced by
     values, one per candidate; a DataError if they break the Box and
-    Candidate rules or hold NaN."""
-    return replace(record, candidates=_gapless(replace(record.candidates, **{name: values}), name))
+    Candidate rules."""
+    return replace(record, candidates=replace(record.candidates, **{name: values}))
 
 
 def _column(values: list) -> list | None:
@@ -519,15 +513,12 @@ def record_to_dict(record: ImageRecord) -> dict:
     }
     cands = record.candidates
     entries = [{"box": box} for box in cands.boxes.tolist()]
-    for key, name in (("iou_label", "labels"), ("features", "features")):
-        column = getattr(cands, name)
+    for key, column in (("iou_label", cands.labels), ("features", cands.features)):
         if column is not None:
-            for entry, value, gap in zip(entries, column.tolist(), cands.gaps(name).tolist()):
-                if not gap:
-                    entry[key] = value
+            for entry, value in zip(entries, column.tolist()):
+                entry[key] = value
     for entry, index in zip(entries, cands.source_index or ()):
-        if index is not None:
-            entry["source_index"] = index
+        entry["source_index"] = index
     obj["candidates"] = entries
     return obj
 
@@ -547,7 +538,7 @@ def _box_from_list(value) -> Box:
 def _groundtruth_from_dict(entry) -> GroundTruthObject:
     if not isinstance(entry, dict) or "class" not in entry or "box" not in entry:
         raise DataError("needs 'class' and 'box' fields")
-    return GroundTruthObject(str(entry["class"]), _box_from_list(entry["box"]))
+    return GroundTruthObject(entry["class"], _box_from_list(entry["box"]))
 
 
 def _list_field(obj: dict, key: str) -> list:

@@ -312,13 +312,13 @@ def featurize_dataset(
     plain dict works, as does PgmDirectory). A record whose image is missing
     or unreadable is kept unchanged and reported in the returned failure
     list; processing continues with the remaining records. With
-    keep_existing, records that are already fully featurized pass through
-    untouched.
+    keep_existing, records whose candidates already carry features pass
+    through untouched.
     """
     failures: list[str] = []
     out_records: list[ImageRecord] = []
     for rec in dataset.records:
-        if keep_existing and rec.num_candidates and not rec.candidates.gaps("features").any():
+        if keep_existing and rec.candidates.features is not None:
             out_records.append(rec)
             continue
         try:

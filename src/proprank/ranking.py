@@ -36,6 +36,7 @@ import numpy as np
 
 from .core import (DataError, Dataset, ImageRecord, atomic_write_text, check_field_types, dataset_digest,
                    decode_json, rank_by_label)
+from .core import _as_float, _as_int
 from .features import HogConfig
 
 logger = logging.getLogger(__name__)
@@ -508,16 +509,22 @@ def model_to_dict(model: TrainedModel) -> dict:
 
 
 def model_from_dict(obj: dict) -> TrainedModel:
+    """A TrainedModel from a decoded model file; numbers take the dataset
+    decoder's rules, and provenance and violation_report must be objects."""
     hog_config = obj.get("hog_config")
+    provenance, report = obj.get("provenance", {}), obj.get("violation_report")
+    for key, value in (("provenance", provenance), ("violation_report", {} if report is None else report)):
+        if not isinstance(value, dict):
+            raise DataError(f"{key} must be a JSON object, got {value!r}")
     return TrainedModel(
-        weights=np.asarray(obj["weights"], dtype=np.float64),
-        feature_dim=int(obj["feature_dim"]),
+        weights=np.array([_as_float(v, "weights entry") for v in obj["weights"]], dtype=np.float64),
+        feature_dim=_as_int(obj["feature_dim"], "feature_dim"),
         training_config=TrainingConfig.from_dict(obj["config"]),
-        final_objective=float(obj["final_objective"]),
+        final_objective=_as_float(obj["final_objective"], "final_objective"),
         hog_config=None if hog_config is None else HogConfig.from_dict(hog_config),
-        provenance=dict(obj.get("provenance", {})),
-        violation_report=obj.get("violation_report"),
-        objective_history=tuple(float(v) for v in obj.get("objective_history", ())),
+        provenance=provenance,
+        violation_report=report,
+        objective_history=tuple(_as_float(v, "objective_history entry") for v in obj.get("objective_history", ())),
     )
 
 

@@ -4,8 +4,7 @@ Everything here is deliberately written with different machinery than the
 code under test: pixel-set enumeration for IoU, plain-Python loops for the
 metrics, for HOG the per-box code (np.add.at cell votes, a Python loop over
 blocks) and the batched bilinear resampler as it gathered its four corners
-through four broadcast index sums, for the training objective both a
-full-batch subgradient pass plus shrinking pattern search and an exact dual
+through four broadcast index sums, for the training objective an exact dual
 QP whose duality gap certifies its optimum, for the trainer's steps the
 descent loop as it ran on materialized constraint rows, one x_p - x_q row per
 baseline pair, and for the geometric synth its uniform clutter boxes drawn
@@ -14,8 +13,6 @@ on small inputs.
 """
 
 from __future__ import annotations
-
-import itertools
 
 import numpy as np
 
@@ -245,7 +242,7 @@ def resample_stack(image, boxes, config):
 
 
 # ---------------------------------------------------------------------------
-# Training objective by direct evaluation and direct search
+# Training objective by direct evaluation and by its certified minimum
 #
 # A problem is a list of (P, Q) pairs of 2-D float arrays, one per image.
 
@@ -262,63 +259,6 @@ def eval_objective(w, problem, C, per_image=True) -> float:
             total += C * sum(max(0.0, 1.0 - s) for s in sp)
             total += C * sum(max(0.0, 1.0 + s) for s in sq)
     return total
-
-
-def _subgradient(w, problem, C, per_image):
-    g = np.asarray(w, dtype=np.float64).copy()
-    for P, Q in problem:
-        sp = P @ w
-        sq = Q @ w
-        if per_image:
-            ip = int(np.argmin(sp))
-            iq = int(np.argmax(sq))
-            worst_pos = 1.0 - sp[ip]
-            worst_neg = 1.0 + sq[iq]
-            if max(worst_pos, worst_neg, 0.0) > 0.0:
-                if worst_pos >= worst_neg:
-                    g -= C * P[ip]
-                else:
-                    g += C * Q[iq]
-        else:
-            g -= C * np.sum(P[sp < 1.0], axis=0) if np.any(sp < 1.0) else 0.0
-            g += C * np.sum(Q[sq > -1.0], axis=0) if np.any(sq > -1.0) else 0.0
-    return g
-
-
-def minimize_objective(problem, C, dim, per_image=True, steps=20000, seed=0):
-    """Global minimum of the convex objective by descent plus pattern search."""
-    rng = np.random.default_rng(seed)
-    starts = [np.zeros(dim)] + [rng.normal(size=dim) for _ in range(3)]
-    best_w = np.zeros(dim)
-    best = eval_objective(best_w, problem, C, per_image)
-    for w0 in starts:
-        w = np.asarray(w0, dtype=np.float64).copy()
-        for t in range(steps):
-            g = _subgradient(w, problem, C, per_image)
-            w -= (0.5 / (1.0 + 0.05 * t)) * g
-            if t % 50 == 0:
-                val = eval_objective(w, problem, C, per_image)
-                if val < best:
-                    best, best_w = val, w.copy()
-        val = eval_objective(w, problem, C, per_image)
-        if val < best:
-            best, best_w = val, w.copy()
-    # Direction set {-1, 0, 1}^dim covers the hinge kinks in low dimension.
-    directions = [np.array(d, dtype=np.float64)
-                  for d in itertools.product((-1.0, 0.0, 1.0), repeat=dim)
-                  if any(d)]
-    step = 1.0
-    w = best_w.copy()
-    while step > 1e-9:
-        moved = False
-        for d in directions:
-            val = eval_objective(w + step * d, problem, C, per_image)
-            if val < best - 1e-15:
-                best, w = val, w + step * d
-                moved = True
-        if not moved:
-            step *= 0.5
-    return w, best
 
 
 def certified_minimum(problem, C, dim, per_image=True):

@@ -127,6 +127,17 @@ def test_missing_and_malformed_inputs_exit_2(tmp_path, capsys, caplog):
         ("config", {**config, "epochs": True}, "TrainingConfig.epochs must be an integer"),
         ("hog_config", {"cell_size": True}, "HogConfig.cell_size must be an integer"),
         ("hog_config", {"resize_w": 50.5}, "HogConfig.resize_w must be an integer"),
+        # Numbers take the dataset decoder's rules: no strings, no bools, no truncation.
+        ("feature_dim", 4.5, "feature_dim must be an integer, got 4.5"),
+        ("feature_dim", "4", "feature_dim must be an integer, got '4'"),
+        ("final_objective", "0.1", "final_objective must be a real number, got '0.1'"),
+        ("final_objective", True, "final_objective must be a real number, got True"),
+        ("objective_history", [1.0, "0.5"], "objective_history entry must be a real number, got '0.5'"),
+        ("objective_history", [False], "objective_history entry must be a real number, got False"),
+        ("weights", [0.5, "1", 0, 0], "weights entry must be a real number, got '1'"),
+        ("weights", [0.5, True, 0, 0], "weights entry must be a real number, got True"),
+        ("violation_report", 5, "violation_report must be a JSON object, got 5"),
+        ("provenance", [["a", 1]], "provenance must be a JSON object, got [['a', 1]]"),
     ):
         model.write_text(json.dumps({**saved, key: value}), encoding="utf-8")
         assert main(["rerank", str(data), str(ranked), "--model", str(model)]) == 2
@@ -137,6 +148,22 @@ def test_missing_and_malformed_inputs_exit_2(tmp_path, capsys, caplog):
     assert f"{model}: not valid UTF-8" in caplog.messages[-1]
     assert not ranked.exists()
     capsys.readouterr()
+
+
+def test_a_column_on_some_candidates_only_exits_2_and_writes_nothing(tmp_path, caplog):
+    data, out = tmp_path / "partial.jsonl", tmp_path / "out.jsonl"
+    box = '{"box": [0, 0, 2, 2]'
+    for cands, message in (
+        (f'{box}}}, {box}, "iou_label": 0.5}}', "candidate 0 has no iou_label, but candidate 1 has one"),
+        (f'{box}, "features": [1]}}, {box}}}', "candidate 1 has no features, but candidate 0 has one"),
+        (f'{box}, "source_index": 1}}, {box}, "source_index": 0}}, {box}}}',
+         "candidate 2 has no source_index, but candidate 0 has one"),
+    ):
+        data.write_text('{"image_id": "ok", "width": 8, "height": 8}\n'
+                        f'{{"image_id": "a", "width": 8, "height": 8, "candidates": [{cands}]}}\n', encoding="utf-8")
+        assert main(["label", str(data), str(out)]) == 2
+        assert caplog.messages[-1] == f"line 2: a: {message}"
+        assert [p.name for p in tmp_path.iterdir()] == ["partial.jsonl"]
 
 
 def test_synth_writes_dataset_metadata_and_manifest(tmp_path, capsys):

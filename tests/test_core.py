@@ -207,12 +207,15 @@ def test_record_from_columns_builds_what_the_types_build():
     empty = record_from_columns("e", 4, 4, (), np.zeros((0, 4)), np.zeros(0), np.zeros((0, 3)), np.zeros(0, int))
     assert empty.num_candidates == 0 and empty.feature_dim is None
     assert (empty.candidates.labels, empty.candidates.features, empty.candidates.source_index) == (None, None, None)
-    # Columns with gaps are built one candidate at a time; a gap is NaN in the table.
-    mixed = record_from_columns("m", 4, 4, (), [[0, 0, 1, 1], [1, 1, 2, 2]], [None, 0.5], [[1.0], None], [None, 3])
-    assert [(c.iou_label, c.source_index) for c in mixed.candidates] == [(None, None), (0.5, 3)]
-    assert mixed.candidates[1].features is None and mixed.feature_dim == 1
-    assert np.isnan(mixed.candidates.labels[0]) and np.isnan(mixed.candidates.features[1]).all()
-    assert mixed.candidates.source_index == (None, 3)
+    # A column is complete or absent: one that some candidates lack names the first without and the first with it.
+    two = [[0, 0, 1, 1], [1, 1, 2, 2]]
+    for columns, message in (
+        (([None, 0.5], [[1.0], None], [None, 3]), "m: candidate 0 has no iou_label, but candidate 1 has one"),
+        ((None, [[1.0], None]), "m: candidate 1 has no features, but candidate 0 has one"),
+        ((None, None, [None, 3]), "m: candidate 0 has no source_index, but candidate 1 has one"),
+    ):
+        with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+            record_from_columns("m", 4, 4, (), two, *columns)
 
 
 def test_record_from_columns_fails_with_the_types_errors():
@@ -273,16 +276,17 @@ def test_a_candidates_table_checks_its_columns():
         dict(boxes=ok, labels=np.array([0.5])),
         dict(boxes=ok, features=np.array([[1.0, np.nan], [1.0, 2.0]])),
         dict(boxes=ok[:, :3]),
+        # No value stands for a candidate without one: not NaN, not None.
+        dict(boxes=ok, labels=np.array([np.nan, 0.5])),
+        dict(boxes=ok, features=np.array([[np.nan] * 2, [1.0, 2.0]])),
+        dict(boxes=ok, source_index=(None, 2**64)),
     ):
         with pytest.raises(DataError, match="column breaks the Box and Candidate rules"):
             ImageRecord("a", 8, 8, (), Candidates(**columns))
-    # A NaN label or feature row in a table marks a candidate without one.
-    table = Candidates(ok, np.array([np.nan, 0.5]), np.array([[np.nan] * 2, [1.0, 2.0]]), (None, 2**64))
-    assert [(c.iou_label, c.features is None, c.source_index) for c in table] == [(None, True, None), (0.5, False, 2**64)]
-    # A caller's NaN is no gap but an error, through replace_column too.
+    # A caller's NaN is an error through replace_column too.
     rec = record_from_columns("im", 8, 8, (), ok, [0.5, 0.5], [[1.0], [2.0]])
     for name, values in (("labels", [0.5, np.nan]), ("features", [[np.nan], [1.0]])):
-        with pytest.raises(DataError, match=f"^candidate {name} column has NaN$"):
+        with pytest.raises(DataError, match=f"^candidate {name} column breaks the Box and Candidate rules$"):
             replace_column(rec, name, np.array(values))
     with pytest.raises(DataError, match="^candidate labels column breaks the Box and Candidate rules$"):
         replace_column(rec, "labels", [0.5, 1.5])
@@ -490,9 +494,26 @@ def test_record_dict_rejects_malformed_pieces():
         ([{"iou_label": 0.5}], "m: candidate 0 needs a 'box' field"),
         ([{"box": box, "iou_label": 2}, 5], "m: candidate 0 iou_label must lie in [0, 1], got 2.0"),
         ([{"box": box}, "x", {"box": [0, 0, 0, 1]}], "m: candidate 1 needs a 'box' field"),
+        # A string is never read as a number.
+        ([{"box": box, "iou_label": "0.5"}], "m: candidate 0 iou_label must be a number, got '0.5'"),
+        ([{"box": [0, 0, "1", 1]}], "m: candidate 0 box has a non-numeric coordinate"),
+        ([{"box": box, "features": ["1", "2"]}], "m: candidate 0 features must be a list of numbers"),
+        ([{"box": box, "features": [1, "2"]}], "m: candidate 0 features must be a list of numbers"),
+        # A column is on every candidate or on none, checked after every value.
+        ([{"box": box}, {"box": box, "iou_label": 0.5}], "m: candidate 0 has no iou_label, but candidate 1 has one"),
+        ([{"box": box, "source_index": 0}, {"box": box, "iou_label": 2}],
+         "m: candidate 1 iou_label must lie in [0, 1], got 2.0"),
     ):
         with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
             record_from_dict({**base, "candidates": cands})
+    for gt, message in (
+        ({"class": None, "box": box}, "m: groundtruth 0 class must be a string, got None"),
+        ({"class": 5, "box": box}, "m: groundtruth 0 class must be a string, got 5"),
+        ({"class": [], "box": box}, "m: groundtruth 0 class must be a string, got []"),
+        ({"class": "cat", "box": [0, 0, "1", 1]}, "m: groundtruth 0 box has a non-numeric coordinate"),
+    ):
+        with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+            record_from_dict({**base, "groundtruth": [gt]})
     rec = record_from_dict({**base, "width": 8.0})
     assert rec.width == 8
 

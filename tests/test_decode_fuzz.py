@@ -158,7 +158,7 @@ def _through_types(obj) -> ImageRecord:
     width = _as_int(obj["width"], f"{image_id}: width")
     height = _as_int(obj["height"], f"{image_id}: height")
     groundtruth = _built(
-        image_id, "groundtruth", obj["groundtruth"], lambda g: GroundTruthObject(str(g["class"]), _box(g["box"]))
+        image_id, "groundtruth", obj["groundtruth"], lambda g: GroundTruthObject(g["class"], _box(g["box"]))
     )
     candidates = _built(image_id, "candidate", obj["candidates"], lambda c: Candidate(
         _box(c["box"]), c.get("iou_label"), c.get("features"), c.get("source_index")
@@ -290,18 +290,16 @@ def _same_datasets(got: Dataset, want: Dataset) -> None:
 
 
 def _geometric(seed: int) -> Dataset:
-    """A geometric synth dataset plus one record with gaps: features and
-    source_index on some of its candidates only, its labels dropped."""
+    """A geometric synth dataset plus one bare record: its labels and
+    features dropped, and a reversed source_index on every candidate."""
     config = SynthConfig(seed=seed, num_images=3, candidates_per_image=40, feature_dim=5, mode="geometric",
                          image_size=(64, 48))
     ds = generate_geometric_dataset(config)
     first = ds.records[0]
-    gaps = replace(first, image_id="gaps", candidates=tuple(
-        replace(c, iou_label=None, features=None if i % 3 == 0 else c.features,
-                source_index=39 - i if i % 2 else None)
-        for i, c in enumerate(first.candidates)
+    bare = replace(first, image_id="bare", candidates=tuple(
+        replace(c, iou_label=None, features=None, source_index=39 - i) for i, c in enumerate(first.candidates)
     ))
-    return Dataset(ds.records + (gaps,))
+    return Dataset(ds.records + (bare,))
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -309,12 +307,12 @@ def test_label_rerank_and_featurize_build_what_replace_built(seed, tmp_path):
     ds = _geometric(seed)
     _same_datasets(label_dataset(ds), Dataset(tuple(_labeled_by_replace(r) for r in ds.records)))
 
-    # The record with gaps, featurized again, keeps its own source_index where it has one.
-    gaps = replace(ds.records[-1], candidates=tuple(
+    # The bare record, given features, keeps its own source_index through rerank.
+    bare = replace(ds.records[-1], candidates=tuple(
         replace(c, features=first.features)
         for c, first in zip(ds.records[-1].candidates, ds.records[0].candidates)
     ))
-    featurized = Dataset(ds.records[:-1] + (gaps,))
+    featurized = Dataset(ds.records[:-1] + (bare,))
     data, model_path, ranked = tmp_path / "data.jsonl", tmp_path / "model.json", tmp_path / "ranked.jsonl"
     write_dataset(featurized, data)
     model = train_soft_margin(Dataset(ds.records[:-1]), TrainingConfig(k=3, epochs=20))

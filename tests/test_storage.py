@@ -1,4 +1,4 @@
-"""A record keeps its candidates as columns, and NaN inside them only ever marks a gap."""
+"""A record keeps its candidates as columns, and a NaN inside them is an error."""
 
 import gc
 import tracemalloc
