@@ -153,7 +153,7 @@ def cmd_featurize(args: argparse.Namespace) -> Paths:
     dataset = read_dataset(args.input)
     config = _hog_config_from(args)
     images = PgmDirectory(args.images)
-    featurized, failures = featurize_dataset(dataset, images, config, keep_existing=args.keep_existing)
+    featurized, failures = featurize_dataset(dataset, images, config)
     for failure in failures:
         logger.warning("featurize: %s", failure)
     write_dataset(featurized, args.output)
@@ -354,7 +354,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("input", type=Path)
     p.add_argument("output", type=Path)
     p.add_argument("--images", type=Path, required=True, help="directory of <image_id>.pgm files")
-    p.add_argument("--keep-existing", action="store_true", help="skip records that already have features")
     p.add_argument("--resize-w", type=int, default=50)
     p.add_argument("--resize-h", type=int, default=60)
     p.add_argument("--cell-size", type=int, default=8)

@@ -127,10 +127,6 @@ class Box:
         for name, value in zip(("x_min", "y_min", "x_max", "y_max"), coords):
             object.__setattr__(self, name, value)
 
-    @property
-    def area(self) -> float:
-        return (self.x_max - self.x_min) * (self.y_max - self.y_min)
-
     def as_list(self) -> list[float]:
         return [self.x_min, self.y_min, self.x_max, self.y_max]
 
@@ -155,11 +151,6 @@ def box_array(boxes: Iterable[Box]) -> np.ndarray:
 def best_iou(boxes: np.ndarray, groundtruth: Iterable[GroundTruthObject]) -> np.ndarray:
     """(n,) best IoU of each of an (n, 4) box array against the groundtruth; 0.0 with none."""
     return iou_matrix(boxes, box_array(g.box for g in groundtruth)).max(axis=1, initial=0.0)
-
-
-def iou(a: Box, b: Box) -> float:
-    """Intersection over union of two boxes; 0.0 when they do not overlap."""
-    return float(iou_matrix(a.as_list(), b.as_list())[0, 0])
 
 
 @dataclass(frozen=True)
@@ -464,8 +455,8 @@ def record_from_columns(
 
 def replace_column(record: ImageRecord, name: str, values) -> ImageRecord:
     """record with its candidates' labels or features column replaced by
-    values, one per candidate; a DataError if they break the Box and
-    Candidate rules."""
+    values, one per candidate, or dropped by None; a DataError if they break
+    the Box and Candidate rules."""
     return replace(record, candidates=replace(record.candidates, **{name: values}))
 
 

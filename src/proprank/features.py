@@ -12,9 +12,9 @@ and overlapping blocks of cells are contrast-normalized with L2-hys
 concatenation of all block vectors.
 
 One kernel describes a stack of boxes of one image at once, with the same
-arithmetic in the same order for every box, in fixed-size chunks of boxes;
-describe_box, hog and crop_and_resize are its single-box views, and
-featurize_dataset feeds it all the boxes of an image.
+arithmetic in the same order for every box, in fixed-size chunks of boxes.
+featurize_dataset feeds it all the boxes of an image, and hog describes one
+patch that already has the configured size.
 """
 
 from __future__ import annotations
@@ -25,15 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import (
-    Box,
-    DataError,
-    Dataset,
-    ImageRecord,
-    box_array,
-    check_field_types,
-    replace_column,
-)
+from .core import DataError, Dataset, ImageRecord, check_field_types, replace_column
 
 _EPS = 1e-10
 
@@ -130,7 +122,12 @@ def _shifted(flat: np.ndarray, offset: int) -> np.ndarray:
 
 
 def _resample(image: GrayImage, boxes: np.ndarray, config: HogConfig) -> np.ndarray:
-    """(B, resize_h, resize_w) bilinear resamples of the (B, 4) box regions."""
+    """(B, resize_h, resize_w) bilinear resamples of the (B, 4) box regions.
+
+    Sample points sit at output pixel centers mapped into the box, so a box
+    covering the whole image at the target size reproduces it exactly.
+    Samples are clamped to the image, replicating border pixels.
+    """
     width, height = image.width, image.height
     outside = (boxes[:, 0] < 0) | (boxes[:, 1] < 0) | (boxes[:, 2] > width) | (boxes[:, 3] > height)
     if outside.any():
@@ -276,16 +273,6 @@ def _describe_boxes(image: GrayImage, boxes: np.ndarray, config: HogConfig) -> n
     return feats
 
 
-def crop_and_resize(image: GrayImage, box: Box, config: HogConfig) -> GrayImage:
-    """Bilinearly resample the box region of the image to the configured patch.
-
-    Sample points sit at output pixel centers mapped into the source region,
-    so a box covering the whole image at the target size reproduces it
-    exactly. Samples are clamped to the image, replicating border pixels.
-    """
-    return GrayImage(config.resize_w, config.resize_h, _resample(image, box_array([box]), config)[0])
-
-
 def hog(patch: GrayImage, config: HogConfig) -> np.ndarray:
     """Descriptor of a patch that already has the configured size."""
     if (patch.width, patch.height) != (config.resize_w, config.resize_h):
@@ -296,31 +283,19 @@ def hog(patch: GrayImage, config: HogConfig) -> np.ndarray:
     return _hog_stack(patch.pixels[None], config)[0]
 
 
-def describe_box(image: GrayImage, box: Box, config: HogConfig) -> np.ndarray:
-    return _describe_boxes(image, box_array([box]), config)[0]
-
-
-def featurize_dataset(
-    dataset: Dataset,
-    images,
-    config: HogConfig,
-    keep_existing: bool = False,
-) -> tuple[Dataset, list[str]]:
-    """Attach a descriptor to every candidate of every record.
+def featurize_dataset(dataset: Dataset, images, config: HogConfig) -> tuple[Dataset, list[str]]:
+    """Attach a descriptor made with config to every candidate of every record.
 
     images is anything with a get(image_id) -> GrayImage | None method (a
     plain dict works, as does PgmDirectory). A record whose image is missing
-    or unreadable is kept unchanged and reported in the returned failure
-    list; processing continues with the remaining records. With
-    keep_existing, records whose candidates already carry features pass
-    through untouched.
+    or unreadable, or has a box outside its image, loses any features it had
+    and is reported in the returned failure list; processing continues with
+    the remaining records. So every features column of the result was made
+    with config.
     """
     failures: list[str] = []
     out_records: list[ImageRecord] = []
     for rec in dataset.records:
-        if keep_existing and rec.candidates.features is not None:
-            out_records.append(rec)
-            continue
         try:
             image = images.get(rec.image_id)
             if image is None:
@@ -329,7 +304,7 @@ def featurize_dataset(
             out_records.append(replace_column(rec, "features", feats))
         except (DataError, OSError) as exc:
             failures.append(f"{rec.image_id}: {exc}")
-            out_records.append(rec)
+            out_records.append(replace_column(rec, "features", None))
     return Dataset(tuple(out_records)), failures
 
 

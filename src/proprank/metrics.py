@@ -128,11 +128,6 @@ def _abo_mabo(classes: Sequence[str], best: np.ndarray) -> tuple[dict[str, float
     return abo, sum(abo.values()) / len(abo)
 
 
-def best_overlap(gt: GroundTruthObject, record: ImageRecord, ranking: Sequence[int], m: int) -> float:
-    """Best IoU between the object and the first m ranked candidates (0.0 if none)."""
-    return float(_prefix_best((gt,), record, _check_ranking(record, ranking), (m,))[0, 0])
-
-
 def detection_rate(
     dataset: Dataset,
     rankings: Mapping[str, Sequence[int]],
@@ -186,12 +181,20 @@ class EvalReport:
         def value(e) -> float:
             return _as_float(e["value"], "value")
 
+        def label(e) -> str:
+            if not isinstance(e["class"], str):
+                raise DataError(f"class must be a string, got {e['class']!r}")
+            return e["class"]
+
+        metadata = obj.get("metadata", {})
+        if not isinstance(metadata, dict):
+            raise DataError(f"metadata must be a JSON object, got {metadata!r}")
         return cls(
             dr={(_as_float(e["delta"], "delta"), budget(e)): value(e) for e in obj.get("dr", [])},
-            abo={(str(e["class"]), budget(e)): value(e) for e in obj.get("abo", [])},
+            abo={(label(e), budget(e)): value(e) for e in obj.get("abo", [])},
             mabo={budget(e): value(e) for e in obj.get("mabo", [])},
             counts={str(k): _as_int(v, f"count of {k}") for k, v in obj.get("counts", {}).items()},
-            metadata=dict(obj.get("metadata", {})),
+            metadata=dict(metadata),
         )
 
 

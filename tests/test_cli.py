@@ -258,6 +258,16 @@ def test_eval_and_report_round_trip(tmp_path, capsys, caplog):
         assert main(["report", str(bad), "--output", str(tmp_path / "bad")]) == 2
         message = f"{bad}: invalid report file: proposal budget must be an integer, got {value!r}"
         assert caplog.messages[-1] == message
+    # An ABO class must be a string and metadata an object: str() would turn
+    # null into the class "None", and dict() would take pairs as a row named zzz.
+    first = saved["sources"][0]
+    for source, message in (
+        ({**first, "abo": [{**first["abo"][0], "class": None}] + first["abo"][1:]}, "class must be a string, got None"),
+        ({**first, "metadata": [["source", "zzz"]]}, "metadata must be a JSON object, got [['source', 'zzz']]"),
+    ):
+        bad.write_text(json.dumps({**saved, "sources": [source] + saved["sources"][1:]}))
+        assert main(["report", str(bad), "--output", str(tmp_path / "bad")]) == 2
+        assert caplog.messages[-1] == f"{bad}: invalid report file: {message}"
     for raw in (b'{"config": "\xff"}', b"[" * 100000, json.dumps({**saved, "sources": 5}).encode()):
         bad.write_bytes(raw)
         assert main(["report", str(bad), "--output", str(tmp_path / "bad")]) == 2
@@ -389,6 +399,29 @@ def test_featurize_attaches_hog_and_train_uses_sidecar(tmp_path, capsys):
     assert main(["rerank", str(feat), str(ranked), "--model", str(model_path)]) == 2
     assert not ranked.exists()
     capsys.readouterr()
+
+
+def test_featurize_drops_the_features_of_a_record_it_cannot_describe(tmp_path, capsys, caplog):
+    # Both geometries give 108-d features, so no dimension check tells them
+    # apart: a record whose image is gone must not keep the first geometry's.
+    images = tmp_path / "imgs"
+    images.mkdir()
+    data, first, second = tmp_path / "geo.jsonl", tmp_path / "first.jsonl", tmp_path / "second.jsonl"
+    assert run(capsys, "synth", data, "--mode", "geometric", "--num-images", 2, "--candidates", 12,
+               "--image-size", "32,32")[0] == 0
+    ids = [rec.image_id for rec in read_dataset(data).records]
+    for j, image_id in enumerate(ids):
+        make_pgm(images / f"{image_id}.pgm", 32, 32, seed=j)
+    assert run(capsys, "featurize", data, first, "--images", images, "--resize-w", 32, "--resize-h", 16)[0] == 0
+    (images / f"{ids[0]}.pgm").unlink()
+    caplog.clear()
+    assert run(capsys, "featurize", first, second, "--images", images, "--resize-w", 16, "--resize-h", 32)[0] == 0
+    assert [m for m in caplog.messages if "image not found" in m] == [f"featurize: {ids[0]}: image not found"]
+
+    model = tmp_path / "model.json"
+    assert main(["train", str(second), str(model), "--k", "3"]) == 2
+    assert caplog.messages[-1] == f"{ids[0]}: candidate 0 has no features"
+    assert not model.exists() and not (tmp_path / "model.json.manifest.json").exists()
 
 
 def test_manifest_records_input_digests(tmp_path, capsys):

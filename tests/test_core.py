@@ -19,7 +19,6 @@ from proprank import (
     dataset_digest,
     dataset_from_lines,
     dataset_to_lines,
-    iou,
     iou_matrix,
     label_candidates,
     label_dataset,
@@ -33,7 +32,8 @@ from proprank.core import Candidates, record_from_columns, record_from_dict, rec
 
 def test_box_area_and_validation():
     b = Box(1.0, 2.0, 4.0, 7.0)
-    assert b.area == 15.0
+    # The 3 x 5 box inside a 10 x 10 square covers 15 of its 100 pixels.
+    assert iou_matrix(b.as_list(), [0, 0, 10, 10])[0, 0] == 15.0 / 100.0
     assert b.as_list() == [1.0, 2.0, 4.0, 7.0]
     with pytest.raises(DataError):
         Box(0, 0, 0, 1)
@@ -49,29 +49,29 @@ def test_box_area_and_validation():
 
 def test_iou_hand_examples():
     # Two unit squares sharing half their area: inter 0.5, union 1.5.
-    assert_allclose(iou(Box(0, 0, 1, 1), Box(0.5, 0, 1.5, 1)), 1.0 / 3.0)
+    assert_allclose(iou_matrix([0, 0, 1, 1], [0.5, 0, 1.5, 1])[0, 0], 1.0 / 3.0)
     # Contained box: 1x1 inside 2x2.
-    assert_allclose(iou(Box(0, 0, 2, 2), Box(0, 0, 1, 1)), 0.25)
+    assert_allclose(iou_matrix([0, 0, 2, 2], [0, 0, 1, 1])[0, 0], 0.25)
     # Disjoint and edge-touching boxes have zero overlap.
-    assert iou(Box(0, 0, 1, 1), Box(2, 2, 3, 3)) == 0.0
-    assert iou(Box(0, 0, 1, 1), Box(1, 0, 2, 1)) == 0.0
+    assert iou_matrix([0, 0, 1, 1], [2, 2, 3, 3])[0, 0] == 0.0
+    assert iou_matrix([0, 0, 1, 1], [1, 0, 2, 1])[0, 0] == 0.0
 
 
 def test_iou_degenerate_cases():
-    b = Box(3.0, 5.0, 10.5, 9.25)
-    assert iou(b, b) == 1.0
-    assert iou(Box(0, 0, 5, 5), Box(0, 0, 5, 5)) == 1.0
+    b = [3.0, 5.0, 10.5, 9.25]
+    assert iou_matrix(b, b)[0, 0] == 1.0
+    assert iou_matrix([0, 0, 5, 5], [0, 0, 5, 5])[0, 0] == 1.0
 
 
 def test_iou_symmetry_random():
     rng = np.random.default_rng(7)
     for _ in range(200):
         x0, y0 = rng.uniform(0, 50, size=2)
-        a = Box(x0, y0, x0 + rng.uniform(1, 30), y0 + rng.uniform(1, 30))
+        a = [x0, y0, x0 + rng.uniform(1, 30), y0 + rng.uniform(1, 30)]
         x0, y0 = rng.uniform(0, 50, size=2)
-        b = Box(x0, y0, x0 + rng.uniform(1, 30), y0 + rng.uniform(1, 30))
-        assert iou(a, b) == iou(b, a)
-        assert 0.0 <= iou(a, b) <= 1.0
+        b = [x0, y0, x0 + rng.uniform(1, 30), y0 + rng.uniform(1, 30)]
+        assert iou_matrix(a, b)[0, 0] == iou_matrix(b, a)[0, 0]
+        assert 0.0 <= iou_matrix(a, b)[0, 0] <= 1.0
 
 
 def test_iou_matches_pixel_enumeration_on_integer_boxes():
@@ -81,7 +81,7 @@ def test_iou_matches_pixel_enumeration_on_integer_boxes():
         a = [int(x0), int(y0), int(x0 + rng.integers(1, 15)), int(y0 + rng.integers(1, 15))]
         x0, y0 = rng.integers(0, 20, size=2)
         b = [int(x0), int(y0), int(x0 + rng.integers(1, 15)), int(y0 + rng.integers(1, 15))]
-        assert_allclose(iou(Box(*a), Box(*b)), pixel_iou(a, b), atol=1e-12)
+        assert_allclose(iou_matrix(a, b)[0, 0], pixel_iou(a, b), atol=1e-12)
 
 
 def test_iou_matches_pixel_enumeration_on_fractional_grid():
@@ -93,7 +93,7 @@ def test_iou_matches_pixel_enumeration_on_fractional_grid():
         c = rng.integers(0, 40, size=2)
         d = rng.integers(1, 30, size=2)
         box_b = [c[0] / 8, c[1] / 8, (c[0] + d[0]) / 8, (c[1] + d[1]) / 8]
-        assert_allclose(iou(Box(*box_a), Box(*box_b)), pixel_iou(box_a, box_b, scale=8), atol=1e-12)
+        assert_allclose(iou_matrix(box_a, box_b)[0, 0], pixel_iou(box_a, box_b, scale=8), atol=1e-12)
 
 
 def test_iou_matrix_matches_reference_bitwise():

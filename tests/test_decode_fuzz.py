@@ -32,7 +32,6 @@ from proprank import (
     dataset_digest,
     dataset_from_lines,
     dataset_to_lines,
-    describe_box,
     featurize_dataset,
     generate_feature_dataset,
     generate_geometric_dataset,
@@ -45,6 +44,7 @@ from proprank import (
 )
 from proprank.cli import main
 from proprank.core import _as_int, box_array, decode_json, record_from_dict
+from proprank.features import _describe_boxes
 from proprank.ranking import model_from_dict, model_to_dict, train_soft_margin
 
 RECORD = {
@@ -234,7 +234,9 @@ def _record_lines(draw) -> str:
         parent = obj
         for key in path[:-1]:
             parent = parent[key]
-        if path[-2:-1] == ("box",) and draw(st.booleans()):  # a box corner on its opposite edge
+        # A box corner on its opposite edge; an earlier fault may have left a
+        # box that is not four values, which has no opposite edge.
+        if path[-2:-1] == ("box",) and len(parent) == 4 and draw(st.booleans()):
             parent[path[-1]] = parent[(path[-1] + 2) % 4]
         else:
             parent[path[-1]] = draw(_FAULTS)
@@ -330,7 +332,8 @@ def test_label_rerank_and_featurize_build_what_replace_built(seed, tmp_path):
     assert failures == []
     want = Dataset(tuple(
         replace(rec, candidates=tuple(
-            replace(c, features=describe_box(images[rec.image_id], c.box, config)) for c in rec.candidates
+            replace(c, features=_describe_boxes(images[rec.image_id], box_array([c.box]), config)[0])
+            for c in rec.candidates
         ))
         for rec in ds.records
     ))

@@ -13,8 +13,6 @@ from proprank import (
     HogConfig,
     PgmDirectory,
     SynthConfig,
-    crop_and_resize,
-    describe_box,
     featurize_dataset,
     generate_geometric_dataset,
     hog,
@@ -68,8 +66,9 @@ def test_hog_config_needs_a_patch_two_pixels_wide_and_high():
     config = HogConfig(resize_w=2, resize_h=2, cell_size=1, block_size=1)
     img = gray(np.arange(12.0).reshape(3, 4) / 11.0)
     box = Box(0.5, 0.0, 4.0, 3.0)
-    assert describe_box(img, box, config).shape == (config.dimension,)
-    assert_allclose(describe_box(img, box, config), oracles.describe_box(img, box, config), rtol=0, atol=1e-12)
+    got = _describe_boxes(img, np.array([box.as_list()]), config)
+    assert got.shape == (1, config.dimension)
+    assert_allclose(got[0], oracles.describe_box(img, box, config), rtol=0, atol=1e-12)
 
 
 def test_hog_config_field_types():
@@ -89,14 +88,14 @@ def test_crop_full_image_at_native_size_is_identity():
     rng = np.random.default_rng(0)
     pixels = rng.uniform(size=(8, 8))
     cfg = HogConfig(resize_w=8, resize_h=8, cell_size=4)
-    out = crop_and_resize(gray(pixels), Box(0, 0, 8, 8), cfg)
-    assert_allclose(out.pixels, pixels, atol=1e-15)
+    out = _resample(gray(pixels), np.array([[0.0, 0.0, 8.0, 8.0]]), cfg)
+    assert_allclose(out[0], pixels, atol=1e-15)
 
 
 def test_crop_upsamples_checkerboard_bilinearly():
     img = gray([[0.0, 1.0], [1.0, 0.0]])
     cfg = HogConfig(resize_w=4, resize_h=4, cell_size=2, block_size=2)
-    out = crop_and_resize(img, Box(0, 0, 2, 2), cfg)
+    out = _resample(img, np.array([[0.0, 0.0, 2.0, 2.0]]), cfg)
     # Sample xs = ys = [0, 0.25, 0.75, 1] of v(x, y) = x + y - 2xy.
     expected = [
         [0.00, 0.25, 0.75, 1.00],
@@ -104,14 +103,17 @@ def test_crop_upsamples_checkerboard_bilinearly():
         [0.75, 0.625, 0.375, 0.25],
         [1.00, 0.75, 0.25, 0.00],
     ]
-    assert_allclose(out.pixels, expected, atol=1e-15)
+    assert_allclose(out[0], expected, atol=1e-15)
 
 
 def test_crop_rejects_out_of_image_boxes():
-    img = gray(np.zeros((4, 4)))
-    for view in (crop_and_resize, describe_box, oracles.crop_and_resize):
-        with pytest.raises(DataError, match=re.escape("box [1.0, 1.0, 5.0, 3.0] lies outside the 4x4 image")):
-            view(img, Box(1, 1, 5, 3), TINY)
+    img, box = gray(np.zeros((4, 4))), [1.0, 1.0, 5.0, 3.0]
+    message = re.escape("box [1.0, 1.0, 5.0, 3.0] lies outside the 4x4 image")
+    for kernel in (_resample, _describe_boxes):
+        with pytest.raises(DataError, match=message):
+            kernel(img, np.array([box]), TINY)
+    with pytest.raises(DataError, match=message):
+        oracles.crop_and_resize(img, Box(*box), TINY)
 
 
 def test_constant_patch_gives_zero_descriptor():
@@ -198,9 +200,9 @@ def test_hog_rejects_wrong_patch_size():
 def test_describe_box_composes_crop_and_hog():
     rng = np.random.default_rng(4)
     img = gray(rng.uniform(size=(16, 16)))
-    box = Box(2, 3, 14, 15)
-    d0 = describe_box(img, box, TINY)
-    d1 = hog(crop_and_resize(img, box, TINY), TINY)
+    box = np.array([[2.0, 3.0, 14.0, 15.0]])
+    d0 = _describe_boxes(img, box, TINY)[0]
+    d1 = hog(gray(_resample(img, box, TINY)[0]), TINY)
     assert_allclose(d0, d1)
 
 
@@ -223,9 +225,12 @@ def test_featurize_dataset_attaches_and_reports_failures(tmp_path):
     again, _ = featurize_dataset(ds, imgs, TINY)
     assert_allclose(out.records[0].features_matrix(), again.records[0].features_matrix())
 
-    refreshed, failures2 = featurize_dataset(out, imgs, TINY, keep_existing=True)
-    assert failures2 == ["c: image not found"]
-    assert refreshed.records[0] is out.records[0]
+    # Featurizing again describes every record anew: one whose image is gone
+    # loses the features it had instead of keeping them from an earlier run.
+    refreshed, failures2 = featurize_dataset(out, {"b": imgs["b"]}, TINY)
+    assert failures2 == ["a: image not found", "c: image not found"]
+    assert refreshed.records[0].candidates.features is None
+    assert refreshed.records[1].features_matrix().tobytes() == out.records[1].features_matrix().tobytes()
 
     # A dict never fails to read; a directory holding a truncated PGM does, and
     # that is a failure of its record only.
@@ -234,7 +239,7 @@ def test_featurize_dataset_attaches_and_reports_failures(tmp_path):
     from_disk, failures3 = featurize_dataset(ds, PgmDirectory(tmp_path), TINY)
     assert failures3 == [f"b: {tmp_path / 'b.pgm'}: raster is truncated", "c: image not found"]
     assert from_disk.records[0].features_matrix().shape == (2, TINY.dimension)
-    assert from_disk.records[1] is rec_b
+    assert from_disk.records[1].candidates.features is None
 
 
 def test_pgm_round_trip(tmp_path):
@@ -382,10 +387,12 @@ def test_batched_kernel_matches_per_box_oracle(name, count):
 def test_single_box_views_match_the_oracle(name):
     config, img = GEOMETRIES[name], scene()
     for box in scene_boxes():
-        patch = crop_and_resize(img, box, config)
+        row = np.array([box.as_list()])
+        patch = gray(_resample(img, row, config)[0])
         assert_allclose(patch.pixels, oracles.crop_and_resize(img, box, config).pixels, rtol=0, atol=1e-12)
         assert_allclose(hog(patch, config), oracles.hog(patch, config), rtol=0, atol=1e-12)
-        assert_allclose(describe_box(img, box, config), oracles.describe_box(img, box, config), rtol=0, atol=1e-12)
+        got = _describe_boxes(img, row, config)[0]
+        assert_allclose(got, oracles.describe_box(img, box, config), rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("count", [0, 1, _CHUNK_BOXES, _CHUNK_BOXES + 1, 2 * _CHUNK_BOXES + 1])
@@ -461,7 +468,7 @@ def test_resampled_patches_and_descriptors_are_bitwise_the_four_index_kernel(nam
 def test_thin_rasters_give_finite_descriptors():
     for img, boxes in thin_rasters():
         for box in boxes:
-            got = describe_box(img, Box(*box), HogConfig())
+            got = _describe_boxes(img, box[None], HogConfig())[0]
             assert got.shape == (HogConfig().dimension,) and np.all(np.isfinite(got))
 
 
@@ -505,5 +512,5 @@ def test_featurize_dataset_reports_a_record_with_a_bad_box_whole():
     message = "box [20.0, 10.0, 30.0, 16.0] lies outside the 23x17 image"
     assert failures == [f"outside: {message}", f"mixed: {message}"]
     assert out.records[0].num_candidates == 0
-    assert out.records[1] is records[1] and out.records[2] is records[2]
-    assert all(c.features is None for c in out.records[2].candidates)
+    assert out.records[1].candidates.features is None and out.records[2].candidates.features is None
+    assert [r.iou_labels() for r in out.records] == [r.iou_labels() for r in records]

@@ -10,7 +10,6 @@ from proprank import (
     DataError,
     Dataset,
     EvalConfig,
-    best_overlap,
     dataset_digest,
     detection_rate,
     evaluate,
@@ -61,16 +60,16 @@ def test_eval_config_validation():
 
 
 def test_best_overlap_respects_budget_and_ranking():
-    ds = two_image_dataset()
-    rec = ds.records[0]
-    cat = rec.groundtruth[0]
-    assert best_overlap(cat, rec, [0, 1, 2], 1) == 1.0
-    assert best_overlap(cat, rec, [2, 1, 0], 1) == 0.0
-    assert best_overlap(cat, rec, [2, 1, 0], 3) == 1.0
-    with pytest.raises(DataError):
-        best_overlap(cat, rec, [0, 1, 2], 0)
+    # With one object, MABO is that object's best overlap.
+    boxes = [[0, 0, 10, 10], [50, 50, 60, 60], [80, 80, 90, 90]]
+    ds = Dataset((make_record("one", gts=[("cat", [0, 0, 10, 10])], cand_boxes=boxes),))
+    assert mabo(ds, {"one": [0, 1, 2]}, 1)[1] == 1.0
+    assert mabo(ds, {"one": [2, 1, 0]}, 1)[1] == 0.0
+    assert mabo(ds, {"one": [2, 1, 0]}, 3)[1] == 1.0
+    with pytest.raises(DataError, match="budget must be at least 1, got 0"):
+        mabo(ds, {"one": [0, 1, 2]}, 0)
     with pytest.raises(DataError, match="permutation"):
-        best_overlap(cat, rec, [0, 0, 1], 3)
+        mabo(ds, {"one": [0, 0, 1]}, 3)
 
 
 def test_detection_rate_hand_example():
