@@ -103,6 +103,11 @@ def _parse_list(text: str, what: str, kind: type = float, pair: str = "") -> tup
     return values
 
 
+def _joined(values: tuple) -> str:
+    """A tuple default as the comma-separated text that _parse_list reads back."""
+    return ",".join(map(str, values))
+
+
 def _write_tables(base: Path | None, tables: dict[str, str]) -> list[Path]:
     """Print the text table; given a base path, also write each table to base + its suffix."""
     sys.stdout.write(tables[".txt"])
@@ -354,22 +359,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("input", type=Path)
     p.add_argument("output", type=Path)
     p.add_argument("--images", type=Path, required=True, help="directory of <image_id>.pgm files")
-    p.add_argument("--resize-w", type=int, default=50)
-    p.add_argument("--resize-h", type=int, default=60)
-    p.add_argument("--cell-size", type=int, default=8)
-    p.add_argument("--bins", type=int, default=9)
-    p.add_argument("--block-size", type=int, default=2)
-    p.add_argument("--block-stride", type=int, default=1)
-    p.add_argument("--clip", type=float, default=0.2)
+    p.add_argument("--resize-w", type=int, default=HogConfig.resize_w)
+    p.add_argument("--resize-h", type=int, default=HogConfig.resize_h)
+    p.add_argument("--cell-size", type=int, default=HogConfig.cell_size)
+    p.add_argument("--bins", type=int, default=HogConfig.orientation_bins)
+    p.add_argument("--block-size", type=int, default=HogConfig.block_size)
+    p.add_argument("--block-stride", type=int, default=HogConfig.block_stride)
+    p.add_argument("--clip", type=float, default=HogConfig.clip_value)
     p.set_defaults(func=cmd_featurize)
 
     p = sub.add_parser("train", help="train a ranking model on a labeled, featurized dataset")
     p.add_argument("input", type=Path)
     p.add_argument("output", type=Path)
-    p.add_argument("--k", type=int, default=20, help="positives per image")
-    p.add_argument("--C", type=float, default=1.0, help="slack penalty (1e6 for hard margin)")
-    p.add_argument("--epochs", type=int, default=200)
-    p.add_argument("--convergence-tol", type=float, default=1e-6)
+    p.add_argument("--k", type=int, default=TrainingConfig.k, help="positives per image")
+    p.add_argument("--C", type=float, default=TrainingConfig.C, help="slack penalty (1e6 for hard margin)")
+    p.add_argument("--epochs", type=int, default=TrainingConfig.epochs)
+    p.add_argument("--convergence-tol", type=float, default=TrainingConfig.convergence_tol)
     p.add_argument("--per-constraint-slack", action="store_true",
                    help="sum a hinge per constraint instead of one slack per image")
     p.add_argument("--constraints", choices=("partial", "full"), default="partial",
@@ -386,8 +391,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("dataset", type=Path, help="dataset in its original candidate order")
     p.add_argument("reranked", type=Path, help="the same dataset, reordered (e.g. by rerank)")
     p.add_argument("--output", type=Path, default=None, help="base path for .txt/.csv/.json report files")
-    p.add_argument("--thresholds", default="0.5,0.7,0.9")
-    p.add_argument("--budgets", default="1,10,50,100,200,500,800,1000")
+    p.add_argument("--thresholds", default=_joined(EvalConfig.iou_thresholds))
+    p.add_argument("--budgets", default=_joined(EvalConfig.proposal_budgets))
     p.add_argument("--non-strict", action="store_true", help="count overlap >= threshold as covered")
     p.add_argument("--label-a", default="source-order")
     p.add_argument("--label-b", default="reranked")
@@ -395,15 +400,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth", help="generate a deterministic synthetic dataset")
     p.add_argument("output", type=Path)
-    p.add_argument("--mode", choices=("feature_only", "geometric"), default="feature_only")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--num-images", type=int, default=100)
-    p.add_argument("--candidates", type=int, default=100)
-    p.add_argument("--feature-dim", type=int, default=16)
-    p.add_argument("--noise-sigma", type=float, default=0.0)
-    p.add_argument("--image-size", default="640,480")
-    p.add_argument("--objects", default="1,3")
-    p.add_argument("--classes", type=int, default=3)
+    p.add_argument("--mode", choices=("feature_only", "geometric"), default=SynthConfig.mode)
+    p.add_argument("--seed", type=int, default=SynthConfig.seed)
+    p.add_argument("--num-images", type=int, default=SynthConfig.num_images)
+    p.add_argument("--candidates", type=int, default=SynthConfig.candidates_per_image)
+    p.add_argument("--feature-dim", type=int, default=SynthConfig.feature_dim)
+    p.add_argument("--noise-sigma", type=float, default=SynthConfig.noise_sigma)
+    p.add_argument("--image-size", default=_joined(SynthConfig.image_size))
+    p.add_argument("--objects", default=_joined(SynthConfig.objects_per_image))
+    p.add_argument("--classes", type=int, default=SynthConfig.classes)
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("report", help="re-render a saved eval report")

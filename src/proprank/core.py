@@ -14,7 +14,7 @@ import math
 import numbers
 import os
 from collections.abc import Sequence
-from dataclasses import dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields, replace
 from itertools import repeat
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, TypeVar
@@ -61,6 +61,23 @@ def check_field_types(obj) -> None:
             object.__setattr__(obj, f.name, tuple(map(int, value)))
 
 
+class Config:
+    """Base of the frozen settings dataclasses, which owns their JSON form;
+    key names the config as the files that carry it do."""
+
+    key = "config"
+
+    def to_dict(self) -> dict:
+        return asdict(self)
+
+    @classmethod
+    def from_dict(cls, obj):
+        """The config in a decoded JSON object; unknown keys are dropped, missing ones keep their defaults."""
+        if not isinstance(obj, dict):
+            raise DataError(f"{cls.key} must be a JSON object, got {obj!r}")
+        return cls(**{f.name: obj[f.name] for f in fields(cls) if f.name in obj})
+
+
 def _real(value) -> float:
     """value as a float if it is a real number (never parsed from a string), else a TypeError."""
     if type(value) is float or isinstance(value, numbers.Real):  # the ABC check alone costs about 1 us
@@ -78,10 +95,12 @@ def _as_int(value, what: str) -> int:
 
 
 def _as_float(value, what: str) -> float:
-    """value as a float: any real number, never a bool."""
-    if isinstance(value, numbers.Real) and not isinstance(value, bool):
-        return float(value)
-    raise DataError(f"{what} must be a real number, got {value!r}")
+    """value as a finite float: any real number, never a bool."""
+    if not isinstance(value, numbers.Real) or isinstance(value, bool):
+        raise DataError(f"{what} must be a real number, got {value!r}")
+    if not math.isfinite(value):
+        raise DataError(f"{what} must be finite, got {value!r}")
+    return float(value)
 
 
 def decode_json(raw: bytes | str, build: Callable[[object], T], where: str, what: str = "") -> T:

@@ -20,12 +20,12 @@ patch that already has the configured size.
 from __future__ import annotations
 
 import functools
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .core import DataError, Dataset, ImageRecord, check_field_types, replace_column
+from .core import Config, DataError, Dataset, ImageRecord, check_field_types, replace_column
 
 _EPS = 1e-10
 
@@ -51,9 +51,11 @@ class GrayImage:
 
 
 @dataclass(frozen=True)
-class HogConfig:
+class HogConfig(Config):
     """Descriptor geometry. Default patch is 50 wide by 60 high with 8x8 cells,
     giving a 6x7 cell grid, 5x6 overlapping 2x2 blocks, and 1080 dimensions."""
+
+    key = "hog_config"
 
     resize_w: int = 50
     resize_h: int = 60
@@ -98,15 +100,6 @@ class HogConfig:
     @property
     def dimension(self) -> int:
         return self.blocks_x * self.blocks_y * self.block_size * self.block_size * self.orientation_bins
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, obj: dict) -> "HogConfig":
-        if not isinstance(obj, dict):
-            raise DataError(f"hog_config must be a JSON object, got {obj!r}")
-        return cls(**{f: obj[f] for f in cls.__dataclass_fields__ if f in obj})
 
 
 # Boxes per _hog_stack call. A chunk's temporaries are a few (16, resize_h,
@@ -287,11 +280,11 @@ def featurize_dataset(dataset: Dataset, images, config: HogConfig) -> tuple[Data
     """Attach a descriptor made with config to every candidate of every record.
 
     images is anything with a get(image_id) -> GrayImage | None method (a
-    plain dict works, as does PgmDirectory). A record whose image is missing
-    or unreadable, or has a box outside its image, loses any features it had
-    and is reported in the returned failure list; processing continues with
-    the remaining records. So every features column of the result was made
-    with config.
+    plain dict works, as does PgmDirectory). A record whose image is missing,
+    unreadable or not of the record's size loses any features it had and is
+    reported in the returned failure list; processing continues with the
+    remaining records. So every features column of the result was made with
+    config, from the region of the image its boxes name.
     """
     failures: list[str] = []
     out_records: list[ImageRecord] = []
@@ -300,6 +293,8 @@ def featurize_dataset(dataset: Dataset, images, config: HogConfig) -> tuple[Data
             image = images.get(rec.image_id)
             if image is None:
                 raise DataError("image not found")
+            if (image.width, image.height) != (rec.width, rec.height):
+                raise DataError(f"image is {image.width}x{image.height}, the record says {rec.width}x{rec.height}")
             feats = _describe_boxes(image, rec.candidates.boxes, config)
             out_records.append(replace_column(rec, "features", feats))
         except (DataError, OSError) as exc:
@@ -352,7 +347,10 @@ def read_pgm(path: str | Path) -> GrayImage:
     raster = data[pos:pos + width * height]
     if len(raster) < width * height:
         raise DataError(f"{path}: raster is truncated")
-    values = np.frombuffer(raster, dtype=np.uint8).astype(np.float64) / maxval
+    samples = np.frombuffer(raster, dtype=np.uint8)
+    if maxval < 255 and samples.max() > maxval:  # no uint8 sample exceeds 255
+        raise DataError(f"{path}: sample {samples.max()} exceeds maxval {maxval}")
+    values = samples.astype(np.float64) / maxval
     return GrayImage(width, height, values.reshape(height, width))
 
 

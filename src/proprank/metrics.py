@@ -14,17 +14,14 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .core import DataError, Dataset, GroundTruthObject, ImageRecord, box_array, dataset_digest, iou_matrix
+from .core import Config, DataError, Dataset, GroundTruthObject, ImageRecord, box_array, dataset_digest, iou_matrix
 from .core import _as_float, _as_int
-
-DEFAULT_THRESHOLDS = (0.5, 0.7, 0.9)
-DEFAULT_BUDGETS = (1, 10, 50, 100, 200, 500, 800, 1000)
 
 
 @dataclass(frozen=True)
-class EvalConfig:
-    iou_thresholds: tuple[float, ...] = DEFAULT_THRESHOLDS
-    proposal_budgets: tuple[int, ...] = DEFAULT_BUDGETS
+class EvalConfig(Config):
+    iou_thresholds: tuple[float, ...] = (0.5, 0.7, 0.9)
+    proposal_budgets: tuple[int, ...] = (1, 10, 50, 100, 200, 500, 800, 1000)
     strict: bool = True
 
     def __post_init__(self) -> None:
@@ -44,21 +41,6 @@ class EvalConfig:
             raise DataError("proposal budgets must be positive")
         if not isinstance(self.strict, bool):
             raise DataError(f"strict must be true or false, got {self.strict!r}")
-
-    def to_dict(self) -> dict:
-        return {
-            "iou_thresholds": list(self.iou_thresholds),
-            "proposal_budgets": list(self.proposal_budgets),
-            "strict": self.strict,
-        }
-
-    @classmethod
-    def from_dict(cls, obj: dict) -> "EvalConfig":
-        return cls(
-            tuple(obj.get("iou_thresholds", DEFAULT_THRESHOLDS)),
-            tuple(obj.get("proposal_budgets", DEFAULT_BUDGETS)),
-            obj.get("strict", True),
-        )
 
 
 def _check_ranking(record: ImageRecord, ranking: Sequence[int]) -> list[int]:
@@ -243,9 +225,14 @@ class ComparisonReport:
         return {"config": self.config.to_dict(), "sources": [self.a.to_dict(), self.b.to_dict()]}
 
 
+def _labels(reports: Sequence[EvalReport]) -> list[str]:
+    """Each source's label in both tables: its metadata's source, else ranking-<i>."""
+    return [str(r.metadata.get("source", f"ranking-{i}")) for i, r in enumerate(reports)]
+
+
 def render_text(reports: Sequence[EvalReport], config: EvalConfig) -> str:
     """Aligned tables: one detection-rate table per threshold, then MABO."""
-    labels = [str(r.metadata.get("source", f"ranking-{i}")) for i, r in enumerate(reports)]
+    labels = _labels(reports)
     name_w = max(len("source"), *(len(lb) for lb in labels))
     col_w = max(8, *(len(str(m)) for m in config.proposal_budgets))
     header = "source".ljust(name_w) + "".join(str(m).rjust(col_w) for m in config.proposal_budgets)
@@ -271,8 +258,7 @@ def render_text(reports: Sequence[EvalReport], config: EvalConfig) -> str:
 
 def render_csv(reports: Sequence[EvalReport], config: EvalConfig) -> str:
     lines = ["metric,delta,budget,source,value"]
-    for rep in reports:
-        label = str(rep.metadata.get("source", "ranking"))
+    for rep, label in zip(reports, _labels(reports)):
         for d in config.iou_thresholds:
             for m in config.proposal_budgets:
                 lines.append(f"dr,{d:g},{m},{label},{rep.dr[(d, m)]:.2f}")

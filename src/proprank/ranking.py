@@ -29,12 +29,12 @@ import datetime as _dt
 import json
 import logging
 import math
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
-from .core import (DataError, Dataset, ImageRecord, atomic_write_text, check_field_types, dataset_digest,
+from .core import (Config, DataError, Dataset, ImageRecord, atomic_write_text, check_field_types, dataset_digest,
                    decode_json, rank_by_label)
 from .core import _as_float, _as_int
 from .features import HogConfig
@@ -55,7 +55,7 @@ def negatives_cap(n: int, k: int) -> int:
 
 
 @dataclass(frozen=True)
-class TrainingConfig:
+class TrainingConfig(Config):
     """Solver settings.
 
     The step schedule is not a setting: step t (counted over every image
@@ -80,21 +80,6 @@ class TrainingConfig:
             raise DataError("epochs must be at least 1")
         if not 0.0 <= self.convergence_tol < math.inf:
             raise DataError(f"convergence_tol must be non-negative and finite, got {self.convergence_tol}")
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, obj: dict) -> "TrainingConfig":
-        """Config from a model file; unknown keys are dropped.
-
-        Older files may say "mode": "hard", which trained with C = hard_mode_C
-        (default 1e6); that C is what they report.
-        """
-        known = {f: obj[f] for f in cls.__dataclass_fields__ if f in obj}
-        if obj.get("mode") == "hard":
-            known["C"] = obj.get("hard_mode_C", 1e6)
-        return cls(**known)
 
 
 @dataclass(frozen=True)
@@ -511,7 +496,9 @@ def model_to_dict(model: TrainedModel) -> dict:
 def model_from_dict(obj: dict) -> TrainedModel:
     """A TrainedModel from a decoded model file; numbers take the dataset
     decoder's rules, and provenance and violation_report must be objects."""
-    hog_config = obj.get("hog_config")
+    config, hog_config = obj["config"], obj.get("hog_config")
+    if isinstance(config, dict) and config.get("mode") == "hard":  # an older file, trained with C = hard_mode_C
+        config = {**config, "C": config.get("hard_mode_C", 1e6)}
     provenance, report = obj.get("provenance", {}), obj.get("violation_report")
     for key, value in (("provenance", provenance), ("violation_report", {} if report is None else report)):
         if not isinstance(value, dict):
@@ -519,7 +506,7 @@ def model_from_dict(obj: dict) -> TrainedModel:
     return TrainedModel(
         weights=np.array([_as_float(v, "weights entry") for v in obj["weights"]], dtype=np.float64),
         feature_dim=_as_int(obj["feature_dim"], "feature_dim"),
-        training_config=TrainingConfig.from_dict(obj["config"]),
+        training_config=TrainingConfig.from_dict(config),
         final_objective=_as_float(obj["final_objective"], "final_objective"),
         hog_config=None if hog_config is None else HogConfig.from_dict(hog_config),
         provenance=provenance,

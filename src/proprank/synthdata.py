@@ -24,11 +24,11 @@ linear model can rank by IoU; it is not a claim about real descriptors.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Box, DataError, Dataset, GroundTruthObject, best_iou, check_field_types, record_from_columns
+from .core import Box, Config, DataError, Dataset, GroundTruthObject, best_iou, check_field_types, record_from_columns
 
 PLANTED_STREAM = 2**64 - 1
 GEOMETRIC_FEATURE_DIM = 12
@@ -47,7 +47,7 @@ def _rng(seed: int, stream: int) -> np.random.Generator:
 
 
 @dataclass(frozen=True)
-class SynthConfig:
+class SynthConfig(Config):
     seed: int = 0
     num_images: int = 100
     candidates_per_image: int = 100
@@ -78,9 +78,6 @@ class SynthConfig:
             raise DataError("objects_per_image must be an increasing range starting at 1 or more")
         if self.classes < 1:
             raise DataError("classes must be positive")
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 def generate_feature_dataset(config: SynthConfig) -> tuple[Dataset, np.ndarray]:

@@ -138,6 +138,13 @@ def test_missing_and_malformed_inputs_exit_2(tmp_path, capsys, caplog):
         ("weights", [0.5, True, 0, 0], "weights entry must be a real number, got True"),
         ("violation_report", 5, "violation_report must be a JSON object, got 5"),
         ("provenance", [["a", 1]], "provenance must be a JSON object, got [['a', 1]]"),
+        # A config that is not an object used to fail with a message about Python internals.
+        ("config", [1], "config must be a JSON object, got [1]"),
+        ("config", "k", "config must be a JSON object, got 'k'"),
+        ("config", 5, "config must be a JSON object, got 5"),
+        # Real numbers must be finite, as in dataset lines; these used to load.
+        ("final_objective", float("nan"), "final_objective must be finite, got nan"),
+        ("objective_history", [1.0, float("inf")], "objective_history entry must be finite, got inf"),
     ):
         model.write_text(json.dumps({**saved, key: value}), encoding="utf-8")
         assert main(["rerank", str(data), str(ranked), "--model", str(model)]) == 2
@@ -268,6 +275,18 @@ def test_eval_and_report_round_trip(tmp_path, capsys, caplog):
         bad.write_text(json.dumps({**saved, "sources": [source] + saved["sources"][1:]}))
         assert main(["report", str(bad), "--output", str(tmp_path / "bad")]) == 2
         assert caplog.messages[-1] == f"{bad}: invalid report file: {message}"
+    # A config that is not an object, and a saved value that is not finite,
+    # used to fail with a message about Python internals and to print NaN.
+    nan_dr = {**first, "dr": [{**first["dr"][0], "value": float("nan")}] + first["dr"][1:]}
+    for obj, message in (
+        ({**saved, "config": [1]}, "config must be a JSON object, got [1]"),
+        ({**saved, "sources": [nan_dr] + saved["sources"][1:]}, "value must be finite, got nan"),
+    ):
+        bad.write_text(json.dumps(obj))
+        capsys.readouterr()
+        assert main(["report", str(bad), "--output", str(tmp_path / "bad")]) == 2
+        assert caplog.messages[-1] == f"{bad}: invalid report file: {message}"
+        assert capsys.readouterr().out == ""
     for raw in (b'{"config": "\xff"}', b"[" * 100000, json.dumps({**saved, "sources": 5}).encode()):
         bad.write_bytes(raw)
         assert main(["report", str(bad), "--output", str(tmp_path / "bad")]) == 2
@@ -422,6 +441,30 @@ def test_featurize_drops_the_features_of_a_record_it_cannot_describe(tmp_path, c
     assert main(["train", str(second), str(model), "--k", "3"]) == 2
     assert caplog.messages[-1] == f"{ids[0]}: candidate 0 has no features"
     assert not model.exists() and not (tmp_path / "model.json.manifest.json").exists()
+
+
+def test_featurize_refuses_an_image_whose_size_is_not_the_records(tmp_path, capsys, caplog):
+    # The boxes are in the record's coordinates, so an image of another size
+    # would be described from the wrong region; it used to pass unreported.
+    images = tmp_path / "imgs"
+    images.mkdir()
+    data, feat = tmp_path / "geo.jsonl", tmp_path / "feat.jsonl"
+    assert run(capsys, "synth", data, "--mode", "geometric", "--num-images", 2, "--candidates", 12,
+               "--image-size", "64,48")[0] == 0
+    ids = [rec.image_id for rec in read_dataset(data).records]
+    make_pgm(images / f"{ids[0]}.pgm", 64, 48, seed=0)
+    make_pgm(images / f"{ids[1]}.pgm", 128, 96, seed=1)
+    caplog.clear()
+    assert run(capsys, "featurize", data, feat, "--images", images, "--resize-w", 32, "--resize-h", 16)[0] == 0
+    warnings = [m for m in caplog.messages if m.startswith("featurize: ")]
+    assert warnings == [f"featurize: {ids[1]}: image is 128x96, the record says 64x48"]
+    records = read_dataset(feat).records
+    assert records[0].candidates.features is not None and records[1].candidates.features is None
+
+    model = tmp_path / "model.json"
+    assert main(["train", str(feat), str(model), "--k", "3"]) == 2
+    assert caplog.messages[-1] == f"{ids[1]}: candidate 0 has no features"
+    assert not model.exists()
 
 
 def test_manifest_records_input_digests(tmp_path, capsys):

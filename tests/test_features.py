@@ -291,6 +291,13 @@ def test_pgm_rejects_bad_files(tmp_path):
         header.write_bytes(b"P5\n" + size + b"\n255\n" + bytes(24))
         with pytest.raises(DataError, match=re.escape(f"header.pgm: invalid PGM header token {token!r}")):
             read_pgm(header)
+    # A sample above maxval used to be clipped to white without a word.
+    bright = tmp_path / "bright.pgm"
+    bright.write_bytes(b"P5\n2 2\n100\n" + bytes([0, 50, 200, 255]))
+    with pytest.raises(DataError, match="^" + re.escape(f"{bright}: sample 255 exceeds maxval 100") + "$"):
+        read_pgm(bright)
+    bright.write_bytes(b"P5\n2 2\n100\n" + bytes([0, 50, 100, 100]))
+    assert read_pgm(bright).pixels.tolist() == [[0.0, 0.5], [1.0, 1.0]]
 
 
 def test_pgm_directory_lookup(tmp_path):
@@ -501,16 +508,18 @@ def test_featurize_dataset_reports_a_record_with_a_bad_box_whole():
     img = scene()
     good = [b.as_list() for b in scene_boxes()]
     bad = [20.0, 10.0, 30.0, 16.0]
-    # The records claim a larger image than the 23x17 one the source returns.
+    # The bad box sits in the second chunk, after a first chunk of good boxes.
+    with pytest.raises(DataError, match=r"^box \[20.0, 10.0, 30.0, 16.0\] lies outside the 23x17 image$"):
+        _describe_boxes(img, np.array(good + [bad]), HogConfig())
+    # The records claim a larger image than the 23x17 one the source returns,
+    # so each is a failure before any box is read, even one without boxes.
     records = (
         make_record("empty", labels=[], cand_boxes=[], size=(40, 20)),
         make_record("outside", labels=[0.1], cand_boxes=[bad], size=(40, 20)),
-        # The bad box sits in the second chunk, after a first chunk of good boxes.
         make_record("mixed", labels=[0.1] * (len(good) + 1), cand_boxes=good + [bad], size=(40, 20)),
     )
     out, failures = featurize_dataset(Dataset(records), {r.image_id: img for r in records}, HogConfig())
-    message = "box [20.0, 10.0, 30.0, 16.0] lies outside the 23x17 image"
-    assert failures == [f"outside: {message}", f"mixed: {message}"]
+    assert failures == [f"{r.image_id}: image is 23x17, the record says 40x20" for r in records]
     assert out.records[0].num_candidates == 0
-    assert out.records[1].candidates.features is None and out.records[2].candidates.features is None
+    assert all(r.candidates.features is None for r in out.records)
     assert [r.iou_labels() for r in out.records] == [r.iou_labels() for r in records]

@@ -259,6 +259,17 @@ def test_report_round_trip_and_renderings():
     assert render_csv((rebuilt, comp.b), cfg) == csv
 
 
+def test_both_tables_label_a_source_without_one_alike():
+    ds = two_image_dataset()
+    cfg = EvalConfig((0.5,), (1, 2))
+    reports = [evaluate(ds, identity_rankings(ds), cfg) for _ in range(2)]
+    unlabeled = [EvalReport(r.dr, r.abo, r.mabo, r.counts) for r in reports]
+    text_labels = [line.split()[0] for line in render_text(unlabeled, cfg).splitlines() if line.startswith("ranking")]
+    csv_labels = [line.split(",")[3] for line in render_csv(unlabeled, cfg).splitlines()[1:]]
+    assert text_labels == ["ranking-0", "ranking-1"] * 2
+    assert csv_labels == ["ranking-0"] * 4 + ["ranking-1"] * 4
+
+
 def test_render_text_column_alignment():
     ds = two_image_dataset()
     cfg = EvalConfig((0.5,), (1, 1000))
