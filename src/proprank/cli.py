@@ -8,9 +8,9 @@ validates its inputs and computes results before writing anything.
 main() owns the run protocol: it starts the clock, runs the command, writes
 the manifest and maps errors to exit codes. A command only computes, writes
 its outputs and returns the inputs it read, each with the sha256 of the bytes
-its reader parsed when it has one, and the paths it wrote. Every successful
-run that writes files leaves a <output>.manifest.json beside its primary
-output, the first path it returns.
+its reader parsed, and the paths it wrote. Every successful run that writes
+files leaves a <output>.manifest.json beside its primary output, the first
+path it returns.
 """
 
 from __future__ import annotations
@@ -31,17 +31,19 @@ from .core import (
     Dataset,
     ImageRecord,
     atomic_write_text,
-    decode_json,
+    json_field,
+    json_value,
     label_dataset,
     read_dataset,
+    read_json,
     write_dataset,
 )
 from .features import HogConfig, PgmDirectory, featurize_dataset
-from .metrics import EvalConfig, EvalReport, identity_rankings, render_csv, render_text, report
+from .metrics import EvalConfig, identity_rankings, render_csv, render_text, report, report_from_dict
 from .ranking import (
     NumericError,
     TrainingConfig,
-    load_model,
+    model_from_dict,
     rerank,
     save_model,
     train_full_rank_baseline,
@@ -61,15 +63,6 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _sha256_file(path: Path) -> str:
-    """SHA-256 of a file, read in 1 MiB chunks."""
-    digest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        while chunk := fh.read(1 << 20):
-            digest.update(chunk)
-    return digest.hexdigest()
-
-
 def _beside(path: Path, suffix: str) -> Path:
     """The sibling file named path + suffix: sidecars, manifests and report tables."""
     return path.with_name(path.name + suffix)
@@ -83,7 +76,7 @@ def _write_manifest(args: argparse.Namespace, inputs: Inputs, outputs: list[Path
         "config_digest": hashlib.sha256(
             json.dumps(resolved, sort_keys=True, default=str).encode("utf-8")
         ).hexdigest(),
-        "inputs": {str(p): digest or _sha256_file(p) for p, digest in inputs.items()},
+        "inputs": {str(p): digest for p, digest in inputs.items()},
         "outputs": [str(p) for p in outputs],
         "wall_time_s": round(time.monotonic() - started, 3),
         "version": __version__,
@@ -123,9 +116,8 @@ def _write_tables(base: Path | None, tables: dict[str, str]) -> list[Path]:
 # Commands
 
 
-# Each input path with the SHA-256 of the bytes its reader parsed, or None
-# for the manifest to hash the file; then the paths written.
-Inputs = dict[Path, str | None]
+# Each input path with the SHA-256 of the bytes its reader parsed; then the paths written.
+Inputs = dict[Path, str]
 Paths = tuple[Inputs, list[Path]]
 
 
@@ -171,23 +163,21 @@ def cmd_featurize(args: argparse.Namespace) -> Paths:
     return {args.input: dataset.source_sha256}, [args.output, meta_path]
 
 
-def _hog_config_of_sidecar(meta) -> HogConfig | None:
-    if not isinstance(meta, dict):
-        raise DataError("not a JSON object")
-    # A synth sidecar has no hog_config: the dataset has no HOG features.
-    return HogConfig.from_dict(meta["hog_config"]) if "hog_config" in meta else None
-
-
 def _sidecar_hog_config(dataset_path: Path) -> tuple[HogConfig | None, Inputs]:
     """The HOG geometry in the dataset's <input>.meta.json, and the sidecar
     with the sha256 of the bytes decoded as an input; None and no input
-    when there is no sidecar."""
+    when there is no sidecar. A synth sidecar has no hog_config: its
+    dataset has no HOG features."""
     meta_path = _beside(dataset_path, ".meta.json")
     if not meta_path.is_file():
         return None, {}
-    raw = meta_path.read_bytes()
-    hog_config = decode_json(raw, _hog_config_of_sidecar, str(meta_path), "sidecar")
-    return hog_config, {meta_path: hashlib.sha256(raw).hexdigest()}
+
+    def hog_config_of(meta) -> HogConfig | None:
+        hog_config = json_field(json_value(meta, dict, "sidecar"), "hog_config", default=None)
+        return None if hog_config is None else HogConfig.from_dict(hog_config)
+
+    hog_config, sha256 = read_json(meta_path, hog_config_of, "sidecar")
+    return hog_config, {meta_path: sha256}
 
 
 def cmd_train(args: argparse.Namespace) -> Paths:
@@ -224,7 +214,7 @@ def _reordered(rec: ImageRecord, order: list[int]) -> ImageRecord:
 
 def cmd_rerank(args: argparse.Namespace) -> Paths:
     dataset = read_dataset(args.input)
-    model = load_model(args.model)
+    model, model_sha256 = read_json(args.model, model_from_dict, "model")
     sidecar: Inputs = {}
     if model.hog_config is not None:
         hog_config, sidecar = _sidecar_hog_config(args.input)
@@ -236,7 +226,7 @@ def cmd_rerank(args: argparse.Namespace) -> Paths:
     out_records = [_reordered(rec, rerank(model, rec)) for rec in dataset.records]
     write_dataset(Dataset(tuple(out_records), dataset.feature_dim), args.output)
     logger.info("reranked %d records -> %s", len(out_records), args.output)
-    return {args.input: dataset.source_sha256, args.model: None, **sidecar}, [args.output]
+    return {args.input: dataset.source_sha256, args.model: model_sha256, **sidecar}, [args.output]
 
 
 def _recover_rankings(base: Dataset, other: Dataset) -> dict[str, list[int]]:
@@ -318,27 +308,10 @@ def cmd_synth(args: argparse.Namespace) -> Paths:
     return {}, [args.output, meta_path]
 
 
-def _saved_report(obj) -> tuple[EvalConfig, list[EvalReport]]:
-    config = EvalConfig.from_dict(obj["config"])
-    reports = [EvalReport.from_dict(entry) for entry in obj["sources"]]
-    for i, rep in enumerate(reports):
-        missing = [
-            f"DR at IoU {d:g}, budget {m}"
-            for d in config.iou_thresholds
-            for m in config.proposal_budgets
-            if (d, m) not in rep.dr
-        ]
-        missing += [f"MABO at budget {m}" for m in config.proposal_budgets if m not in rep.mabo]
-        if missing:
-            raise DataError(f"source {i} has no {missing[0]}, which its config lists")
-    return config, reports
-
-
 def cmd_report(args: argparse.Namespace) -> Paths:
-    raw = args.input.read_bytes()
-    config, reports = decode_json(raw, _saved_report, str(args.input), "report")
+    (config, reports), sha256 = read_json(args.input, report_from_dict, "report")
     tables = {".txt": render_text(reports, config), ".csv": render_csv(reports, config)}
-    return {args.input: hashlib.sha256(raw).hexdigest()}, _write_tables(args.output, tables)
+    return {args.input: sha256}, _write_tables(args.output, tables)
 
 
 # ---------------------------------------------------------------------------

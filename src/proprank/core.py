@@ -73,8 +73,7 @@ class Config:
     @classmethod
     def from_dict(cls, obj):
         """The config in a decoded JSON object; unknown keys are dropped, missing ones keep their defaults."""
-        if not isinstance(obj, dict):
-            raise DataError(f"{cls.key} must be a JSON object, got {obj!r}")
+        json_value(obj, dict, cls.key)
         return cls(**{f.name: obj[f.name] for f in fields(cls) if f.name in obj})
 
 
@@ -101,6 +100,38 @@ def _as_float(value, what: str) -> float:
     if not math.isfinite(value):
         raise DataError(f"{what} must be finite, got {value!r}")
     return float(value)
+
+
+# The JSON kinds a field can be asked to have, by the Python type the decoder
+# gives them; a tuple, built in code, passes as a list.
+_JSON_KINDS = {dict: (dict, "a JSON object"), list: ((list, tuple), "a list"), str: (str, "a string")}
+_REQUIRED = object()
+
+
+def json_value(value, kind: type, what: str):
+    """value if it is of kind (dict, list or str), else a DataError naming what."""
+    types, name = _JSON_KINDS[kind]
+    if not isinstance(value, types):
+        raise DataError(f"{what} must be {name}, got {value!r}")
+    return value
+
+
+def json_field(obj: dict, key: str, kind: type | None = None, default=_REQUIRED):
+    """obj[key], checked by json_value when kind is given. A field without a
+    default must be present; with one, an absent or null field takes it."""
+    value = obj.get(key)
+    if value is None and default is not _REQUIRED:
+        return default
+    if key not in obj:
+        raise DataError(f"missing required field {key!r}")
+    return value if kind is None else json_value(value, kind, key)
+
+
+def read_json(path: str | Path, build: Callable[[object], T], what: str) -> tuple[T, str]:
+    """build() of the JSON file at path, as decode_json gives it, and the
+    SHA-256 of the bytes it decoded; the file is read once."""
+    raw = Path(path).read_bytes()
+    return decode_json(raw, build, str(path), what), hashlib.sha256(raw).hexdigest()
 
 
 def decode_json(raw: bytes | str, build: Callable[[object], T], where: str, what: str = "") -> T:
@@ -178,9 +209,7 @@ class GroundTruthObject:
     box: Box
 
     def __post_init__(self) -> None:
-        if not isinstance(self.class_label, str):
-            raise DataError(f"class must be a string, got {self.class_label!r}")
-        if not self.class_label:
+        if not json_value(self.class_label, str, "class"):
             raise DataError("class label must be non-empty")
 
 
@@ -546,19 +575,8 @@ def _box_from_list(value) -> Box:
 
 
 def _groundtruth_from_dict(entry) -> GroundTruthObject:
-    if not isinstance(entry, dict) or "class" not in entry or "box" not in entry:
-        raise DataError("needs 'class' and 'box' fields")
-    return GroundTruthObject(entry["class"], _box_from_list(entry["box"]))
-
-
-def _list_field(obj: dict, key: str) -> list:
-    """A record's list field; [] when it is absent or null."""
-    value = obj.get(key)
-    if value is None:
-        return []
-    if not isinstance(value, list):
-        raise DataError(f"{obj['image_id']}: {key} must be a list, got {value!r}")
-    return value
+    json_value(entry, dict, "entry")
+    return GroundTruthObject(json_field(entry, "class"), _box_from_list(json_field(entry, "box")))
 
 
 def _each(image_id: str, kind: str, entries: Iterable, build: Callable[[object], T]) -> tuple[T, ...]:
@@ -580,18 +598,14 @@ def record_from_dict(obj: dict) -> ImageRecord:
     as a marker in the box column. Errors of the types are prefixed with the
     image and the entry they came from.
     """
-    if not isinstance(obj, dict):
-        raise DataError("record is not a JSON object")
-    for key in ("image_id", "width", "height"):
-        if key not in obj:
-            raise DataError(f"record is missing required field {key!r}")
-    image_id = obj["image_id"]
-    if not isinstance(image_id, str):
-        raise DataError(f"image_id must be a string, got {image_id!r}")
-    width = _as_int(obj["width"], f"{image_id}: width")
-    height = _as_int(obj["height"], f"{image_id}: height")
-    groundtruth = _each(image_id, "groundtruth", _list_field(obj, "groundtruth"), _groundtruth_from_dict)
-    entries = [entry if isinstance(entry, dict) else {} for entry in _list_field(obj, "candidates")]
+    image_id = json_field(json_value(obj, dict, "record"), "image_id", str)
+    try:
+        width, height = (_as_int(json_field(obj, key), key) for key in ("width", "height"))
+        gt_entries, entries = (json_field(obj, key, list, ()) for key in ("groundtruth", "candidates"))
+    except DataError as exc:
+        raise DataError(f"{image_id}: {exc}") from exc
+    groundtruth = _each(image_id, "groundtruth", gt_entries, _groundtruth_from_dict)
+    entries = [entry if isinstance(entry, dict) else {} for entry in entries]
     boxes = [entry.get("box", _NO_BOX) for entry in entries]
     columns = (_column([entry.get(key) for entry in entries]) for key in ("iou_label", "features", "source_index"))
     return record_from_columns(image_id, width, height, groundtruth, boxes, *columns)

@@ -355,10 +355,12 @@ def read_pgm(path: str | Path) -> GrayImage:
 
 
 class PgmDirectory:
-    """Image source backed by a directory of <image_id>.pgm files."""
+    """Image source backed by a directory of <image_id>.pgm files, which must exist."""
 
     def __init__(self, directory: str | Path):
         self.directory = Path(directory)
+        if not self.directory.is_dir():
+            raise DataError(f"{self.directory}: not a directory")
 
     def get(self, image_id: str) -> GrayImage | None:
         path = self.directory / f"{image_id}.pgm"

@@ -14,7 +14,8 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .core import Config, DataError, Dataset, GroundTruthObject, ImageRecord, box_array, dataset_digest, iou_matrix
+from .core import (Config, DataError, Dataset, GroundTruthObject, ImageRecord, box_array, dataset_digest, iou_matrix,
+                   json_field, json_value)
 from .core import _as_float, _as_int
 
 
@@ -25,15 +26,16 @@ class EvalConfig(Config):
     strict: bool = True
 
     def __post_init__(self) -> None:
-        thresholds = tuple(_as_float(d, "IoU threshold") for d in self.iou_thresholds)
-        budgets = tuple(_as_int(m, "proposal budget") for m in self.proposal_budgets)
-        object.__setattr__(self, "iou_thresholds", thresholds)
-        object.__setattr__(self, "proposal_budgets", budgets)
+        thresholds, budgets = (json_value(getattr(self, k), list, k) for k in ("iou_thresholds", "proposal_budgets"))
+        object.__setattr__(self, "iou_thresholds", tuple(_as_float(d, "IoU threshold") for d in thresholds))
+        object.__setattr__(self, "proposal_budgets", tuple(_as_int(m, "proposal budget") for m in budgets))
         if not self.iou_thresholds or not self.proposal_budgets:
             raise DataError("thresholds and budgets must be non-empty")
         for d in self.iou_thresholds:
             if not 0.0 < d <= 1.0:
                 raise DataError(f"IoU threshold must lie in (0, 1], got {d}")
+        if len(set(self.iou_thresholds)) != len(self.iou_thresholds):
+            raise DataError("IoU thresholds must be distinct")
         for lo, hi in zip(self.proposal_budgets, self.proposal_budgets[1:]):
             if hi <= lo:
                 raise DataError("proposal budgets must be strictly increasing")
@@ -156,27 +158,24 @@ class EvalReport:
         }
 
     @classmethod
-    def from_dict(cls, obj: dict) -> "EvalReport":
+    def from_dict(cls, obj) -> "EvalReport":
+        json_value(obj, dict, "sources entry")
+
+        def entries(key: str) -> list[dict]:
+            return [json_value(e, dict, f"{key} entry") for e in json_field(obj, key, list, ())]
+
         def budget(e) -> int:
-            return _as_int(e["budget"], "budget")
+            return _as_int(json_field(e, "budget"), "budget")
 
         def value(e) -> float:
-            return _as_float(e["value"], "value")
+            return _as_float(json_field(e, "value"), "value")
 
-        def label(e) -> str:
-            if not isinstance(e["class"], str):
-                raise DataError(f"class must be a string, got {e['class']!r}")
-            return e["class"]
-
-        metadata = obj.get("metadata", {})
-        if not isinstance(metadata, dict):
-            raise DataError(f"metadata must be a JSON object, got {metadata!r}")
         return cls(
-            dr={(_as_float(e["delta"], "delta"), budget(e)): value(e) for e in obj.get("dr", [])},
-            abo={(label(e), budget(e)): value(e) for e in obj.get("abo", [])},
-            mabo={budget(e): value(e) for e in obj.get("mabo", [])},
-            counts={str(k): _as_int(v, f"count of {k}") for k, v in obj.get("counts", {}).items()},
-            metadata=dict(metadata),
+            dr={(_as_float(json_field(e, "delta"), "delta"), budget(e)): value(e) for e in entries("dr")},
+            abo={(json_field(e, "class", str), budget(e)): value(e) for e in entries("abo")},
+            mabo={budget(e): value(e) for e in entries("mabo")},
+            counts={k: _as_int(v, f"count of {k}") for k, v in json_field(obj, "counts", dict, {}).items()},
+            metadata=dict(json_field(obj, "metadata", dict, {})),
         )
 
 
@@ -223,6 +222,20 @@ class ComparisonReport:
 
     def to_dict(self) -> dict:
         return {"config": self.config.to_dict(), "sources": [self.a.to_dict(), self.b.to_dict()]}
+
+
+def report_from_dict(obj) -> tuple[EvalConfig, list[EvalReport]]:
+    """The config and sources of a saved report, as ComparisonReport.to_dict
+    writes it; each source must hold every value its config lists."""
+    config = EvalConfig.from_dict(json_field(json_value(obj, dict, "report"), "config"))
+    reports = [EvalReport.from_dict(entry) for entry in json_field(obj, "sources", list)]
+    for i, rep in enumerate(reports):
+        missing = [f"DR at IoU {d:g}, budget {m}" for d in config.iou_thresholds
+                   for m in config.proposal_budgets if (d, m) not in rep.dr]
+        missing += [f"MABO at budget {m}" for m in config.proposal_budgets if m not in rep.mabo]
+        if missing:
+            raise DataError(f"source {i} has no {missing[0]}, which its config lists")
+    return config, reports
 
 
 def _labels(reports: Sequence[EvalReport]) -> list[str]:

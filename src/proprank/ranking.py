@@ -35,7 +35,7 @@ from pathlib import Path
 import numpy as np
 
 from .core import (Config, DataError, Dataset, ImageRecord, atomic_write_text, check_field_types, dataset_digest,
-                   decode_json, rank_by_label)
+                   json_field, json_value, rank_by_label, read_json)
 from .core import _as_float, _as_int
 from .features import HogConfig
 
@@ -493,25 +493,23 @@ def model_to_dict(model: TrainedModel) -> dict:
     return obj
 
 
-def model_from_dict(obj: dict) -> TrainedModel:
+def model_from_dict(obj) -> TrainedModel:
     """A TrainedModel from a decoded model file; numbers take the dataset
     decoder's rules, and provenance and violation_report must be objects."""
-    config, hog_config = obj["config"], obj.get("hog_config")
-    if isinstance(config, dict) and config.get("mode") == "hard":  # an older file, trained with C = hard_mode_C
+    config = json_field(json_value(obj, dict, "model"), "config", dict)
+    if config.get("mode") == "hard":  # an older file, trained with C = hard_mode_C
         config = {**config, "C": config.get("hard_mode_C", 1e6)}
-    provenance, report = obj.get("provenance", {}), obj.get("violation_report")
-    for key, value in (("provenance", provenance), ("violation_report", {} if report is None else report)):
-        if not isinstance(value, dict):
-            raise DataError(f"{key} must be a JSON object, got {value!r}")
+    hog_config = json_field(obj, "hog_config", default=None)
     return TrainedModel(
-        weights=np.array([_as_float(v, "weights entry") for v in obj["weights"]], dtype=np.float64),
-        feature_dim=_as_int(obj["feature_dim"], "feature_dim"),
+        weights=np.array([_as_float(v, "weights entry") for v in json_field(obj, "weights", list)], dtype=np.float64),
+        feature_dim=_as_int(json_field(obj, "feature_dim"), "feature_dim"),
         training_config=TrainingConfig.from_dict(config),
-        final_objective=_as_float(obj["final_objective"], "final_objective"),
+        final_objective=_as_float(json_field(obj, "final_objective"), "final_objective"),
         hog_config=None if hog_config is None else HogConfig.from_dict(hog_config),
-        provenance=provenance,
-        violation_report=report,
-        objective_history=tuple(_as_float(v, "objective_history entry") for v in obj.get("objective_history", ())),
+        provenance=json_field(obj, "provenance", dict, {}),
+        violation_report=json_field(obj, "violation_report", dict, None),
+        objective_history=tuple(_as_float(v, "objective_history entry")
+                                for v in json_field(obj, "objective_history", list, ())),
     )
 
 
@@ -520,4 +518,4 @@ def save_model(model: TrainedModel, path: str | Path) -> None:
 
 
 def load_model(path: str | Path) -> TrainedModel:
-    return decode_json(Path(path).read_bytes(), model_from_dict, str(path), "model")
+    return read_json(path, model_from_dict, "model")[0]

@@ -145,11 +145,26 @@ def test_missing_and_malformed_inputs_exit_2(tmp_path, capsys, caplog):
         # Real numbers must be finite, as in dataset lines; these used to load.
         ("final_objective", float("nan"), "final_objective must be finite, got nan"),
         ("objective_history", [1.0, float("inf")], "objective_history entry must be finite, got inf"),
+        # A list field that is not a list used to fail as "'int' object is not
+        # iterable", and a string was read one letter at a time.
+        ("weights", 5, "weights must be a list, got 5"),
+        ("weights", "abcd", "weights must be a list, got 'abcd'"),
     ):
         model.write_text(json.dumps({**saved, key: value}), encoding="utf-8")
         assert main(["rerank", str(data), str(ranked), "--model", str(model)]) == 2
         assert f"{model}: invalid model file: {message}" in caplog.messages[-1]
         assert not ranked.exists() and not (tmp_path / "ranked.jsonl.manifest.json").exists()
+    # A missing required field used to fail with the bare key as its message.
+    for key in ("config", "weights"):
+        model.write_text(json.dumps({k: v for k, v in saved.items() if k != key}), encoding="utf-8")
+        assert main(["rerank", str(data), str(ranked), "--model", str(model)]) == 2
+        assert caplog.messages[-1] == f"{model}: invalid model file: missing required field {key!r}"
+        assert not ranked.exists() and not (tmp_path / "ranked.jsonl.manifest.json").exists()
+    # An optional field that is null takes its default, as an absent one does;
+    # a null provenance used to be refused while the other two loaded.
+    model.write_text(json.dumps({**saved, "hog_config": None, "provenance": None, "violation_report": None}))
+    loaded = load_model(model)
+    assert (loaded.hog_config, loaded.provenance, loaded.violation_report) == (None, {}, None)
     model.write_bytes(b'{"weights": "\xff"}')
     assert main(["rerank", str(data), str(ranked), "--model", str(model)]) == 2
     assert f"{model}: not valid UTF-8" in caplog.messages[-1]
@@ -278,9 +293,17 @@ def test_eval_and_report_round_trip(tmp_path, capsys, caplog):
     # A config that is not an object, and a saved value that is not finite,
     # used to fail with a message about Python internals and to print NaN.
     nan_dr = {**first, "dr": [{**first["dr"][0], "value": float("nan")}] + first["dr"][1:]}
+    rest = saved["sources"][1:]
     for obj, message in (
         ({**saved, "config": [1]}, "config must be a JSON object, got [1]"),
-        ({**saved, "sources": [nan_dr] + saved["sources"][1:]}, "value must be finite, got nan"),
+        ({**saved, "sources": [nan_dr] + rest}, "value must be finite, got nan"),
+        # A field of the wrong kind or a missing one is refused by name; these
+        # used to fail with Python's own messages or the bare key.
+        ({**saved, "sources": 5}, "sources must be a list, got 5"),
+        ({"config": saved["config"]}, "missing required field 'sources'"),
+        ({**saved, "sources": [{**first, "dr": 5}] + rest}, "dr must be a list, got 5"),
+        ({**saved, "sources": [{**first, "counts": [1]}] + rest}, "counts must be a JSON object, got [1]"),
+        ({**saved, "config": {**saved["config"], "iou_thresholds": 0.5}}, "iou_thresholds must be a list, got 0.5"),
     ):
         bad.write_text(json.dumps(obj))
         capsys.readouterr()
@@ -465,6 +488,19 @@ def test_featurize_refuses_an_image_whose_size_is_not_the_records(tmp_path, caps
     assert main(["train", str(feat), str(model), "--k", "3"]) == 2
     assert caplog.messages[-1] == f"{ids[1]}: candidate 0 has no features"
     assert not model.exists()
+
+
+def test_featurize_refuses_an_image_directory_that_does_not_exist(tmp_path, capsys, caplog):
+    # A mistyped --images used to warn "image not found" once per record, exit
+    # 0 and write every record without its features.
+    data, feat = tmp_path / "geo.jsonl", tmp_path / "feat.jsonl"
+    assert run(capsys, "synth", data, "--mode", "geometric", "--num-images", 2, "--candidates", 12,
+               "--image-size", "32,32")[0] == 0
+    before = sorted(tmp_path.iterdir())
+    for images in (tmp_path / "no-such-dir", data):
+        assert main(["featurize", str(data), str(feat), "--images", str(images)]) == 2
+        assert caplog.messages[-1] == f"{images}: not a directory"
+    assert sorted(tmp_path.iterdir()) == before
 
 
 def test_manifest_records_input_digests(tmp_path, capsys):

@@ -1,12 +1,15 @@
 """Fuzzing of the JSON decoding boundary: malformed input is a DataError, never a crash.
 
 Each example takes a valid document, replaces one value at any depth with an
-arbitrary JSON value, and decodes the result. The replacements are biased
-towards numbers beyond float range and towards nesting deeper than the JSON
-parser allows, the two shapes that escaped as OverflowError and RecursionError.
+arbitrary JSON value or deletes it, and decodes the result. The replacements
+are biased towards numbers beyond float range and towards nesting deeper than
+the JSON parser allows, the two shapes that escaped as OverflowError and
+RecursionError, and towards values of the wrong JSON kind. Every message must
+name the fault in the decoder's words, never as a Python error.
 """
 
 import json
+import re
 import tempfile
 from dataclasses import replace
 from pathlib import Path
@@ -23,6 +26,7 @@ from proprank import (
     Candidate,
     DataError,
     Dataset,
+    EvalConfig,
     GrayImage,
     GroundTruthObject,
     HogConfig,
@@ -35,9 +39,11 @@ from proprank import (
     featurize_dataset,
     generate_feature_dataset,
     generate_geometric_dataset,
+    identity_rankings,
     iou_matrix,
     label_dataset,
     read_dataset,
+    report,
     rerank,
     save_model,
     write_dataset,
@@ -45,6 +51,7 @@ from proprank import (
 from proprank.cli import main
 from proprank.core import _as_int, box_array, decode_json, record_from_dict
 from proprank.features import _describe_boxes
+from proprank.metrics import report_from_dict
 from proprank.ranking import model_from_dict, model_to_dict, train_soft_margin
 
 RECORD = {
@@ -74,7 +81,23 @@ _beyond_float = st.integers(309, 2000).flatmap(
     lambda digits: st.sampled_from([f"1{'0' * digits}", f"-9{'9' * digits}", f"1e{digits}", f"-2.5e{digits}"])
 )
 _deep = st.integers(1, 3000).map(lambda depth: "[" * depth + "]" * depth)
-FRAGMENTS = st.one_of(_values, _beyond_float, _deep)
+# One value of each JSON kind, and lists and objects of the wrong shape.
+SHAPES = ("5", "2.5", '"x"', '"10"', "null", "true", "[]", "[1]", '["a"]', "{}", '{"a": 1}', "[[1]]")
+# A fragment, or None to delete the value from its object or list.
+FRAGMENTS = st.one_of(_values, _beyond_float, _deep, st.sampled_from(SHAPES), st.none())
+
+# What a message reads like when a decoder lets a Python error through.
+_INTERNALS = ("object is not", "has no attribute", "not subscriptable", "indices must be", "argument of type",
+              "unhashable")
+
+
+def _assert_names_the_fault(message: str, where: str) -> None:
+    """message starts with where; past it and the file kind it reads as the
+    decoder's own words, neither Python internals nor a KeyError's bare key."""
+    assert message.startswith(f"{where}: "), message
+    rest = re.sub(r"^invalid \w+ file: ", "", message[len(where) + 2:])
+    assert not any(internal in rest for internal in _INTERNALS), message
+    assert not re.fullmatch(r"'[^']*'", rest), message
 
 
 def _paths(value, prefix=()):
@@ -85,14 +108,18 @@ def _paths(value, prefix=()):
         yield from _paths(child, prefix + (key,))
 
 
-def _with_fragment(document, path, fragment: str) -> str:
-    """JSON text of the document with the value at path replaced by a raw JSON fragment."""
+def _with_fragment(document, path, fragment: str | None) -> str:
+    """JSON text of the document with the value at path replaced by a raw JSON
+    fragment, or deleted when fragment is None (the root then leaves no text)."""
     copy = json.loads(json.dumps(document))
     if not path:
-        return fragment
+        return fragment or ""
     parent = copy
     for key in path[:-1]:
         parent = parent[key]
+    if fragment is None:
+        del parent[path[-1]]
+        return json.dumps(copy)
     parent[path[-1]] = _HOLE
     return json.dumps(copy).replace(json.dumps(_HOLE), fragment)
 
@@ -104,17 +131,28 @@ def _valid_model() -> dict:
     return obj
 
 
+def _valid_report() -> dict:
+    ds = generate_geometric_dataset(SynthConfig(seed=1, num_images=2, candidates_per_image=6, mode="geometric",
+                                                image_size=(64, 48)))
+    rankings = identity_rankings(ds)
+    saved = report(ds, rankings, rankings, EvalConfig((0.5, 0.7), (1, 5))).to_dict()
+    return json.loads(json.dumps(saved))  # its config's tuples as the lists a file holds
+
+
 MODEL = _valid_model()
+REPORT = _valid_report()
 
 
 @settings(max_examples=300, deadline=None)
 @given(st.sampled_from(list(_paths(RECORD))), FRAGMENTS)
 def test_dataset_line_with_any_value_replaced_decodes_or_raises_data_error(path, fragment):
     line = _with_fragment(RECORD, path, fragment)
+    if not line:
+        return  # a blank line is skipped
     try:
         dataset_from_lines(["", line])
     except DataError as exc:
-        assert str(exc).startswith("line 2: ")
+        _assert_names_the_fault(str(exc), "line 2")
 
 
 @settings(max_examples=300, deadline=None)
@@ -124,7 +162,32 @@ def test_model_file_with_any_value_replaced_decodes_or_raises_data_error(path, f
     try:
         decode_json(raw, model_from_dict, "model.json", "model")
     except DataError as exc:
-        assert str(exc).startswith("model.json: ")
+        _assert_names_the_fault(str(exc), "model.json")
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(list(_paths(REPORT))), FRAGMENTS)
+def test_saved_report_with_any_value_replaced_decodes_or_raises_data_error(path, fragment):
+    raw = _with_fragment(REPORT, path, fragment).encode("utf-8")
+    try:
+        decode_json(raw, report_from_dict, "report.json", "report")
+    except DataError as exc:
+        _assert_names_the_fault(str(exc), "report.json")
+
+
+@pytest.mark.parametrize("document, build, where", [
+    (RECORD, lambda text: dataset_from_lines([text]), "line 1"),
+    (MODEL, lambda text: decode_json(text, model_from_dict, "model.json", "model"), "model.json"),
+    (REPORT, lambda text: decode_json(text, report_from_dict, "report.json", "report"), "report.json"),
+], ids=["dataset-line", "model", "report"])
+def test_every_value_of_the_wrong_kind_or_deleted_is_named(document, build, where):
+    """Each position replaced by each of SHAPES, and each key or entry deleted."""
+    for path in _paths(document):
+        for fragment in SHAPES + ((None,) if path else ()):
+            try:
+                build(_with_fragment(document, path, fragment))
+            except DataError as exc:
+                _assert_names_the_fault(str(exc), where)
 
 
 # ---------------------------------------------------------------------------

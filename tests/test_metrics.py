@@ -57,6 +57,16 @@ def test_eval_config_validation():
         with pytest.raises(DataError, match=f"^IoU threshold must be a real number, got {re.escape(repr(bad))}$"):
             EvalConfig(thresholds, (1, 5))
     assert EvalConfig((1,), (np.int64(1), 5.0)) == EvalConfig((1.0,), (1, 5))
+    # A repeated threshold used to print its table twice; their order stays free.
+    for thresholds in ((0.5, 0.5), (0.7, 0.5, 0.7), (0.5, 0.5, 0.5)):
+        with pytest.raises(DataError, match="^IoU thresholds must be distinct$"):
+            EvalConfig(thresholds, (1, 5))
+    assert EvalConfig((0.7, 0.5), (1, 5)).iou_thresholds == (0.7, 0.5)
+    # Both lists must be lists: a number used to fail as not iterable, and a
+    # string was read one character at a time.
+    for key, value in (("iou_thresholds", 0.5), ("iou_thresholds", "0.5"), ("proposal_budgets", "10")):
+        with pytest.raises(DataError, match=f"^{key} must be a list, got {re.escape(repr(value))}$"):
+            EvalConfig(**{key: value})
 
 
 def test_best_overlap_respects_budget_and_ranking():
