@@ -15,7 +15,7 @@ import numbers
 import os
 from collections.abc import Sequence
 from dataclasses import asdict, dataclass, fields, replace
-from itertools import repeat
+from itertools import chain, repeat
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, TypeVar
 
@@ -33,11 +33,15 @@ def _integer(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
+def _is_real(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 # Declared field type -> (test of a value, name in messages). No number kind
 # takes a bool, so a JSON true cannot stand for a count or a weight.
 _FIELD_KINDS = {
     "int": (_integer, "an integer"),
-    "float": (lambda v: isinstance(v, numbers.Real) and not isinstance(v, bool), "a real number"),
+    "float": (_is_real, "a real number"),
     "bool": (lambda v: isinstance(v, bool), "true or false"),
     "str": (lambda v: isinstance(v, str), "a string"),
     "tuple[int, int]": (
@@ -78,15 +82,17 @@ class Config:
 
 
 def _real(value) -> float:
-    """value as a float if it is a real number (never parsed from a string), else a TypeError."""
-    if type(value) is float or isinstance(value, numbers.Real):  # the ABC check alone costs about 1 us
+    """value as a float if it is a real number (never parsed from a string,
+    never a bool), else a TypeError."""
+    # The type test first: the ABC check alone costs about 1 us.
+    if type(value) is float or _is_real(value):
         return float(value)
     raise TypeError(f"not a real number: {value!r}")
 
 
 def _as_int(value, what: str) -> int:
     """value as an int: any integral number or an integral float, never a bool."""
-    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
+    if _integer(value):
         return int(value)
     if isinstance(value, float) and value.is_integer():
         return int(value)
@@ -95,7 +101,7 @@ def _as_int(value, what: str) -> int:
 
 def _as_float(value, what: str) -> float:
     """value as a finite float: any real number, never a bool."""
-    if not isinstance(value, numbers.Real) or isinstance(value, bool):
+    if not _is_real(value):
         raise DataError(f"{what} must be a real number, got {value!r}")
     if not math.isfinite(value):
         raise DataError(f"{what} must be finite, got {value!r}")
@@ -237,8 +243,10 @@ class Candidate:
             object.__setattr__(self, "iou_label", label)
         if self.features is not None:
             try:
+                if isinstance(self.features, (list, tuple)) and bool in map(type, self.features):
+                    raise TypeError("a bool is not a number")  # np.asarray would read true as 1
                 feats = np.asarray(self.features)
-                if feats.dtype.kind not in "biuf" and not all(isinstance(v, numbers.Real) for v in feats.flat):
+                if feats.dtype.kind not in "iuf" and not all(map(_is_real, feats.flat)):
                     raise TypeError("features are not numbers")  # strings are never parsed as numbers
                 feats = feats.astype(np.float64, copy=False)
             except (TypeError, ValueError, OverflowError) as exc:
@@ -462,8 +470,12 @@ def _checked_column(name: str, values, n: int):
             valid = len(column) == n and all(i >= 0 for i in column)
         else:
             ndim, rule = _COLUMN_RULES[name]
+            # np.asarray reads a JSON true as 1, so a decoded list is scanned for bools first.
+            entries = chain.from_iterable(values) if ndim == 2 else values
+            if isinstance(values, (list, tuple)) and bool in map(type, entries):
+                raise TypeError("a bool is not a number")
             column = np.asarray(values)
-            if column.dtype.kind in "biuf" and column.ndim == ndim and len(column) == n:
+            if column.dtype.kind in "iuf" and column.ndim == ndim and len(column) == n:
                 column = column.astype(np.float64, copy=False).view()
                 column.flags.writeable = False  # rows share the feature matrix, so a write would change the record
                 valid = bool(rule(column))

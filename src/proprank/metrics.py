@@ -229,6 +229,8 @@ def report_from_dict(obj) -> tuple[EvalConfig, list[EvalReport]]:
     writes it; each source must hold every value its config lists."""
     config = EvalConfig.from_dict(json_field(json_value(obj, dict, "report"), "config"))
     reports = [EvalReport.from_dict(entry) for entry in json_field(obj, "sources", list)]
+    if not reports:
+        raise DataError("sources must not be empty")
     for i, rep in enumerate(reports):
         missing = [f"DR at IoU {d:g}, budget {m}" for d in config.iou_thresholds
                    for m in config.proposal_budgets if (d, m) not in rep.dr]

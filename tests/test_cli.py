@@ -1,6 +1,10 @@
 import errno
+import functools
 import hashlib
 import json
+import logging
+import operator
+import re
 from dataclasses import replace
 from pathlib import Path
 
@@ -25,167 +29,6 @@ def test_usage_errors_exit_1(capsys):
     assert main(["synth", "out.jsonl", "--objects", "1,2,3"]) == 1
     assert main(["train", "in.jsonl", "model.json", "--mode", "hard"]) == 1
     capsys.readouterr()
-
-
-def test_missing_and_malformed_inputs_exit_2(tmp_path, capsys, caplog):
-    assert main(["label", str(tmp_path / "absent.jsonl"), str(tmp_path / "out.jsonl")]) == 2
-    bad = tmp_path / "bad.jsonl"
-    bad.write_text('{"image_id": "a"}\n', encoding="utf-8")
-    assert main(["label", str(bad), str(tmp_path / "out.jsonl")]) == 2
-    good = '{"image_id": "ok", "width": 8, "height": 8}\n'
-    head = '{"image_id": "a", "width": 8, "height": 8, '
-    cand = '"candidates": [{"box": [1, 1, 3, 3], '
-    for record in (
-        head + '"groundtruth": 5}',
-        head + '"candidates": 5}',
-        head + cand + '"iou_label": "x"}]}',
-        head + cand + '"iou_label": [1]}]}',
-        head + cand + '"features": ["a"]}]}',
-        head + cand + '"features": {"a": 1}}]}',
-    ):
-        bad.write_text(good + record + "\n", encoding="utf-8")
-        assert main(["label", str(bad), str(tmp_path / "out.jsonl")]) == 2
-        assert "line 2: a: " in caplog.messages[-1]
-    # Errors raised by the dataset types carry the line, the image and the candidate.
-    for record, message in (
-        (head + '"candidates": [{"box": [1, 1, 3, 3], "features": [1]}, '
-         '{"box": [1, 1, 3, 3], "features": [1, 2]}]}',
-         "line 2: a: candidate 1 has feature dimension 2, expected 1"),
-        (head + cand + '"features": [[1]]}]}',
-         "line 2: a: candidate 0 features must be a flat vector, got shape (1, 1)"),
-    ):
-        bad.write_text(good + record + "\n", encoding="utf-8")
-        assert main(["label", str(bad), str(tmp_path / "out.jsonl")]) == 2
-        assert caplog.messages[-1] == message
-    # Checks that span records name the line they fail on.
-    first = head + '"candidates": [{"box": [1, 1, 3, 3], "features": [1]}]}\n'
-    for record, message in (
-        (first, "line 3: duplicate image_id: a"),
-        (first.replace('"a"', '"b"').replace("[1]", "[1, 2]"),
-         "line 3: b: candidates have feature dimension 2, expected 1"),
-    ):
-        bad.write_text(good + first + record, encoding="utf-8")
-        assert main(["label", str(bad), str(tmp_path / "out.jsonl")]) == 2
-        assert caplog.messages[-1] == message
-    # Integers beyond float range (OverflowError) and nesting too deep for the
-    # JSON parser (RecursionError) used to crash with a traceback and exit 1.
-    big = "1" + "0" * 400
-    for record in (
-        head + cand + f'"iou_label": {big}}}]}}',
-        head + f'"candidates": [{{"box": [1, 1, 3, {big}]}}]}}',
-        head + f'"groundtruth": [{{"class": "c", "box": [1, 1, 3, {big}]}}]}}',
-        head + cand + f'"features": [1, {big}]}}]}}',
-        "[" * 100000 + "]" * 100000,
-    ):
-        bad.write_text(good + record + "\n", encoding="utf-8")
-        assert main(["label", str(bad), str(tmp_path / "out.jsonl")]) == 2
-        assert "line 2: " in caplog.messages[-1]
-    bad.write_bytes(good.encode() + b'{"image_id": "\xff"}\n')
-    assert main(["label", str(bad), str(tmp_path / "out.jsonl")]) == 2
-    assert "line 2: not valid UTF-8" in caplog.messages[-1]
-    assert not (tmp_path / "out.jsonl").exists()
-    data = tmp_path / "feats.jsonl"
-    assert main(["synth", str(data), "--num-images", "3", "--candidates", "6", "--feature-dim", "4"]) == 0
-    sidecar_path = tmp_path / "feats.jsonl.meta.json"
-    for sidecar in ("{", "[1]", '{"hog_config": 5}', '{"hog_config": {"cell_size": "x"}}'):
-        sidecar_path.write_text(sidecar, encoding="utf-8")
-        assert main(["train", str(data), str(tmp_path / "model.json"), "--k", "1"]) == 2
-        assert str(sidecar_path) in caplog.messages[-1]
-    assert not (tmp_path / "model.json").exists()
-
-    sidecar_path.unlink()
-    # A patch one pixel wide or high has no [-1, 0, 1] gradient; it used to
-    # fail inside HOG with an IndexError and exit 1.
-    for flag in ("--resize-w", "--resize-h"):
-        featurized = tmp_path / "featurized.jsonl"
-        argv = ["featurize", str(data), str(featurized), "--images", str(tmp_path), flag, "1",
-                "--cell-size", "1", "--block-size", "1"]
-        assert main(argv) == 2
-        assert f"HogConfig.{flag[2:].replace('-', '_')} must be at least 2, got 1" in caplog.messages[-1]
-        assert not featurized.exists() and not (tmp_path / "featurized.jsonl.meta.json").exists()
-        assert not (tmp_path / "featurized.jsonl.manifest.json").exists()
-    for flag, value in (("--C", "nan"), ("--C", "inf"), ("--convergence-tol", "nan"), ("--convergence-tol", "inf")):
-        assert main(["train", str(data), str(tmp_path / "model.json"), "--k", "1", flag, value]) == 2
-        assert f"{flag[2:].replace('-', '_')} must be" in caplog.messages[-1]
-    assert not (tmp_path / "model.json").exists()
-    assert not (tmp_path / "model.json.manifest.json").exists()
-    good_model = tmp_path / "good.json"
-    assert main(["train", str(data), str(good_model), "--k", "1", "--epochs", "5"]) == 0
-    saved = json.loads(good_model.read_text())
-    model = tmp_path / "model.json"
-    ranked = tmp_path / "ranked.jsonl"
-    for key, value in (("hog_config", 5), ("hog_config", "x"), ("hog_config", {"cell_size": "a"}),
-                       ("provenance", 5), ("objective_history", [10**400]), ("weights", [None] * 4)):
-        model.write_text(json.dumps({**saved, key: value}), encoding="utf-8")
-        assert main(["rerank", str(data), str(ranked), "--model", str(model)]) == 2
-        assert f"{model}: invalid model file" in caplog.messages[-1]
-    # Ill-typed config fields are refused by name instead of loading silently.
-    config = saved["config"]
-    for key, value, message in (
-        ("config", {**config, "per_image_slack": "no"}, "TrainingConfig.per_image_slack must be true or false"),
-        ("config", {**config, "k": 2.5}, "TrainingConfig.k must be an integer"),
-        ("config", {**config, "epochs": True}, "TrainingConfig.epochs must be an integer"),
-        ("hog_config", {"cell_size": True}, "HogConfig.cell_size must be an integer"),
-        ("hog_config", {"resize_w": 50.5}, "HogConfig.resize_w must be an integer"),
-        # Numbers take the dataset decoder's rules: no strings, no bools, no truncation.
-        ("feature_dim", 4.5, "feature_dim must be an integer, got 4.5"),
-        ("feature_dim", "4", "feature_dim must be an integer, got '4'"),
-        ("final_objective", "0.1", "final_objective must be a real number, got '0.1'"),
-        ("final_objective", True, "final_objective must be a real number, got True"),
-        ("objective_history", [1.0, "0.5"], "objective_history entry must be a real number, got '0.5'"),
-        ("objective_history", [False], "objective_history entry must be a real number, got False"),
-        ("weights", [0.5, "1", 0, 0], "weights entry must be a real number, got '1'"),
-        ("weights", [0.5, True, 0, 0], "weights entry must be a real number, got True"),
-        ("violation_report", 5, "violation_report must be a JSON object, got 5"),
-        ("provenance", [["a", 1]], "provenance must be a JSON object, got [['a', 1]]"),
-        # A config that is not an object used to fail with a message about Python internals.
-        ("config", [1], "config must be a JSON object, got [1]"),
-        ("config", "k", "config must be a JSON object, got 'k'"),
-        ("config", 5, "config must be a JSON object, got 5"),
-        # Real numbers must be finite, as in dataset lines; these used to load.
-        ("final_objective", float("nan"), "final_objective must be finite, got nan"),
-        ("objective_history", [1.0, float("inf")], "objective_history entry must be finite, got inf"),
-        # A list field that is not a list used to fail as "'int' object is not
-        # iterable", and a string was read one letter at a time.
-        ("weights", 5, "weights must be a list, got 5"),
-        ("weights", "abcd", "weights must be a list, got 'abcd'"),
-    ):
-        model.write_text(json.dumps({**saved, key: value}), encoding="utf-8")
-        assert main(["rerank", str(data), str(ranked), "--model", str(model)]) == 2
-        assert f"{model}: invalid model file: {message}" in caplog.messages[-1]
-        assert not ranked.exists() and not (tmp_path / "ranked.jsonl.manifest.json").exists()
-    # A missing required field used to fail with the bare key as its message.
-    for key in ("config", "weights"):
-        model.write_text(json.dumps({k: v for k, v in saved.items() if k != key}), encoding="utf-8")
-        assert main(["rerank", str(data), str(ranked), "--model", str(model)]) == 2
-        assert caplog.messages[-1] == f"{model}: invalid model file: missing required field {key!r}"
-        assert not ranked.exists() and not (tmp_path / "ranked.jsonl.manifest.json").exists()
-    # An optional field that is null takes its default, as an absent one does;
-    # a null provenance used to be refused while the other two loaded.
-    model.write_text(json.dumps({**saved, "hog_config": None, "provenance": None, "violation_report": None}))
-    loaded = load_model(model)
-    assert (loaded.hog_config, loaded.provenance, loaded.violation_report) == (None, {}, None)
-    model.write_bytes(b'{"weights": "\xff"}')
-    assert main(["rerank", str(data), str(ranked), "--model", str(model)]) == 2
-    assert f"{model}: not valid UTF-8" in caplog.messages[-1]
-    assert not ranked.exists()
-    capsys.readouterr()
-
-
-def test_a_column_on_some_candidates_only_exits_2_and_writes_nothing(tmp_path, caplog):
-    data, out = tmp_path / "partial.jsonl", tmp_path / "out.jsonl"
-    box = '{"box": [0, 0, 2, 2]'
-    for cands, message in (
-        (f'{box}}}, {box}, "iou_label": 0.5}}', "candidate 0 has no iou_label, but candidate 1 has one"),
-        (f'{box}, "features": [1]}}, {box}}}', "candidate 1 has no features, but candidate 0 has one"),
-        (f'{box}, "source_index": 1}}, {box}, "source_index": 0}}, {box}}}',
-         "candidate 2 has no source_index, but candidate 0 has one"),
-    ):
-        data.write_text('{"image_id": "ok", "width": 8, "height": 8}\n'
-                        f'{{"image_id": "a", "width": 8, "height": 8, "candidates": [{cands}]}}\n', encoding="utf-8")
-        assert main(["label", str(data), str(out)]) == 2
-        assert caplog.messages[-1] == f"line 2: a: {message}"
-        assert [p.name for p in tmp_path.iterdir()] == ["partial.jsonl"]
 
 
 def test_synth_writes_dataset_metadata_and_manifest(tmp_path, capsys):
@@ -245,7 +88,7 @@ def test_train_rerank_eval_pipeline(tmp_path, capsys):
         assert all(a >= b - 1e-12 for a, b in zip(scores, scores[1:]))
 
 
-def test_eval_and_report_round_trip(tmp_path, capsys, caplog):
+def test_eval_and_report_round_trip(tmp_path, capsys):
     data = tmp_path / "geo.jsonl"
     run(capsys, "synth", data, "--mode", "geometric", "--seed", 12,
         "--num-images", 6, "--candidates", 25)
@@ -268,53 +111,6 @@ def test_eval_and_report_round_trip(tmp_path, capsys, caplog):
     code, rendered = run(capsys, "report", tmp_path / "cmp.json")
     assert code == 0
     assert rendered == text
-
-    saved = json.loads((tmp_path / "cmp.json").read_text())
-    bad = tmp_path / "bad.json"
-    for key, value in (("proposal_budgets", [1, 5, 10, 77]), ("strict", "false")):
-        bad.write_text(json.dumps({**saved, "config": {**saved["config"], key: value}}))
-        assert main(["report", str(bad), "--output", str(tmp_path / "bad")]) == 2
-    # A budget of 1.7 or true used to re-render as budget 1 and exit 0.
-    for value in (1.7, True):
-        bad.write_text(json.dumps({**saved, "config": {**saved["config"], "proposal_budgets": [value, 5, 10]}}))
-        assert main(["report", str(bad), "--output", str(tmp_path / "bad")]) == 2
-        message = f"{bad}: invalid report file: proposal budget must be an integer, got {value!r}"
-        assert caplog.messages[-1] == message
-    # An ABO class must be a string and metadata an object: str() would turn
-    # null into the class "None", and dict() would take pairs as a row named zzz.
-    first = saved["sources"][0]
-    for source, message in (
-        ({**first, "abo": [{**first["abo"][0], "class": None}] + first["abo"][1:]}, "class must be a string, got None"),
-        ({**first, "metadata": [["source", "zzz"]]}, "metadata must be a JSON object, got [['source', 'zzz']]"),
-    ):
-        bad.write_text(json.dumps({**saved, "sources": [source] + saved["sources"][1:]}))
-        assert main(["report", str(bad), "--output", str(tmp_path / "bad")]) == 2
-        assert caplog.messages[-1] == f"{bad}: invalid report file: {message}"
-    # A config that is not an object, and a saved value that is not finite,
-    # used to fail with a message about Python internals and to print NaN.
-    nan_dr = {**first, "dr": [{**first["dr"][0], "value": float("nan")}] + first["dr"][1:]}
-    rest = saved["sources"][1:]
-    for obj, message in (
-        ({**saved, "config": [1]}, "config must be a JSON object, got [1]"),
-        ({**saved, "sources": [nan_dr] + rest}, "value must be finite, got nan"),
-        # A field of the wrong kind or a missing one is refused by name; these
-        # used to fail with Python's own messages or the bare key.
-        ({**saved, "sources": 5}, "sources must be a list, got 5"),
-        ({"config": saved["config"]}, "missing required field 'sources'"),
-        ({**saved, "sources": [{**first, "dr": 5}] + rest}, "dr must be a list, got 5"),
-        ({**saved, "sources": [{**first, "counts": [1]}] + rest}, "counts must be a JSON object, got [1]"),
-        ({**saved, "config": {**saved["config"], "iou_thresholds": 0.5}}, "iou_thresholds must be a list, got 0.5"),
-    ):
-        bad.write_text(json.dumps(obj))
-        capsys.readouterr()
-        assert main(["report", str(bad), "--output", str(tmp_path / "bad")]) == 2
-        assert caplog.messages[-1] == f"{bad}: invalid report file: {message}"
-        assert capsys.readouterr().out == ""
-    for raw in (b'{"config": "\xff"}', b"[" * 100000, json.dumps({**saved, "sources": 5}).encode()):
-        bad.write_bytes(raw)
-        assert main(["report", str(bad), "--output", str(tmp_path / "bad")]) == 2
-        assert str(bad) in caplog.messages[-1]
-    assert not (tmp_path / "bad.txt").exists()
 
     code, again = run(capsys, "eval", data, data, "--budgets", "1,5",
                       "--thresholds", "0.5", "--label-a", "x", "--label-b", "y")
@@ -366,29 +162,6 @@ def test_eval_takes_the_order_of_a_file_without_source_index_and_rejects_foreign
     capsys.readouterr()
 
 
-def test_eval_rejects_mismatched_datasets(tmp_path, capsys):
-    a = tmp_path / "a.jsonl"
-    b = tmp_path / "b.jsonl"
-    run(capsys, "synth", a, "--mode", "geometric", "--seed", 1, "--num-images", 3, "--candidates", 10)
-    run(capsys, "synth", b, "--mode", "geometric", "--seed", 2, "--num-images", 4, "--candidates", 10)
-    assert main(["eval", str(a), str(b)]) == 2
-    capsys.readouterr()
-
-
-def test_rerank_rejects_dimension_mismatch(tmp_path, capsys, caplog):
-    d6 = tmp_path / "d6.jsonl"
-    d4 = tmp_path / "d4.jsonl"
-    run(capsys, "synth", d6, "--seed", 3, "--num-images", 4, "--candidates", 8, "--feature-dim", 6)
-    run(capsys, "synth", d4, "--seed", 3, "--num-images", 4, "--candidates", 8, "--feature-dim", 4)
-    model_path = tmp_path / "m.json"
-    run(capsys, "train", d6, model_path, "--k", 2, "--epochs", 10)
-    out = tmp_path / "out.jsonl"
-    assert main(["rerank", str(d4), str(out), "--model", str(model_path)]) == 2
-    assert "feature dimension 4 does not match model dimension 6" in caplog.messages[-1]
-    assert not out.exists() and not (tmp_path / "out.jsonl.manifest.json").exists()
-    capsys.readouterr()
-
-
 def make_pgm(path, width, height, seed):
     rng = np.random.default_rng(seed)
     raster = rng.integers(0, 256, size=width * height, dtype=np.uint8)
@@ -432,15 +205,7 @@ def test_featurize_attaches_hog_and_train_uses_sidecar(tmp_path, capsys):
     assert saved["hog_config"]["resize_w"] == 16
     assert load_model(model_path).hog_config is not None
 
-    ranked = tmp_path / "ranked.jsonl"
-    assert run(capsys, "rerank", feat, ranked, "--model", model_path)[0] == 0
-    ranked.unlink()
-    # Same dimension, different geometry: the features do not mean what the model learned.
-    meta["hog_config"]["clip_value"] = 0.3
-    (tmp_path / "feat.jsonl.meta.json").write_text(json.dumps(meta))
-    assert main(["rerank", str(feat), str(ranked), "--model", str(model_path)]) == 2
-    assert not ranked.exists()
-    capsys.readouterr()
+    assert run(capsys, "rerank", feat, tmp_path / "ranked.jsonl", "--model", model_path)[0] == 0
 
 
 def test_featurize_drops_the_features_of_a_record_it_cannot_describe(tmp_path, capsys, caplog):
@@ -459,11 +224,8 @@ def test_featurize_drops_the_features_of_a_record_it_cannot_describe(tmp_path, c
     caplog.clear()
     assert run(capsys, "featurize", first, second, "--images", images, "--resize-w", 16, "--resize-h", 32)[0] == 0
     assert [m for m in caplog.messages if "image not found" in m] == [f"featurize: {ids[0]}: image not found"]
-
-    model = tmp_path / "model.json"
-    assert main(["train", str(second), str(model), "--k", "3"]) == 2
-    assert caplog.messages[-1] == f"{ids[0]}: candidate 0 has no features"
-    assert not model.exists() and not (tmp_path / "model.json.manifest.json").exists()
+    records = read_dataset(second).records
+    assert records[0].candidates.features is None and records[1].candidates.features is not None
 
 
 def test_featurize_refuses_an_image_whose_size_is_not_the_records(tmp_path, capsys, caplog):
@@ -483,24 +245,6 @@ def test_featurize_refuses_an_image_whose_size_is_not_the_records(tmp_path, caps
     assert warnings == [f"featurize: {ids[1]}: image is 128x96, the record says 64x48"]
     records = read_dataset(feat).records
     assert records[0].candidates.features is not None and records[1].candidates.features is None
-
-    model = tmp_path / "model.json"
-    assert main(["train", str(feat), str(model), "--k", "3"]) == 2
-    assert caplog.messages[-1] == f"{ids[1]}: candidate 0 has no features"
-    assert not model.exists()
-
-
-def test_featurize_refuses_an_image_directory_that_does_not_exist(tmp_path, capsys, caplog):
-    # A mistyped --images used to warn "image not found" once per record, exit
-    # 0 and write every record without its features.
-    data, feat = tmp_path / "geo.jsonl", tmp_path / "feat.jsonl"
-    assert run(capsys, "synth", data, "--mode", "geometric", "--num-images", 2, "--candidates", 12,
-               "--image-size", "32,32")[0] == 0
-    before = sorted(tmp_path.iterdir())
-    for images in (tmp_path / "no-such-dir", data):
-        assert main(["featurize", str(data), str(feat), "--images", str(images)]) == 2
-        assert caplog.messages[-1] == f"{images}: not a directory"
-    assert sorted(tmp_path.iterdir()) == before
 
 
 def test_manifest_records_input_digests(tmp_path, capsys):
@@ -569,11 +313,7 @@ def test_every_writing_command_leaves_one_manifest(chain, tmp_path, capsys, argv
 
 def test_runs_that_write_nothing_leave_no_manifest(chain, tmp_path, capsys):
     assert run(capsys, "eval", chain / "labeled.jsonl", chain / "ranked.jsonl", "--budgets", "1,5")[0] == 0
-    bad = tmp_path / "bad.jsonl"
-    bad.write_text('{"image_id": "a"}\n', encoding="utf-8")
-    assert run(capsys, "label", bad, tmp_path / "out.jsonl")[0] == 2
-    assert run(capsys, "report", bad, "--output", tmp_path / "p")[0] == 2
-    assert sorted(tmp_path.iterdir()) == [bad]
+    assert list(tmp_path.iterdir()) == []
     assert not list(chain.glob("*.manifest.json"))
 
 
@@ -642,3 +382,258 @@ def test_a_failed_write_leaves_no_partial_file(chain, tmp_path, capsys, monkeypa
     monkeypatch.setattr(Path, "write_text", full_disk)
     assert run(capsys, "label", chain / "geo.jsonl", tmp_path / "out.jsonl")[0] == 2
     assert list(tmp_path.iterdir()) == []
+
+
+def test_a_null_optional_model_field_takes_its_default(chain, tmp_path):
+    # As an absent one does. A null provenance used to be refused while the other two loaded.
+    saved = json.loads((chain / "model.json").read_text())
+    model = tmp_path / "m.json"
+    model.write_text(json.dumps({**saved, "hog_config": None, "provenance": None, "violation_report": None}))
+    loaded = load_model(model)
+    assert (loaded.hog_config, loaded.provenance, loaded.violation_report) == (None, {}, None)
+
+
+# ---------------------------------------------------------------------------
+# Bad input
+#
+# Each row is one case: its id, the argv, the input files, the exit code and
+# the error message. The files go to an empty working directory; each is text,
+# bytes, or a function of the chain fixture's directory, which "{d}" in the
+# argv names. The message is the one error logged, or a pattern it matches
+# whole. Every row prints nothing and leaves both directories as they were.
+
+DELETE = object()
+
+
+def patched(name, path, value):
+    """The chain fixture's JSON file name, a JSON Lines file as a list of
+    records, with the value at a dotted path replaced or deleted by DELETE."""
+    def build(chain):
+        text = (chain / name).read_text()
+        obj = [json.loads(ln) for ln in text.splitlines()] if name.endswith(".jsonl") else json.loads(text)
+        *parents, last = (int(k) if k.isdigit() else k for k in path.split("."))
+        parent = functools.reduce(operator.getitem, parents, obj)
+        if value is DELETE:
+            del parent[last]
+        else:
+            parent[last] = value
+        return "".join(json.dumps(r) + "\n" for r in obj) if name.endswith(".jsonl") else json.dumps(obj)
+    return build
+
+
+def copied(name):
+    return lambda chain: (chain / name).read_bytes()
+
+
+OK = '{"image_id": "ok", "width": 8, "height": 8}\n'
+A = '{"image_id": "a", "width": 8, "height": 8, '
+BOX = A + '"candidates": [{"box": [1, 1, 3, 3], '
+WITH_FEATURES = BOX + '"features": [1]}]}\n'
+BIG = "1" + "0" * 400
+NOT_NUMBERS = "a: candidate 0 features must be a list of numbers"
+LABELED = "{d}/labeled.jsonl"
+FEATURIZE = f"featurize {LABELED} f.jsonl --images {{d}}/imgs"
+
+
+def line(case, record, message):
+    """label on a dataset whose second line is record."""
+    return f"line-{case}", "label in.jsonl o.jsonl", {"in.jsonl": OK + record + "\n"}, 2, f"line 2: {message}"
+
+
+def sidecar(case, text, message):
+    """train on the chain's labeled dataset with text as its sidecar."""
+    files = {"d.jsonl": copied("labeled.jsonl"), "d.jsonl.meta.json": text}
+    return f"sidecar-{case}", "train d.jsonl m.json --k 1", files, 2, f"d.jsonl.meta.json: {message}"
+
+
+def model(case, path, value, message):
+    """rerank with the chain's model patched."""
+    argv, files = f"rerank {LABELED} r.jsonl --model m.json", {"m.json": patched("model.json", path, value)}
+    return f"model-{case}", argv, files, 2, f"m.json: invalid model file: {message}"
+
+
+def saved_report(case, path, value, message):
+    """report of the chain's saved report patched."""
+    files = {"p.json": patched("cmp.json", path, value)}
+    return f"report-{case}", "report p.json --output p", files, 2, f"p.json: invalid report file: {message}"
+
+
+BAD_INPUT = [
+    ("label-absent-input", "label absent.jsonl o.jsonl", {}, 2, "[Errno 2] No such file or directory: 'absent.jsonl'"),
+    ("label-line-without-size", "label in.jsonl o.jsonl", {"in.jsonl": '{"image_id": "a"}\n'}, 2,
+     "line 1: a: missing required field 'width'"),
+    line("groundtruth-a-number", A + '"groundtruth": 5}', "a: groundtruth must be a list, got 5"),
+    line("candidates-a-number", A + '"candidates": 5}', "a: candidates must be a list, got 5"),
+    line("label-a-string", BOX + '"iou_label": "x"}]}', "a: candidate 0 iou_label must be a number, got 'x'"),
+    line("label-a-list", BOX + '"iou_label": [1]}]}', "a: candidate 0 iou_label must be a number, got [1]"),
+    line("features-strings", BOX + '"features": ["a"]}]}', NOT_NUMBERS),
+    line("features-an-object", BOX + '"features": {"a": 1}}]}', NOT_NUMBERS),
+    # Errors raised by the dataset types carry the line, the image and the candidate.
+    line("feature-dimensions-differ", A + '"candidates": [{"box": [1, 1, 3, 3], "features": [1]}, '
+         '{"box": [1, 1, 3, 3], "features": [1, 2]}]}', "a: candidate 1 has feature dimension 2, expected 1"),
+    line("features-nested", BOX + '"features": [[1]]}]}',
+         "a: candidate 0 features must be a flat vector, got shape (1, 1)"),
+    # Checks that span records name the line they fail on.
+    ("lines-image-id-repeated", "label in.jsonl o.jsonl", {"in.jsonl": OK + WITH_FEATURES * 2}, 2,
+     "line 3: duplicate image_id: a"),
+    ("lines-feature-dimensions-differ", "label in.jsonl o.jsonl",
+     {"in.jsonl": OK + WITH_FEATURES + WITH_FEATURES.replace('"a"', '"b"').replace("[1]", "[1, 2]")}, 2,
+     "line 3: b: candidates have feature dimension 2, expected 1"),
+    # Integers beyond float range (OverflowError) and nesting too deep for the
+    # JSON parser (RecursionError) used to crash with a traceback and exit 1.
+    line("label-beyond-float", BOX + f'"iou_label": {BIG}}}]}}',
+         f"a: candidate 0 iou_label must be a number, got {BIG}"),
+    line("box-beyond-float", A + f'"candidates": [{{"box": [1, 1, 3, {BIG}]}}]}}',
+         "a: candidate 0 box has a non-numeric coordinate"),
+    line("groundtruth-beyond-float", A + f'"groundtruth": [{{"class": "c", "box": [1, 1, 3, {BIG}]}}]}}',
+         "a: groundtruth 0 box has a non-numeric coordinate"),
+    line("features-beyond-float", BOX + f'"features": [1, {BIG}]}}]}}', NOT_NUMBERS),
+    ("line-nested-too-deep", "label in.jsonl o.jsonl", {"in.jsonl": OK + "[" * 100000 + "]" * 100000}, 2,
+     re.compile(r"line 2: invalid JSON \(maximum recursion depth exceeded.*\)")),
+    ("line-not-utf8", "label in.jsonl o.jsonl", {"in.jsonl": OK.encode() + b'{"image_id": "\xff"}\n'}, 2,
+     "line 2: not valid UTF-8 (invalid start byte at byte 14)"),
+    # A bool is not a number, though numpy would read true as 1 and false as 0.
+    line("true-in-candidate-box", A + '"candidates": [{"box": [0, 0, true, 2]}]}',
+         "a: candidate 0 box has a non-numeric coordinate"),
+    line("false-in-groundtruth-box", A + '"groundtruth": [{"class": "c", "box": [false, 0, 2, 2]}]}',
+         "a: groundtruth 0 box has a non-numeric coordinate"),
+    line("label-true", BOX + '"iou_label": true}]}', "a: candidate 0 iou_label must be a number, got True"),
+    line("false-among-features", BOX + '"features": [1, false]}]}', NOT_NUMBERS),
+    line("features-all-bools", BOX + '"features": [true, false]}]}', NOT_NUMBERS),
+    # A candidate column is on every candidate or on none.
+    line("label-on-some", A + '"candidates": [{"box": [0, 0, 2, 2]}, {"box": [0, 0, 2, 2], "iou_label": 0.5}]}',
+         "a: candidate 0 has no iou_label, but candidate 1 has one"),
+    line("features-on-some", A + '"candidates": [{"box": [0, 0, 2, 2], "features": [1]}, {"box": [0, 0, 2, 2]}]}',
+         "a: candidate 1 has no features, but candidate 0 has one"),
+    line("source-index-on-some", A + '"candidates": [{"box": [0, 0, 2, 2], "source_index": 1}, '
+         '{"box": [0, 0, 2, 2], "source_index": 0}, {"box": [0, 0, 2, 2]}]}',
+         "a: candidate 2 has no source_index, but candidate 0 has one"),
+    # A record without features, as featurize leaves one whose image it cannot use.
+    ("train-a-record-without-features", "train in.jsonl m.json --k 1", {"in.jsonl": patched("labeled.jsonl", "1", {
+        "image_id": "b", "width": 8, "height": 8, "candidates": [{"box": [1, 1, 3, 3], "iou_label": 0.5}] * 3,
+    })}, 2, "b: candidate 0 has no features"),
+    sidecar("truncated", "{", "invalid sidecar JSON (Expecting property name enclosed in double quotes)"),
+    sidecar("a-list", "[1]", "invalid sidecar file: sidecar must be a JSON object, got [1]"),
+    sidecar("hog-config-a-number", patched("geo.jsonl.meta.json", "hog_config", 5),
+            "invalid sidecar file: hog_config must be a JSON object, got 5"),
+    sidecar("cell-size-a-string", patched("geo.jsonl.meta.json", "hog_config", {"cell_size": "x"}),
+            "invalid sidecar file: HogConfig.cell_size must be an integer, got 'x'"),
+    # A patch one pixel wide or high has no [-1, 0, 1] gradient; it used to
+    # fail inside HOG with an IndexError and exit 1.
+    ("featurize-resize-w-1", f"{FEATURIZE} --resize-w 1 --cell-size 1 --block-size 1",
+     {}, 2, "HogConfig.resize_w must be at least 2, got 1"),
+    ("featurize-resize-h-1", f"{FEATURIZE} --resize-h 1 --cell-size 1 --block-size 1",
+     {}, 2, "HogConfig.resize_h must be at least 2, got 1"),
+    # A mistyped --images used to warn "image not found" once per record, exit
+    # 0 and write every record without its features.
+    ("featurize-images-dir-missing", f"featurize {LABELED} f.jsonl --images no-such-dir", {}, 2,
+     "no-such-dir: not a directory"),
+    ("featurize-images-a-file", "featurize in.jsonl f.jsonl --images in.jsonl", {"in.jsonl": OK}, 2,
+     "in.jsonl: not a directory"),
+    ("train-C-nan", f"train {LABELED} m.json --k 1 --C nan", {}, 2, "C must be positive and finite, got nan"),
+    ("train-C-inf", f"train {LABELED} m.json --k 1 --C inf", {}, 2, "C must be positive and finite, got inf"),
+    ("train-tol-nan", f"train {LABELED} m.json --k 1 --convergence-tol nan", {}, 2,
+     "convergence_tol must be non-negative and finite, got nan"),
+    ("train-tol-inf", f"train {LABELED} m.json --k 1 --convergence-tol inf", {}, 2,
+     "convergence_tol must be non-negative and finite, got inf"),
+    model("hog-config-a-number", "hog_config", 5, "hog_config must be a JSON object, got 5"),
+    model("hog-config-a-string", "hog_config", "x", "hog_config must be a JSON object, got 'x'"),
+    model("cell-size-a-string", "hog_config", {"cell_size": "a"}, "HogConfig.cell_size must be an integer, got 'a'"),
+    model("provenance-a-number", "provenance", 5, "provenance must be a JSON object, got 5"),
+    model("history-beyond-float", "objective_history", [10**400], "int too large to convert to float"),
+    model("weights-null", "weights", [None] * 4, "weights entry must be a real number, got None"),
+    # Ill-typed config fields are refused by name instead of loading silently.
+    model("slack-a-string", "config.per_image_slack", "no",
+          "TrainingConfig.per_image_slack must be true or false, got 'no'"),
+    model("k-fractional", "config.k", 2.5, "TrainingConfig.k must be an integer, got 2.5"),
+    model("epochs-true", "config.epochs", True, "TrainingConfig.epochs must be an integer, got True"),
+    model("cell-size-true", "hog_config", {"cell_size": True}, "HogConfig.cell_size must be an integer, got True"),
+    model("resize-w-fractional", "hog_config", {"resize_w": 50.5}, "HogConfig.resize_w must be an integer, got 50.5"),
+    # Numbers take the dataset decoder's rules: no strings, no bools, no truncation.
+    model("dim-fractional", "feature_dim", 4.5, "feature_dim must be an integer, got 4.5"),
+    model("dim-a-string", "feature_dim", "4", "feature_dim must be an integer, got '4'"),
+    model("objective-a-string", "final_objective", "0.1", "final_objective must be a real number, got '0.1'"),
+    model("objective-true", "final_objective", True, "final_objective must be a real number, got True"),
+    model("history-a-string", "objective_history", [1.0, "0.5"],
+          "objective_history entry must be a real number, got '0.5'"),
+    model("history-false", "objective_history", [False], "objective_history entry must be a real number, got False"),
+    model("weight-a-string", "weights", [0.5, "1", 0, 0], "weights entry must be a real number, got '1'"),
+    model("weight-true", "weights", [0.5, True, 0, 0], "weights entry must be a real number, got True"),
+    model("violations-a-number", "violation_report", 5, "violation_report must be a JSON object, got 5"),
+    model("provenance-pairs", "provenance", [["a", 1]], "provenance must be a JSON object, got [['a', 1]]"),
+    # A config that is not an object used to fail with a message about Python internals.
+    model("config-a-list", "config", [1], "config must be a JSON object, got [1]"),
+    model("config-a-string", "config", "k", "config must be a JSON object, got 'k'"),
+    model("config-a-number", "config", 5, "config must be a JSON object, got 5"),
+    # Real numbers must be finite, as in dataset lines; these used to load.
+    model("objective-nan", "final_objective", float("nan"), "final_objective must be finite, got nan"),
+    model("history-inf", "objective_history", [1.0, float("inf")], "objective_history entry must be finite, got inf"),
+    # A list field that is not a list used to fail as "'int' object is not
+    # iterable", and a string was read one letter at a time.
+    model("weights-a-number", "weights", 5, "weights must be a list, got 5"),
+    model("weights-a-string", "weights", "abcd", "weights must be a list, got 'abcd'"),
+    # A missing required field used to fail with the bare key as its message.
+    model("config-missing", "config", DELETE, "missing required field 'config'"),
+    model("weights-missing", "weights", DELETE, "missing required field 'weights'"),
+    ("model-not-utf8", f"rerank {LABELED} r.jsonl --model m.json", {"m.json": b'{"weights": "\xff"}'}, 2,
+     "m.json: not valid UTF-8 (invalid start byte at byte 13)"),
+    ("rerank-dimension-differs", "rerank in.jsonl r.jsonl --model {d}/model.json", {"in.jsonl": WITH_FEATURES}, 2,
+     "a: feature dimension 1 does not match model dimension 12"),
+    # Same dimension, different geometry: the features do not mean what the model learned.
+    ("rerank-hog-geometry-differs", "rerank d.jsonl r.jsonl --model m.json", {
+        "d.jsonl": copied("labeled.jsonl"),
+        "d.jsonl.meta.json": patched("geo.jsonl.meta.json", "hog_config", {"clip_value": 0.3}),
+        "m.json": patched("model.json", "hog_config", {}),
+    }, 2, re.compile(r"HOG geometry of the dataset \(\{.*'clip_value': 0.3\}\) does not match the model's \(\{.*\}\)")),
+    ("eval-images-differ", f"eval {LABELED} b.jsonl --output e", {"b.jsonl": OK}, 2,
+     "datasets do not cover the same images (first differences: ['geo-3-00000', 'geo-3-00001', 'geo-3-00002', 'ok'])"),
+    saved_report("budget-not-in-sources", "config.proposal_budgets", [1, 5, 77],
+                 "source 0 has no DR at IoU 0.5, budget 77, which its config lists"),
+    saved_report("strict-a-string", "config.strict", "false", "strict must be true or false, got 'false'"),
+    # A budget of 1.7 or true used to re-render as budget 1 and exit 0.
+    saved_report("budget-fractional", "config.proposal_budgets.0", 1.7, "proposal budget must be an integer, got 1.7"),
+    saved_report("budget-true", "config.proposal_budgets.0", True, "proposal budget must be an integer, got True"),
+    # An ABO class must be a string and metadata an object: str() would turn
+    # null into the class "None", and dict() would take pairs as a row named zzz.
+    saved_report("class-null", "sources.0.abo.0.class", None, "class must be a string, got None"),
+    saved_report("metadata-pairs", "sources.0.metadata", [["source", "zzz"]],
+                 "metadata must be a JSON object, got [['source', 'zzz']]"),
+    # These used to fail with a message about Python internals, or to print NaN.
+    saved_report("config-a-list", "config", [1], "config must be a JSON object, got [1]"),
+    saved_report("value-nan", "sources.0.dr.0.value", float("nan"), "value must be finite, got nan"),
+    # A field of the wrong kind or a missing one is refused by name.
+    saved_report("sources-a-number", "sources", 5, "sources must be a list, got 5"),
+    saved_report("sources-missing", "sources", DELETE, "missing required field 'sources'"),
+    saved_report("dr-a-number", "sources.0.dr", 5, "dr must be a list, got 5"),
+    saved_report("counts-a-list", "sources.0.counts", [1], "counts must be a JSON object, got [1]"),
+    saved_report("thresholds-a-number", "config.iou_thresholds", 0.5, "iou_thresholds must be a list, got 0.5"),
+    # With no sources there is no table to render.
+    saved_report("sources-empty", "sources", [], "sources must not be empty"),
+    ("report-not-utf8", "report p.json --output p", {"p.json": b'{"config": "\xff"}'}, 2,
+     "p.json: not valid UTF-8 (invalid start byte at byte 12)"),
+    ("report-nested-too-deep", "report p.json --output p", {"p.json": "[" * 100000}, 2,
+     re.compile(r"p.json: invalid report JSON \(maximum recursion depth exceeded.*\)")),
+    ("report-of-a-dataset", "report in.jsonl --output p", {"in.jsonl": '{"image_id": "a"}\n'}, 2,
+     "in.jsonl: invalid report file: missing required field 'config'"),
+]
+
+
+def _tree(directory: Path) -> dict:
+    return {p: p.read_bytes() for p in directory.rglob("*") if p.is_file()}
+
+
+@pytest.mark.parametrize("argv, files, code, message", [pytest.param(*row, id=case) for case, *row in BAD_INPUT])
+def test_bad_input_is_refused_and_writes_nothing(chain, tmp_path, monkeypatch, capsys, caplog,
+                                                 argv, files, code, message):
+    monkeypatch.chdir(tmp_path)
+    for name, value in files.items():
+        value = value(chain) if callable(value) else value
+        (tmp_path / name).write_bytes(value.encode() if isinstance(value, str) else value)
+    before = _tree(tmp_path), _tree(chain)
+    caplog.clear()
+    assert main(argv.format(d=chain).split()) == code
+    errors = [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR]
+    assert len(errors) == 1
+    assert message.fullmatch(errors[0]) if isinstance(message, re.Pattern) else errors[0] == message
+    assert capsys.readouterr().out == ""
+    assert (_tree(tmp_path), _tree(chain)) == before

@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from proprank import (
@@ -51,7 +51,7 @@ from proprank import (
 from proprank.cli import main
 from proprank.core import _as_int, box_array, decode_json, record_from_dict
 from proprank.features import _describe_boxes
-from proprank.metrics import report_from_dict
+from proprank.metrics import render_csv, render_text, report_from_dict
 from proprank.ranking import model_from_dict, model_to_dict, train_soft_margin
 
 RECORD = {
@@ -82,7 +82,7 @@ _beyond_float = st.integers(309, 2000).flatmap(
 )
 _deep = st.integers(1, 3000).map(lambda depth: "[" * depth + "]" * depth)
 # One value of each JSON kind, and lists and objects of the wrong shape.
-SHAPES = ("5", "2.5", '"x"', '"10"', "null", "true", "[]", "[1]", '["a"]', "{}", '{"a": 1}', "[[1]]")
+SHAPES = ("5", "2.5", '"x"', '"10"', "null", "true", "false", "[]", "[1]", '["a"]', "{}", '{"a": 1}', "[[1]]")
 # A fragment, or None to delete the value from its object or list.
 FRAGMENTS = st.one_of(_values, _beyond_float, _deep, st.sampled_from(SHAPES), st.none())
 
@@ -131,6 +131,12 @@ def _valid_model() -> dict:
     return obj
 
 
+def _rendered_report(text):
+    """A saved report decoded and rendered as both tables, as the report command does."""
+    config, reports = decode_json(text, report_from_dict, "report.json", "report")
+    return render_text(reports, config), render_csv(reports, config)
+
+
 def _valid_report() -> dict:
     ds = generate_geometric_dataset(SynthConfig(seed=1, num_images=2, candidates_per_image=6, mode="geometric",
                                                 image_size=(64, 48)))
@@ -167,27 +173,37 @@ def test_model_file_with_any_value_replaced_decodes_or_raises_data_error(path, f
 
 @settings(max_examples=300, deadline=None)
 @given(st.sampled_from(list(_paths(REPORT))), FRAGMENTS)
+@example(("sources",), "[]")
 def test_saved_report_with_any_value_replaced_decodes_or_raises_data_error(path, fragment):
-    raw = _with_fragment(REPORT, path, fragment).encode("utf-8")
     try:
-        decode_json(raw, report_from_dict, "report.json", "report")
+        _rendered_report(_with_fragment(REPORT, path, fragment).encode("utf-8"))
     except DataError as exc:
         _assert_names_the_fault(str(exc), "report.json")
+
+
+def _value_at(document, path):
+    for key in path:
+        document = document[key]
+    return document
 
 
 @pytest.mark.parametrize("document, build, where", [
     (RECORD, lambda text: dataset_from_lines([text]), "line 1"),
     (MODEL, lambda text: decode_json(text, model_from_dict, "model.json", "model"), "model.json"),
-    (REPORT, lambda text: decode_json(text, report_from_dict, "report.json", "report"), "report.json"),
+    (REPORT, _rendered_report, "report.json"),
 ], ids=["dataset-line", "model", "report"])
 def test_every_value_of_the_wrong_kind_or_deleted_is_named(document, build, where):
-    """Each position replaced by each of SHAPES, and each key or entry deleted."""
+    """Each position replaced by each of SHAPES, and each key or entry deleted.
+    In a dataset line a bool never stands for a number."""
     for path in _paths(document):
+        number = document is RECORD and type(_value_at(document, path)) in (int, float)
         for fragment in SHAPES + ((None,) if path else ()):
             try:
                 build(_with_fragment(document, path, fragment))
             except DataError as exc:
                 _assert_names_the_fault(str(exc), where)
+            else:
+                assert not (number and fragment in ("true", "false")), (path, fragment)
 
 
 # ---------------------------------------------------------------------------
