@@ -103,7 +103,11 @@ def _as_float(value, what: str) -> float:
     """value as a finite float: any real number, never a bool."""
     if not _is_real(value):
         raise DataError(f"{what} must be a real number, got {value!r}")
-    if not math.isfinite(value):
+    try:
+        finite = math.isfinite(value)
+    except OverflowError:  # an integer beyond float range
+        raise DataError(f"{what} must be finite, got an integer beyond float range") from None
+    if not finite:
         raise DataError(f"{what} must be finite, got {value!r}")
     return float(value)
 
@@ -341,7 +345,9 @@ class ImageRecord:
         if not self.image_id:
             raise DataError("record has an empty image_id")
         for name in ("width", "height"):
-            object.__setattr__(self, name, _as_int(getattr(self, name), f"{self.image_id}: {name}"))
+            size = _as_int(getattr(self, name), f"{self.image_id}: {name}")
+            _as_float(size, f"{self.image_id}: {name}")  # the float boxes are compared with it
+            object.__setattr__(self, name, size)
         if self.width <= 0 or self.height <= 0:
             raise DataError(f"{self.image_id}: image size must be positive")
         object.__setattr__(self, "groundtruth", tuple(self.groundtruth))

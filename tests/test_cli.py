@@ -488,6 +488,8 @@ BAD_INPUT = [
     line("groundtruth-beyond-float", A + f'"groundtruth": [{{"class": "c", "box": [1, 1, 3, {BIG}]}}]}}',
          "a: groundtruth 0 box has a non-numeric coordinate"),
     line("features-beyond-float", BOX + f'"features": [1, {BIG}]}}]}}', NOT_NUMBERS),
+    line("width-beyond-float", f'{{"image_id": "a", "width": {BIG}, "height": 8}}',
+         "a: width must be finite, got an integer beyond float range"),
     ("line-nested-too-deep", "label in.jsonl o.jsonl", {"in.jsonl": OK + "[" * 100000 + "]" * 100000}, 2,
      re.compile(r"line 2: invalid JSON \(maximum recursion depth exceeded.*\)")),
     ("line-not-utf8", "label in.jsonl o.jsonl", {"in.jsonl": OK.encode() + b'{"image_id": "\xff"}\n'}, 2,
@@ -540,7 +542,13 @@ BAD_INPUT = [
     model("hog-config-a-string", "hog_config", "x", "hog_config must be a JSON object, got 'x'"),
     model("cell-size-a-string", "hog_config", {"cell_size": "a"}, "HogConfig.cell_size must be an integer, got 'a'"),
     model("provenance-a-number", "provenance", 5, "provenance must be a JSON object, got 5"),
-    model("history-beyond-float", "objective_history", [10**400], "int too large to convert to float"),
+    # An integer beyond float range used to fail as "int too large to convert to float".
+    model("history-beyond-float", "objective_history", [10**400],
+          "objective_history entry must be finite, got an integer beyond float range"),
+    model("objective-beyond-float", "final_objective", 10**400,
+          "final_objective must be finite, got an integer beyond float range"),
+    model("weight-beyond-float", "weights", [0.5, 10**400, 0, 0],
+          "weights entry must be finite, got an integer beyond float range"),
     model("weights-null", "weights", [None] * 4, "weights entry must be a real number, got None"),
     # Ill-typed config fields are refused by name instead of loading silently.
     model("slack-a-string", "config.per_image_slack", "no",

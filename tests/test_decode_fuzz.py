@@ -88,7 +88,7 @@ FRAGMENTS = st.one_of(_values, _beyond_float, _deep, st.sampled_from(SHAPES), st
 
 # What a message reads like when a decoder lets a Python error through.
 _INTERNALS = ("object is not", "has no attribute", "not subscriptable", "indices must be", "argument of type",
-              "unhashable")
+              "unhashable", "too large to convert")
 
 
 def _assert_names_the_fault(message: str, where: str) -> None:

@@ -1,4 +1,7 @@
+import multiprocessing
 import re
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -19,6 +22,7 @@ from proprank import (
     read_pgm,
 )
 from conftest import make_record
+from proprank import features
 from proprank.features import _CHUNK_BOXES, _describe_boxes, _hog_stack, _resample, _unsigned, _vote_tables
 
 # Small geometry for fast tests: 8x8 patch, 4x4 cells -> 2x2 grid, one block.
@@ -523,3 +527,82 @@ def test_featurize_dataset_reports_a_record_with_a_bad_box_whole():
     assert out.records[0].num_candidates == 0
     assert all(r.candidates.features is None for r in out.records)
     assert [r.iou_labels() for r in out.records] == [r.iou_labels() for r in records]
+
+
+# One lane, two, an odd three, and more lanes than any test image has chunks.
+LANE_COUNTS = [1, 2, 3, 64]
+
+
+@pytest.mark.parametrize("count", [0, 1, _CHUNK_BOXES, _CHUNK_BOXES + 1, 2 * _CHUNK_BOXES + 1])
+def test_descriptors_do_not_depend_on_the_lane_count(monkeypatch, count):
+    img, config = scene(), HogConfig()
+    boxes = np.array([b.as_list() for b in scene_boxes(count=max(count, 10))[:count]]).reshape(-1, 4)
+    serial = b"".join(_hog_stack(_resample(img, boxes[i:i + _CHUNK_BOXES], config), config).tobytes()
+                      for i in range(0, count, _CHUNK_BOXES))
+    describe_lane = features._describe_lane
+
+    def recorded_lane(*args):
+        ran.append(list(args[-1]))
+        describe_lane(*args)
+
+    monkeypatch.setattr(features, "_describe_lane", recorded_lane)
+    for lanes in LANE_COUNTS:
+        ran = []
+        monkeypatch.setattr(features, "_usable_cpus", lambda: lanes)
+        assert _describe_boxes(img, boxes, config).tobytes() == serial
+        # Every chunk ran once, in as many lanes as there are CPUs or chunks.
+        chunks = list(range(0, count, _CHUNK_BOXES))
+        assert len(ran) == max(1, min(lanes, len(chunks)))
+        assert sorted(start for lane in ran for start in lane) == chunks
+
+
+def test_concurrent_callers_share_the_lanes_without_mixing_rows(monkeypatch):
+    # More threads than CPUs, switching as often as the interpreter allows:
+    # each caller's rows must still be the serial bytes of its own boxes.
+    monkeypatch.setattr(features, "_usable_cpus", lambda: 3)
+    img, config = scene(), HogConfig()
+    boxes = np.array([b.as_list() for b in scene_boxes(count=64)])
+    orders = [np.random.default_rng(seed).permutation(64)[:count] for seed, count in enumerate((20, 33, 47, 64))]
+    stacks = [boxes[order] for order in orders]
+    want = [_describe_boxes(img, boxes, config).tobytes() for boxes in stacks]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=len(stacks)) as callers:
+            runs = [callers.submit(_describe_boxes, img, boxes, config) for boxes in stacks * 3]
+            got = [run.result(timeout=60).tobytes() for run in runs]
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == want * 3
+
+
+@pytest.mark.parametrize("lanes", LANE_COUNTS)
+def test_the_first_outside_box_is_reported_whichever_lane_meets_it(monkeypatch, lanes):
+    monkeypatch.setattr(features, "_usable_cpus", lambda: lanes)
+    boxes = [b.as_list() for b in scene_boxes(count=3 * _CHUNK_BOXES)]
+    boxes[_CHUNK_BOXES + 3] = [20.0, 10.0, 30.0, 16.0]  # in the second chunk
+    boxes[2 * _CHUNK_BOXES + 1] = [0.0, 0.0, 5.0, 18.0]  # in the third
+    with pytest.raises(DataError, match=r"^box \[20.0, 10.0, 30.0, 16.0\] lies outside the 23x17 image$"):
+        _describe_boxes(scene(), np.array(boxes), HogConfig())
+
+
+def _describe_in_child(img, boxes, want):
+    sys.exit(0 if _describe_boxes(img, boxes, HogConfig()).tobytes() == want else 1)
+
+
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(), reason="needs the fork start method")
+def test_a_forked_child_describes_after_the_parent_used_the_pool(monkeypatch):
+    # The child inherits the pool object but none of its threads; a lane
+    # handed to that pool would never run.
+    monkeypatch.setattr(features, "_usable_cpus", lambda: 2)
+    img = scene()
+    boxes = np.array([b.as_list() for b in scene_boxes(count=2 * _CHUNK_BOXES + 1)])
+    want = _describe_boxes(img, boxes, HogConfig()).tobytes()
+    assert features._lane_pool.cache_info().currsize == 1
+    child = multiprocessing.get_context("fork").Process(target=_describe_in_child, args=(img, boxes, want))
+    child.start()
+    child.join(timeout=60)
+    if child.is_alive():
+        child.kill()
+        child.join()
+    assert child.exitcode == 0
