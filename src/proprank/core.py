@@ -7,7 +7,6 @@ equals the size of its half-open pixel set.
 
 from __future__ import annotations
 
-import contextlib
 import hashlib
 import json
 import math
@@ -15,7 +14,7 @@ import numbers
 import os
 from collections.abc import Sequence
 from dataclasses import asdict, dataclass, fields, replace
-from itertools import chain, repeat
+from itertools import accumulate, chain, repeat
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, TypeVar
 
@@ -54,15 +53,17 @@ _FIELD_KINDS = {
 def check_field_types(obj) -> None:
     """Raise a DataError naming the first field of a config dataclass whose
     value does not match its declared int, float, bool, str or
-    tuple[int, int] type. A pair is stored as a tuple of ints.
+    tuple[int, int] type. A real number is stored as a float, a pair as a tuple of ints.
     """
     for f in fields(obj):
         test, kind = _FIELD_KINDS[getattr(f.type, "__name__", f.type)]
-        value = getattr(obj, f.name)
+        value, what = getattr(obj, f.name), f"{type(obj).__name__}.{f.name}"
         if not test(value):
-            raise DataError(f"{type(obj).__name__}.{f.name} must be {kind}, got {value!r}")
+            raise DataError(f"{what} must be {kind}, got {value!r}")
         if isinstance(value, (list, tuple)):
             object.__setattr__(obj, f.name, tuple(map(int, value)))
+        elif kind == "a real number":  # an integer is finite, or beyond float range and refused
+            object.__setattr__(obj, f.name, _as_float(value, what) if _integer(value) else float(value))
 
 
 class Config:
@@ -223,60 +224,18 @@ class GroundTruthObject:
             raise DataError("class label must be non-empty")
 
 
-@dataclass(frozen=True, eq=False, slots=True)
-class Candidate:
-    """One proposal box, optionally carrying its overlap label and features.
-
-    source_index, when present, records the position the candidate held in
-    the dataset it was re-ranked from.
-    """
-
-    box: Box
-    iou_label: float | None = None
-    features: np.ndarray | None = None
-    source_index: int | None = None
-
-    def __post_init__(self) -> None:
-        if self.iou_label is not None:
-            try:
-                label = _real(self.iou_label)
-            except (TypeError, OverflowError) as exc:
-                raise DataError(f"iou_label must be a number, got {self.iou_label!r}") from exc
-            if not math.isfinite(label) or not 0.0 <= label <= 1.0:
-                raise DataError(f"iou_label must lie in [0, 1], got {label!r}")
-            object.__setattr__(self, "iou_label", label)
-        if self.features is not None:
-            try:
-                if isinstance(self.features, (list, tuple)) and bool in map(type, self.features):
-                    raise TypeError("a bool is not a number")  # np.asarray would read true as 1
-                feats = np.asarray(self.features)
-                if feats.dtype.kind not in "iuf" and not all(map(_is_real, feats.flat)):
-                    raise TypeError("features are not numbers")  # strings are never parsed as numbers
-                feats = feats.astype(np.float64, copy=False)
-            except (TypeError, ValueError, OverflowError) as exc:
-                raise DataError("features must be a list of numbers") from exc
-            if feats.ndim != 1:
-                raise DataError(f"features must be a flat vector, got shape {feats.shape}")
-            if not len(feats):
-                raise DataError("features must not be empty")
-            if not np.all(np.isfinite(feats)):
-                raise DataError("features contain non-finite values")
-            object.__setattr__(self, "features", feats)
-        if self.source_index is not None:
-            index = _as_int(self.source_index, "source_index")
-            if index < 0:
-                raise DataError(f"source_index must be non-negative, got {index}")
-            object.__setattr__(self, "source_index", index)
+_COLUMNS = ("boxes", "labels", "features", "source_index")
 
 
 @dataclass(frozen=True, eq=False, slots=True)
 class Candidates(Sequence):
-    """A record's candidates as read-only columns, built into Candidate rows
-    on demand: boxes (n, 4), labels (n,), features (n, d) and source_index,
-    a tuple of ints. Each column but boxes is complete or absent: a value for
-    every candidate or None, and None for all of them when there are no
-    candidates. Every table checks its columns as arrays against the Box and
-    Candidate rules, a DataError if they fail.
+    """A record's candidates as read-only columns: boxes (n, 4), labels (n,),
+    features (n, d) and source_index, a tuple of ints. Each column but boxes
+    is complete or absent: a value for every candidate or None, and None for
+    all of them when there are no candidates. Every table checks its columns
+    as arrays against the box and candidate rules, a DataError if they fail.
+    table[i] is candidate i as a one-row table of read-only views of the
+    columns (source_index a 1-tuple), so it is not checked again.
     """
 
     boxes: np.ndarray
@@ -286,42 +245,41 @@ class Candidates(Sequence):
 
     def __post_init__(self) -> None:
         n = len(self.boxes)
-        for name in ("boxes", "labels", "features", "source_index"):
+        for name in _COLUMNS:
             values = getattr(self, name) if n else np.zeros((0, 4)) if name == "boxes" else None
             object.__setattr__(self, name, _checked_column(name, values, n))
-
-    @classmethod
-    def from_rows(cls, image_id: str, rows: Iterable[Candidate]) -> Candidates:
-        """The table of Candidate rows. A field that some rows have and others
-        lack, or features of a second dimension, are a DataError."""
-        rows = tuple(rows)
-        columns = []
-        for name in ("iou_label", "features", "source_index"):
-            values = [getattr(c, name) for c in rows]
-            present = [v is not None for v in values]
-            if any(present) and not all(present):
-                i, j = present.index(False), present.index(True)
-                raise DataError(f"{image_id}: candidate {i} has no {name}, but candidate {j} has one")
-            columns.append(values if any(present) else None)
-        labels, features, source_index = columns
-        dim = len(features[0]) if features else 0
-        for i, feats in enumerate(features or ()):
-            if len(feats) != dim:
-                raise DataError(f"{image_id}: candidate {i} has feature dimension {len(feats)}, expected {dim}")
-        features = None if features is None else np.stack(features)
-        return cls(box_array(c.box for c in rows), labels, features, source_index)
 
     def __len__(self) -> int:
         return len(self.boxes)
 
-    def __getitem__(self, i: int) -> Candidate:
-        """Candidate i; its features are a read-only row of the feature matrix."""
-        return Candidate(
-            Box(*self.boxes[i].tolist()),
-            None if self.labels is None else float(self.labels[i]),
-            None if self.features is None else self.features[i],
-            None if self.source_index is None else self.source_index[i],
-        )
+    def __getitem__(self, i: int) -> Candidates:
+        i = range(len(self.boxes))[i]  # an IndexError out of range; a negative i counts from the end
+        row = object.__new__(Candidates)
+        for name in _COLUMNS:
+            column = getattr(self, name)
+            object.__setattr__(row, name, None if column is None else column[i:i + 1])
+        return row
+
+
+def _concatenated(image_id: str, tables: Iterable[Candidates]) -> Candidates:
+    """One table of the rows of tables, in order. A column that some rows have
+    and others lack, or features of a second dimension, are a DataError."""
+    tables = [t for t in tables if len(t.boxes)] or [Candidates(np.zeros((0, 4)))]
+    first_row = list(accumulate((len(t.boxes) for t in tables), initial=0))
+    for name, what in (("labels", "iou_label"), ("features", "features"), ("source_index", "source_index")):
+        present = [getattr(t, name) is not None for t in tables]
+        if any(present) and not all(present):
+            i, j = first_row[present.index(False)], first_row[present.index(True)]
+            raise DataError(f"{image_id}: candidate {i} has no {what}, but candidate {j} has one")
+    dims = [t.features.shape[1] for t in tables if t.features is not None]
+    for k, dim in enumerate(dims):
+        if dim != dims[0]:
+            raise DataError(f"{image_id}: candidate {first_row[k]} has feature dimension {dim}, expected {dims[0]}")
+    columns = ([getattr(t, name) for t in tables] for name in _COLUMNS)
+    return Candidates(*(
+        None if parts[0] is None else tuple(chain(*parts)) if isinstance(parts[0], tuple) else np.concatenate(parts)
+        for parts in columns
+    ))
 
 
 @dataclass(frozen=True, eq=False)
@@ -331,8 +289,8 @@ class ImageRecord:
     The one owner of the record-level rules: a non-empty image_id, a positive
     size under the decoder's integer rule (8.0 becomes 8), every box inside
     [0, width] x [0, height] (rejected rather than clamped) and one feature
-    dimension. candidates may be given as Candidate rows, which are
-    converted to a Candidates table once.
+    dimension. candidates is a Candidates table, or an iterable of them,
+    such as one-row tables, which are concatenated into one once.
     """
 
     image_id: str
@@ -352,7 +310,7 @@ class ImageRecord:
             raise DataError(f"{self.image_id}: image size must be positive")
         object.__setattr__(self, "groundtruth", tuple(self.groundtruth))
         if not isinstance(self.candidates, Candidates):
-            object.__setattr__(self, "candidates", Candidates.from_rows(self.image_id, self.candidates))
+            object.__setattr__(self, "candidates", _concatenated(self.image_id, self.candidates))
         boxes = np.concatenate([box_array(g.box for g in self.groundtruth), self.candidates.boxes])
         outside = (boxes[:, :2] < 0).any(axis=1) | (boxes[:, 2] > self.width) | (boxes[:, 3] > self.height)
         if outside.any():
@@ -440,36 +398,40 @@ class Dataset:
 # ---------------------------------------------------------------------------
 # Column-wise record building
 #
-# A record's candidate columns are checked as arrays against every rule that
-# Box and Candidate enforce whenever they become a Candidates table;
-# ImageRecord applies the record-level rules. record_from_columns builds
-# columns that fail a check, or that are not a regular table of numbers,
-# entry by entry through the types instead, so they fail with exactly the
-# errors the types raise.
+# A record's candidate columns are checked as arrays against every box and
+# candidate rule whenever they become a Candidates table; ImageRecord applies
+# the record-level rules. record_from_columns builds columns that fail a
+# check, or that are not a regular table of numbers, entry by entry instead:
+# each entry through Box and _candidate into a one-row table, and the record
+# from those tables, so an error names the rule and the entry that broke it.
 
 
 class _Irregular(DataError):
     """Candidate columns that the array checks do not pass."""
 
 
-# Each float column's axes and what the Box and Candidate rules ask of it as
+# Each float column's axes and what the box and candidate rules ask of it as
 # one array. A NaN label fails both comparisons.
 _COLUMN_RULES = {
-    "boxes": (2, lambda c: c.shape[1] == 4 and np.isfinite(c).all() and (c[:, 2:] > c[:, :2]).all()),
-    "labels": (1, lambda c: ((c >= 0.0) & (c <= 1.0)).all()),
-    "features": (2, lambda c: c.shape[1] > 0 and np.isfinite(c).all()),
+    "boxes": (2, lambda c: c.shape[1] == 4 and _all(np.isfinite(c)) and _all(c[:, 2:] > c[:, :2])),
+    "labels": (1, lambda c: _all((c >= 0.0) & (c <= 1.0))),
+    "features": (2, lambda c: c.shape[1] > 0 and _all(np.isfinite(c))),
 }
+
+
+def _all(mask: np.ndarray) -> bool:
+    """mask.all(), without the reduction's fixed cost of about 1 us."""
+    return np.count_nonzero(mask) == mask.size
 
 
 def _checked_column(name: str, values, n: int):
     """values as the Candidates column of that name: a read-only (n, ...)
     float64 array, or for source_index a tuple of ints. Values that
-    break the Box and Candidate rules, ragged, nested and non-numeric ones
+    break the box and candidate rules, ragged, nested and non-numeric ones
     included, are _Irregular."""
     if values is None:
         return None
-    valid = False
-    with contextlib.suppress(TypeError, ValueError, OverflowError):
+    try:
         if name == "source_index":  # Python ints, exact beyond 64 bits
             # A plain int is taken as it is; _as_int's ABC check costs about 1 us an entry.
             column = tuple(i if type(i) is int else _as_int(i, name) for i in values)
@@ -481,13 +443,52 @@ def _checked_column(name: str, values, n: int):
             if isinstance(values, (list, tuple)) and bool in map(type, entries):
                 raise TypeError("a bool is not a number")
             column = np.asarray(values)
-            if column.dtype.kind in "iuf" and column.ndim == ndim and len(column) == n:
+            valid = column.dtype.kind in "iuf" and column.ndim == ndim and len(column) == n
+            if valid:
                 column = column.astype(np.float64, copy=False).view()
-                column.flags.writeable = False  # rows share the feature matrix, so a write would change the record
+                column.setflags(write=False)  # rows share the feature matrix, so a write would change the record
                 valid = bool(rule(column))
+    except (TypeError, ValueError, OverflowError):
+        valid = False
     if not valid:
         raise _Irregular(f"candidate {name} column breaks the Box and Candidate rules")
     return column
+
+
+def _candidate(box: Box, iou_label=None, features=None, source_index=None) -> Candidates:
+    """One candidate entry as a one-row table; its optional label, features and
+    source index are checked one by one, so that an error names the rule broken."""
+    if iou_label is not None:
+        try:
+            label = _real(iou_label)
+        except (TypeError, OverflowError) as exc:
+            raise DataError(f"iou_label must be a number, got {iou_label!r}") from exc
+        if not 0.0 <= label <= 1.0:  # NaN and infinities fail too
+            raise DataError(f"iou_label must lie in [0, 1], got {label!r}")
+        iou_label = [label]
+    if features is not None:
+        try:
+            if isinstance(features, (list, tuple)) and bool in map(type, features):
+                raise TypeError("a bool is not a number")  # np.asarray would read true as 1
+            feats = np.asarray(features)
+            if feats.dtype.kind not in "iuf" and not all(map(_is_real, feats.flat)):
+                raise TypeError("features are not numbers")  # strings are never parsed as numbers
+            feats = feats.astype(np.float64, copy=False)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise DataError("features must be a list of numbers") from exc
+        if feats.ndim != 1:
+            raise DataError(f"features must be a flat vector, got shape {feats.shape}")
+        if not len(feats):
+            raise DataError("features must not be empty")
+        if not np.all(np.isfinite(feats)):
+            raise DataError("features contain non-finite values")
+        features = feats[None]
+    if source_index is not None:
+        index = _as_int(source_index, "source_index")
+        if index < 0:
+            raise DataError(f"source_index must be non-negative, got {index}")
+        source_index = (index,)
+    return Candidates(np.array([box.as_list()]), iou_label, features, source_index)
 
 
 def record_from_columns(
@@ -505,9 +506,9 @@ def record_from_columns(
     boxes holds n [x_min, y_min, x_max, y_max] rows; labels (n values),
     features (n vectors) and source_index (n values) are optional. Each is an
     array or a list of per-candidate values, and candidate i takes entry i of
-    each. Checked as arrays, the columns are stored without a copy. Anything
-    the types reject fails with their error, prefixed with the image and the
-    candidate as in "<image_id>: candidate 3 ...".
+    each. Checked as arrays, the columns are stored without a copy. An entry
+    that breaks a rule fails with that rule's error, prefixed with the image
+    and the candidate as in "<image_id>: candidate 3 ...".
     """
     groundtruth = tuple(groundtruth)
     try:
@@ -515,14 +516,14 @@ def record_from_columns(
     except _Irregular:
         rows = boxes.tolist() if isinstance(boxes, np.ndarray) else boxes
         entries = zip(rows, *(repeat(None) if c is None else c for c in (labels, features, source_index)))
-        table = _each(image_id, "candidate", entries, lambda entry: Candidate(_box_from_list(entry[0]), *entry[1:]))
+        table = _each(image_id, "candidate", entries, lambda entry: _candidate(_box_from_list(entry[0]), *entry[1:]))
     return ImageRecord(image_id, width, height, groundtruth, table)
 
 
 def replace_column(record: ImageRecord, name: str, values) -> ImageRecord:
     """record with its candidates' labels or features column replaced by
     values, one per candidate, or dropped by None; a DataError if they break
-    the Box and Candidate rules."""
+    the candidate rules."""
     return replace(record, candidates=replace(record.candidates, **{name: values}))
 
 

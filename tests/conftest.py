@@ -2,9 +2,8 @@
 
 from __future__ import annotations
 
-import numpy as np
-
-from proprank import Box, Candidate, Dataset, GroundTruthObject, ImageRecord
+from proprank import Box, Dataset, GroundTruthObject
+from proprank.core import record_from_columns
 
 
 def make_record(image_id, labels=None, feats=None, gts=(), cand_boxes=None, size=(100, 100)):
@@ -17,17 +16,8 @@ def make_record(image_id, labels=None, feats=None, gts=(), cand_boxes=None, size
     if cand_boxes is None:
         n = len(labels) if labels is not None else (len(feats) if feats is not None else 0)
         cand_boxes = [[0.0, 0.0, 1.0, 1.0]] * n
-    cands = []
-    for i, box in enumerate(cand_boxes):
-        cands.append(
-            Candidate(
-                Box(*box),
-                iou_label=None if labels is None else float(labels[i]),
-                features=None if feats is None else np.asarray(feats[i], dtype=np.float64),
-            )
-        )
     groundtruth = tuple(GroundTruthObject(cls, Box(*b)) for cls, b in gts)
-    return ImageRecord(image_id, width, height, groundtruth, tuple(cands))
+    return record_from_columns(image_id, width, height, groundtruth, cand_boxes, labels, feats)
 
 
 def make_dataset(instance, prefix="img"):

@@ -24,7 +24,6 @@ from oracles import (
 )
 from proprank import (
     Box,
-    Candidate,
     Dataset,
     EvalConfig,
     GrayImage,
@@ -49,6 +48,7 @@ from proprank import (
     train_soft_margin,
 )
 from proprank.cli import main as cli_main
+from proprank.core import Candidates
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -169,8 +169,8 @@ def _random_geometry_dataset(rng, tag):
         for _ in range(n):
             x0, y0 = rng.uniform(0, 70, size=2)
             w, h = rng.uniform(2, 28, size=2)
-            cands.append(Candidate(Box(x0, y0, x0 + w, y0 + h)))
-        records.append(ImageRecord(f"{tag}-{j}", 100, 100, tuple(gts), tuple(cands)))
+            cands.append([x0, y0, x0 + w, y0 + h])
+        records.append(ImageRecord(f"{tag}-{j}", 100, 100, tuple(gts), Candidates(cands)))
     return Dataset(tuple(records))
 
 
@@ -178,7 +178,7 @@ def _as_plain(dataset):
     return [
         {
             "gts": [(g.class_label, (g.box.x_min, g.box.y_min, g.box.x_max, g.box.y_max)) for g in rec.groundtruth],
-            "cands": [(c.box.x_min, c.box.y_min, c.box.x_max, c.box.y_max) for c in rec.candidates],
+            "cands": [tuple(box) for box in rec.candidates.boxes.tolist()],
         }
         for rec in dataset.records
     ]

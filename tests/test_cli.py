@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from proprank import Box, Dataset, dataset_digest, load_model, rank_by_label, read_dataset, write_dataset
+from proprank import Dataset, dataset_digest, load_model, rank_by_label, read_dataset, write_dataset
 from proprank import core
 from proprank.cli import main
 
@@ -82,8 +82,7 @@ def test_train_rerank_eval_pipeline(tmp_path, capsys):
     assert ranked1.read_bytes() == ranked2.read_bytes()
     ranked = read_dataset(ranked1)
     for orig, new in zip(read_dataset(data).records, ranked.records):
-        sources = [c.source_index for c in new.candidates]
-        assert sorted(sources) == list(range(orig.num_candidates))
+        assert sorted(new.candidates.source_index) == list(range(orig.num_candidates))
         scores = new.features_matrix() @ model.weights
         assert all(a >= b - 1e-12 for a, b in zip(scores, scores[1:]))
 
@@ -124,16 +123,18 @@ def test_eval_takes_the_order_of_a_file_without_source_index_and_rejects_foreign
     run(capsys, "synth", data, "--mode", "geometric", "--seed", 0, "--num-images", 4, "--candidates", 1000)
     dataset = read_dataset(data)
 
-    def sorted_by_label(name, with_source_index, moved=None):
-        """The dataset with each image's candidates sorted by iou_label; moved
-        replaces the box of candidate 5 of the first image."""
+    def sorted_by_label(name, with_source_index, shrink=False):
+        """The dataset with each image's candidates sorted by iou_label; shrink
+        takes half a pixel off the bottom of candidate 5 of the first image."""
         records = []
         for rec in dataset.records:
-            rows = [replace(rec.candidates[i], source_index=i if with_source_index else None)
-                    for i in rank_by_label(rec)]
-            if moved is not None and not records:
-                rows[5] = replace(rows[5], box=moved(rows[5].box))
-            records.append(replace(rec, candidates=rows))
+            order, cands = rank_by_label(rec), rec.candidates
+            boxes = cands.boxes[order]
+            if shrink and not records:
+                boxes[5, 3] -= 0.5
+            sources = tuple(order) if with_source_index else None
+            table = core.Candidates(boxes, cands.labels[order], cands.features[order], sources)
+            records.append(replace(rec, candidates=table))
         path = tmp_path / name
         write_dataset(Dataset(tuple(records)), path)
         return path
@@ -152,8 +153,7 @@ def test_eval_takes_the_order_of_a_file_without_source_index_and_rejects_foreign
     # A box that is not the dataset's, with or without source_index, is exit 2 and writes nothing.
     image_id = dataset.records[0].image_id
     for with_source_index in (False, True):
-        shrunk = lambda b: Box(b.x_min, b.y_min, b.x_max, b.y_max - 0.5)  # noqa: E731
-        foreign = sorted_by_label("foreign.jsonl", with_source_index, shrunk)
+        foreign = sorted_by_label("foreign.jsonl", with_source_index, shrink=True)
         out = tmp_path / "foreign"
         assert main(["eval", str(data), str(foreign), "--output", str(out)]) == 2
         assert caplog.messages[-1].startswith(f"{image_id}: candidate 5 box [")
@@ -555,6 +555,10 @@ BAD_INPUT = [
           "TrainingConfig.per_image_slack must be true or false, got 'no'"),
     model("k-fractional", "config.k", 2.5, "TrainingConfig.k must be an integer, got 2.5"),
     model("epochs-true", "config.epochs", True, "TrainingConfig.epochs must be an integer, got True"),
+    # These used to load as a 401-digit int, and rerank exited 0.
+    model("C-beyond-float", "config.C", 10**400, "TrainingConfig.C must be finite, got an integer beyond float range"),
+    model("tol-beyond-float", "config.convergence_tol", 10**400,
+          "TrainingConfig.convergence_tol must be finite, got an integer beyond float range"),
     model("cell-size-true", "hog_config", {"cell_size": True}, "HogConfig.cell_size must be an integer, got True"),
     model("resize-w-fractional", "hog_config", {"resize_w": 50.5}, "HogConfig.resize_w must be an integer, got 50.5"),
     # Numbers take the dataset decoder's rules: no strings, no bools, no truncation.

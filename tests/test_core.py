@@ -11,14 +11,15 @@ from conftest import make_record
 from oracles import _iou_ref, pixel_iou
 from proprank import (
     Box,
-    Candidate,
     DataError,
     Dataset,
     GroundTruthObject,
     ImageRecord,
+    SynthConfig,
     dataset_digest,
     dataset_from_lines,
     dataset_to_lines,
+    generate_geometric_dataset,
     iou_matrix,
     label_candidates,
     label_dataset,
@@ -121,46 +122,47 @@ def test_iou_matrix_empty_shapes():
     assert iou_matrix(np.zeros((0, 4)), boxes).shape == (0, 2)
 
 
+def _one_candidate(**columns):
+    """A record of one candidate, the box [0, 0, 1, 1], with the given columns."""
+    return record_from_columns("im", 4, 4, (), [[0, 0, 1, 1]], **columns)
+
+
 def test_candidate_validation():
-    with pytest.raises(DataError):
-        Candidate(Box(0, 0, 1, 1), iou_label=1.5)
-    with pytest.raises(DataError):
-        Candidate(Box(0, 0, 1, 1), iou_label=-0.1)
-    with pytest.raises(DataError):
-        Candidate(Box(0, 0, 1, 1), features=np.array([[1.0, 2.0]]))
-    with pytest.raises(DataError):
-        Candidate(Box(0, 0, 1, 1), features=np.array([1.0, np.nan]))
-    with pytest.raises(DataError):
-        Candidate(Box(0, 0, 1, 1), source_index=-1)
-    with pytest.raises(DataError, match="iou_label must be a number"):
-        Candidate(Box(0, 0, 1, 1), iou_label=[0.5])
-    with pytest.raises(DataError, match="features must be a list of numbers"):
-        Candidate(Box(0, 0, 1, 1), features=[[1.0], [1.0, 2.0]])
-    with pytest.raises(DataError, match="features must not be empty"):
-        Candidate(Box(0, 0, 1, 1), features=[])
-    c = Candidate(Box(0, 0, 1, 1), iou_label=np.float64(0.5))
-    assert isinstance(c.iou_label, float)
+    for columns, message in (
+        (dict(labels=[1.5]), "iou_label must lie in [0, 1], got 1.5"),
+        (dict(labels=[-0.1]), "iou_label must lie in [0, 1], got -0.1"),
+        (dict(features=[np.array([[1.0, 2.0]])]), "features must be a flat vector, got shape (1, 2)"),
+        (dict(features=[np.array([1.0, np.nan])]), "features contain non-finite values"),
+        (dict(source_index=[-1]), "source_index must be non-negative, got -1"),
+        (dict(labels=[[0.5]]), "iou_label must be a number, got [0.5]"),
+        (dict(features=[[[1.0], [1.0, 2.0]]]), "features must be a list of numbers"),
+        (dict(features=[[]]), "features must not be empty"),
+    ):
+        with pytest.raises(DataError, match=f"^im: candidate 0 {re.escape(message)}$"):
+            _one_candidate(**columns)
+    label = _one_candidate(labels=[np.float64(0.5)]).iou_labels()[0]
+    assert label == 0.5 and type(label) is float
 
 
 def test_candidate_source_index_takes_the_decoders_integer_rule():
-    box = Box(0, 0, 1, 1)
     for bad in (1.5, True, False, "3", [1]):
-        with pytest.raises(DataError, match=f"^source_index must be an integer, got {re.escape(repr(bad))}$"):
-            Candidate(box, source_index=bad)
+        message = f"im: candidate 0 source_index must be an integer, got {bad!r}"
+        with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+            _one_candidate(source_index=[bad])
     for bad, index in ((-1, -1), (-2.0, -2)):
-        with pytest.raises(DataError, match=f"^source_index must be non-negative, got {index}$"):
-            Candidate(box, source_index=bad)
+        with pytest.raises(DataError, match=f"^im: candidate 0 source_index must be non-negative, got {index}$"):
+            _one_candidate(source_index=[bad])
     for value, index in ((2.0, 2), (np.int64(3), 3), (0, 0)):
-        got = Candidate(box, source_index=value).source_index
-        assert got == index and type(got) is int
+        got = _one_candidate(source_index=[value]).candidates.source_index
+        assert got == (index,) and type(got[0]) is int
     # What the type accepts, the decoder reads back.
-    rec = ImageRecord("s", 4, 4, (), (Candidate(box, source_index=2.0),))
+    rec = _one_candidate(source_index=[2.0])
     assert record_to_dict(rec)["candidates"][0]["source_index"] == 2
-    assert dataset_from_lines(dataset_to_lines(Dataset((rec,)))).records[0].candidates[0].source_index == 2
+    assert dataset_from_lines(dataset_to_lines(Dataset((rec,)))).records[0].candidates.source_index == (2,)
 
 
 def test_record_size_takes_the_decoders_integer_rule():
-    box = (Candidate(Box(0, 0, 1, 1)),)
+    box = Candidates([[0, 0, 1, 1]])
     for name, bad in (("width", 8.5), ("width", True), ("width", "8"), ("width", None), ("height", False)):
         size = {"width": 8, "height": 8, name: bad}
         message = f"a: {name} must be an integer, got {bad!r}"
@@ -183,14 +185,14 @@ def test_record_from_columns_builds_what_the_types_build():
     feats = np.array([[0.5, -1.0], [2.0, 0.0], [1e300, -0.0]])
     rec = record_from_columns("im", 16, 12, gts, boxes, [0.5, 1, 0.0], feats, np.array([2, 0, 1]))
     expected = ImageRecord("im", 16, 12, gts, tuple(
-        Candidate(Box(*b), label, f, index)
+        core._candidate(Box(*b), label, f, index)
         for b, label, f, index in zip(boxes.tolist(), [0.5, 1.0, 0.0], feats, [2, 0, 1])
     ))
     assert dataset_digest(Dataset((rec,))) == dataset_digest(Dataset((expected,)))
     assert rec.feature_dim == 2 and rec.groundtruth == gts
     for got, want in zip(rec.candidates, expected.candidates):
-        assert got.box == want.box and type(got.box.x_min) is float
-        assert type(got.iou_label) is float and type(got.source_index) is int
+        assert got.boxes.tolist() == want.boxes.tolist() and got.labels.tolist() == want.labels.tolist()
+        assert got.source_index == want.source_index and type(got.source_index[0]) is int
         # Each candidate's features are a row view of the one checked matrix.
         assert got.features.tobytes() == want.features.tobytes() and np.shares_memory(got.features, feats)
     table = rec.candidates
@@ -201,9 +203,10 @@ def test_record_from_columns_builds_what_the_types_build():
         with pytest.raises(ValueError, match="read-only"):
             column[0] = 0.0
     assert rec.features_matrix() is table.features and len(table) == 3 and len(list(table)) == 3
-    assert table[-1].box == Box(0.5, 0.25, 1, 1)
-    with pytest.raises(IndexError):
-        table[3]
+    assert table[-1].boxes.tolist() == [[0.5, 0.25, 1.0, 1.0]]
+    for out_of_range in (3, -4):
+        with pytest.raises(IndexError):
+            table[out_of_range]
     empty = record_from_columns("e", 4, 4, (), np.zeros((0, 4)), np.zeros(0), np.zeros((0, 3)), np.zeros(0, int))
     assert empty.num_candidates == 0 and empty.feature_dim is None
     assert (empty.candidates.labels, empty.candidates.features, empty.candidates.source_index) == (None, None, None)
@@ -216,6 +219,49 @@ def test_record_from_columns_builds_what_the_types_build():
     ):
         with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
             record_from_columns("m", 4, 4, (), two, *columns)
+
+
+def test_a_candidate_is_a_read_only_one_row_view_of_the_columns():
+    config = SynthConfig(seed=0, mode="geometric", num_images=1, candidates_per_image=30, image_size=(64, 48))
+    synth = generate_geometric_dataset(config).records[0]
+    rec = replace(synth, candidates=replace(synth.candidates, source_index=range(29, -1, -1)))
+    table = rec.candidates
+    for i in (0, 7, 29, -1, -30):
+        row = table[i]
+        assert len(row) == 1 and row.source_index == (29 - i % 30,)
+        for name in ("boxes", "labels", "features"):
+            column, whole = getattr(row, name), getattr(table, name)
+            assert column.shape == (1, *whole.shape[1:]) and column[0].tobytes() == whole[i].tobytes()
+            assert np.shares_memory(column, whole)
+            with pytest.raises(ValueError, match="read-only"):
+                column[0] = 0.0
+        assert row[0].boxes.tolist() == row[-1].boxes.tolist() == row.boxes.tolist()
+    assert b"".join(c.features.tobytes() for c in table) == rec.features_matrix().tobytes()
+    # Rows rebuilt with dataclasses.replace and joined by ImageRecord write what replace_column writes.
+    for name in ("features", "labels"):
+        rows = tuple(replace(c, **{name: None}) for c in table)
+        joined = ImageRecord(rec.image_id, rec.width, rec.height, rec.groundtruth, rows)
+        assert dataset_to_lines(Dataset((joined,))) == dataset_to_lines(Dataset((replace_column(rec, name, None),)))
+
+
+def test_joined_tables_keep_the_column_rules_of_a_record():
+    """Tables joined by ImageRecord are numbered by row, whatever their sizes."""
+    box = [[0, 0, 1, 1]]
+    one, two = Candidates(box, features=[[1.0]]), Candidates(box * 2, features=[[1.0], [2.0]])
+    wide, labeled = Candidates(box, features=[[1.0, 2.0]]), Candidates(box, [0.5], [[1.0]], (3,))
+    empty = Candidates(np.zeros((0, 4)))
+    for tables, message in (
+        ((two, wide), "m: candidate 2 has feature dimension 2, expected 1"),
+        ((empty, one, labeled), "m: candidate 0 has no iou_label, but candidate 1 has one"),
+        ((two, Candidates(box * 2)), "m: candidate 2 has no features, but candidate 0 has one"),
+        ((replace(labeled, labels=None), empty, two), "m: candidate 1 has no source_index, but candidate 0 has one"),
+    ):
+        with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+            ImageRecord("m", 4, 4, (), tables)
+    joined = ImageRecord("m", 4, 4, (), (empty, two, one)).candidates
+    assert joined.features.tolist() == [[1.0], [2.0], [1.0]] and joined.labels is None
+    assert joined.boxes.tolist() == box * 3 and not np.shares_memory(joined.features, two.features)
+    assert ImageRecord("m", 4, 4, (), [empty]).num_candidates == ImageRecord("m", 4, 4).num_candidates == 0
 
 
 def test_record_from_columns_fails_with_the_types_errors():
@@ -295,18 +341,18 @@ def test_a_candidates_table_checks_its_columns():
 
 def test_record_rejects_out_of_bounds_boxes():
     with pytest.raises(DataError, match="im-1"):
-        ImageRecord("im-1", 10, 10, (), (Candidate(Box(5, 5, 11, 9)),))
+        ImageRecord("im-1", 10, 10, (), Candidates([[5, 5, 11, 9]]))
     with pytest.raises(DataError):
         ImageRecord("im-2", 10, 10, (GroundTruthObject("cat", Box(-1, 0, 5, 5)),), ())
     # Boxes touching the image border are fine.
-    ImageRecord("im-3", 10, 10, (), (Candidate(Box(0, 0, 10, 10)),))
+    ImageRecord("im-3", 10, 10, (), Candidates([[0, 0, 10, 10]]))
 
 
 def test_record_label_and_feature_accessors():
     rec = make_record("r", labels=[0.2, 0.9], feats=[[1.0, 2.0], [3.0, 4.0]])
     assert rec.iou_labels() == [0.2, 0.9]
     assert rec.features_matrix().shape == (2, 2)
-    partial = ImageRecord("r2", 5, 5, (), (Candidate(Box(0, 0, 1, 1)),))
+    partial = ImageRecord("r2", 5, 5, (), Candidates([[0, 0, 1, 1]]))
     with pytest.raises(DataError, match="r2: candidate 0"):
         partial.iou_labels()
     with pytest.raises(DataError, match="has no features"):
@@ -375,13 +421,13 @@ def test_jsonl_round_trip_is_exact(tmp_path):
         gts=[("cat", [0.5, 1.5, 20.25, 30.75])],
         cand_boxes=[[0, 0, 10, 10], [5, 5, 15, 15]],
     )
-    rec2 = ImageRecord("rt-2", 100, 100, (), (Candidate(Box(1, 1, 2, 2), source_index=4),))
+    rec2 = ImageRecord("rt-2", 100, 100, (), Candidates([[1, 1, 2, 2]], source_index=(4,)))
     ds = Dataset((rec, rec2))
     lines = dataset_to_lines(ds)
     back = dataset_from_lines(lines)
     assert dataset_to_lines(back) == lines
     assert back.records[0].iou_labels() == [0.12345678901234567, 1.0]
-    assert back.records[1].candidates[0].source_index == 4
+    assert back.records[1].candidates.source_index == (4,)
     assert back.feature_dim == 2
     assert dataset_digest(back) == dataset_digest(ds)
     path = tmp_path / "ds.jsonl"
@@ -442,7 +488,7 @@ def test_jsonl_reader_ignores_unknown_fields_and_blank_lines():
     ds = dataset_from_lines(["", line, "   "])
     assert len(ds) == 1
     assert ds.records[0].groundtruth[0].class_label == "cat"
-    assert ds.records[0].candidates[0].iou_label is None
+    assert ds.records[0].candidates.labels is None
 
 
 def test_jsonl_errors_carry_line_numbers():

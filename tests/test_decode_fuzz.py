@@ -23,7 +23,6 @@ from hypothesis import strategies as st
 
 from proprank import (
     Box,
-    Candidate,
     DataError,
     Dataset,
     EvalConfig,
@@ -49,7 +48,7 @@ from proprank import (
     write_dataset,
 )
 from proprank.cli import main
-from proprank.core import _as_int, box_array, decode_json, record_from_dict
+from proprank.core import _as_int, _candidate, box_array, decode_json, record_from_dict
 from proprank.features import _describe_boxes
 from proprank.metrics import render_csv, render_text, report_from_dict
 from proprank.ranking import model_from_dict, model_to_dict, train_soft_margin
@@ -210,9 +209,9 @@ def test_every_value_of_the_wrong_kind_or_deleted_is_named(document, build, wher
 # The column-wise record builder against the per-entry type path
 #
 # record_from_dict checks a record's candidates as columns. The reference
-# below builds every candidate through Box and Candidate on its own and the
-# record through ImageRecord, as the decoder did before; the two must build
-# the same record or fail with the same text.
+# below builds every candidate on its own, through Box and the per-entry
+# checks into a one-row table, and the record through ImageRecord from those
+# tables; the two must build the same record or fail with the same text.
 
 
 def _box(value) -> Box:
@@ -239,7 +238,7 @@ def _through_types(obj) -> ImageRecord:
     groundtruth = _built(
         image_id, "groundtruth", obj["groundtruth"], lambda g: GroundTruthObject(g["class"], _box(g["box"]))
     )
-    candidates = _built(image_id, "candidate", obj["candidates"], lambda c: Candidate(
+    candidates = _built(image_id, "candidate", obj["candidates"], lambda c: _candidate(
         _box(c["box"]), c.get("iou_label"), c.get("features"), c.get("source_index")
     ))
     return ImageRecord(image_id, width, height, groundtruth, candidates)
@@ -251,7 +250,8 @@ def _outcome(text: str, build):
         record = decode_json(text, build, "line 1")
     except DataError as exc:
         return str(exc)
-    features = [None if c.features is None else (c.features.dtype, c.features.tobytes()) for c in record.candidates]
+    features = record.candidates.features
+    features = None if features is None else (features.dtype, features.shape, features.tobytes())
     return dataset_digest(Dataset((record,))), features, record.feature_dim
 
 
@@ -348,15 +348,14 @@ def test_label_command_writes_what_label_dataset_gives_or_exits_2_writing_nothin
 
 
 def _labeled_by_replace(rec: ImageRecord) -> ImageRecord:
-    cands = box_array(c.box for c in rec.candidates)
-    best = iou_matrix(cands, box_array(g.box for g in rec.groundtruth)).max(axis=1, initial=0.0)
-    return replace(rec, candidates=tuple(replace(c, iou_label=v) for c, v in zip(rec.candidates, best.tolist())))
+    best = iou_matrix(rec.candidates.boxes, box_array(g.box for g in rec.groundtruth)).max(axis=1, initial=0.0)
+    return replace(rec, candidates=tuple(replace(c, labels=[v]) for c, v in zip(rec.candidates, best.tolist())))
 
 
 def _reranked_by_replace(rec: ImageRecord, order: list[int]) -> ImageRecord:
     cands = rec.candidates
     return replace(rec, candidates=tuple(
-        replace(cands[i], source_index=i if cands[i].source_index is None else cands[i].source_index) for i in order
+        replace(cands[i], source_index=cands[i].source_index or (i,)) for i in order
     ))
 
 
@@ -378,7 +377,7 @@ def _geometric(seed: int) -> Dataset:
     ds = generate_geometric_dataset(config)
     first = ds.records[0]
     bare = replace(first, image_id="bare", candidates=tuple(
-        replace(c, iou_label=None, features=None, source_index=39 - i) for i, c in enumerate(first.candidates)
+        replace(c, labels=None, features=None, source_index=(39 - i,)) for i, c in enumerate(first.candidates)
     ))
     return Dataset(ds.records + (bare,))
 
@@ -411,7 +410,7 @@ def test_label_rerank_and_featurize_build_what_replace_built(seed, tmp_path):
     assert failures == []
     want = Dataset(tuple(
         replace(rec, candidates=tuple(
-            replace(c, features=_describe_boxes(images[rec.image_id], box_array([c.box]), config)[0])
+            replace(c, features=_describe_boxes(images[rec.image_id], c.boxes, config))
             for c in rec.candidates
         ))
         for rec in ds.records

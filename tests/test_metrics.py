@@ -150,7 +150,7 @@ def as_plain(ds):
     return [
         {
             "gts": [(g.class_label, g.box.as_list()) for g in rec.groundtruth],
-            "cands": [c.box.as_list() for c in rec.candidates],
+            "cands": rec.candidates.boxes.tolist(),
         }
         for rec in ds.records
     ]

@@ -64,6 +64,16 @@ def test_synth_config_stores_a_pair_as_a_tuple_of_ints():
     assert config.objects_per_image == (2, 2)
 
 
+def test_synth_config_stores_a_real_number_as_a_float():
+    for value in (1, np.int64(1), np.float32(0.5)):
+        sigma = SynthConfig(noise_sigma=value).noise_sigma
+        assert sigma == value and type(sigma) is float
+    # An integer beyond float range used to reach numpy, which raised a TypeError.
+    message = "SynthConfig.noise_sigma must be finite, got an integer beyond float range"
+    with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+        SynthConfig(noise_sigma=10**400)
+
+
 def test_mode_mismatch_is_rejected():
     with pytest.raises(DataError):
         generate_feature_dataset(SynthConfig(mode="geometric"))
@@ -123,12 +133,13 @@ def test_geometric_dataset_geometry_and_labels():
         assert 1 <= len(rec.groundtruth) <= 3
         # The labels match the pure-Python IoU oracle, not the kernel that made them.
         gt_boxes = [g.box.as_list() for g in rec.groundtruth]
-        for cand in rec.candidates:
-            true_best = max((oracles._iou_ref(cand.box.as_list(), g) for g in gt_boxes), default=0.0)
-            assert cand.iou_label == true_best
+        boxes = rec.candidates.boxes.tolist()
+        for box, label in zip(boxes, rec.iou_labels()):
+            true_best = max((oracles._iou_ref(box, g) for g in gt_boxes), default=0.0)
+            assert label == true_best
         # Every groundtruth box got at least its exact copy.
         for g in gt_boxes:
-            assert any(oracles._iou_ref(c.box.as_list(), g) == 1.0 for c in rec.candidates)
+            assert any(oracles._iou_ref(box, g) == 1.0 for box in boxes)
 
 
 def test_geometric_dataset_is_deterministic_and_shuffled():
@@ -151,11 +162,10 @@ def test_geometric_features_embed_label_and_geometry():
         assert_allclose(feats[:, 1], 2 * labels - 1, atol=1e-12)
         assert_allclose(feats[:, 2], labels**2, atol=1e-12)
         assert_allclose(feats[:, 9], 1.0)
-        for i, cand in enumerate(rec.candidates):
-            b = cand.box
-            bw = (b.x_max - b.x_min) / rec.width
-            bh = (b.y_max - b.y_min) / rec.height
-            assert_allclose(feats[i, 3], 0.5 * (b.x_min + b.x_max) / rec.width)
+        for i, (x_min, y_min, x_max, y_max) in enumerate(rec.candidates.boxes.tolist()):
+            bw = (x_max - x_min) / rec.width
+            bh = (y_max - y_min) / rec.height
+            assert_allclose(feats[i, 3], 0.5 * (x_min + x_max) / rec.width)
             assert_allclose(feats[i, 5], bw)
             assert_allclose(feats[i, 7], bw * bh)
             assert_allclose(feats[i, 8], bw / (bw + bh))
