@@ -3,6 +3,18 @@
 Boxes are axis-aligned real rectangles in pixel coordinates with the
 (x_max, y_max) corner exclusive, so the continuous area of an integer box
 equals the size of its half-open pixel set.
+
+Encoding records as JSON lines and decoding them is pure Python, which
+holds the GIL, so the codec's lanes are processes: the records or lines are
+cut into one contiguous share per CPU in the process's affinity mask (never
+more lanes than items), the caller computes share 0 and a forked child each
+other share, sending its results back pickled through a pipe. The lines,
+files, digests and error messages are those of one lane, and `taskset`
+limits the lane count. The codec forks only on Linux, only while the process
+has no other thread (so once featurize has started its HOG lanes it stays
+in the caller) and only for more than _FORK_MIN_VALUES numbers at once. The
+lanes pay while the other CPUs are free; when the host keeps them busy, a
+forked call can be slower than one lane.
 """
 
 from __future__ import annotations
@@ -12,6 +24,10 @@ import json
 import math
 import numbers
 import os
+import pickle
+import signal
+import sys
+import threading
 from collections.abc import Sequence
 from dataclasses import asdict, dataclass, fields, replace
 from itertools import accumulate, chain, repeat
@@ -26,6 +42,7 @@ class DataError(ValueError):
 
 
 T = TypeVar("T")
+R = TypeVar("R")
 
 
 def _integer(value) -> bool:
@@ -260,6 +277,10 @@ class Candidates(Sequence):
             object.__setattr__(row, name, None if column is None else column[i:i + 1])
         return row
 
+    def __reduce__(self):
+        # A table sent between processes is built, and so checked and made read-only, again.
+        return Candidates, tuple(getattr(self, name) for name in _COLUMNS)
+
 
 def _concatenated(image_id: str, tables: Iterable[Candidates]) -> Candidates:
     """One table of the rows of tables, in order. A column that some rows have
@@ -451,7 +472,7 @@ def _checked_column(name: str, values, n: int):
     except (TypeError, ValueError, OverflowError):
         valid = False
     if not valid:
-        raise _Irregular(f"candidate {name} column breaks the Box and Candidate rules")
+        raise _Irregular(f"candidate {name} column breaks the candidate rules")
     return column
 
 
@@ -630,29 +651,185 @@ def record_from_dict(obj: dict) -> ImageRecord:
     return record_from_columns(image_id, width, height, groundtruth, boxes, *columns)
 
 
+# ---------------------------------------------------------------------------
+# Codec lanes (see the module docstring)
+#
+# On the 2-vCPU machine the benchmark runs on, a fork costs 1.4-3.2 ms and
+# the codec about 0.4 us a number to decode and 0.7 us to encode. Split over
+# two lanes, _FORK_MIN_VALUES numbers save about one fork even when decoded,
+# so a call with no more stays in the caller.
+_FORK_MIN_VALUES = 16_384
+# Numbers read_dataset gathers per lane before it decodes them, about 5 MB of
+# raw lines; a round closes at the line that reaches lanes times this.
+_ROUND_VALUES = 1 << 18
+# Bytes of JSON a number takes with its separator, about: a line's numbers
+# are counted from its length, which counting its commas would cost 5% of
+# decoding it.
+_BYTES_PER_VALUE = 20
+
+
+def _usable_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity mask on this platform
+        return os.cpu_count() or 1
+
+
+def _fork_cpus() -> int:
+    """The lanes the codec may fork: one per usable CPU on Linux while the
+    process has no other thread, since a thread may hold a lock across the
+    fork; else 1."""
+    if sys.platform != "linux" or threading.active_count() != 1:
+        return 1
+    return _usable_cpus()
+
+
+def _share(fn: Callable[[T], R], items: Sequence[T]) -> list[R]:
+    """fn of each item, up to and including the first result that is an Exception."""
+    results = []
+    for item in items:
+        results.append(fn(item))
+        if isinstance(results[-1], Exception):
+            break
+    return results
+
+
+def _forked(fn: Callable[[T], R], items: Sequence[T]) -> tuple[int, int]:
+    """(pid, read end of its pipe) of a child that writes _share(fn, items),
+    pickled, into the pipe and exits 0, or exits 1 if anything fails."""
+    read_end, write_end = os.pipe()
+    try:
+        pid = os.fork()
+    except BaseException:
+        os.close(read_end)
+        os.close(write_end)
+        raise
+    if pid == 0:
+        code = 1
+        try:
+            os.close(read_end)
+            with os.fdopen(write_end, "wb") as pipe:
+                pickle.dump(_share(fn, items), pipe, pickle.HIGHEST_PROTOCOL)
+            code = 0
+        finally:
+            os._exit(code)  # never back into the caller's stack
+    os.close(write_end)  # so that only the child holds it, and a later child cannot
+    return pid, read_end
+
+
+def _collected(pid: int, read_end: int) -> list | None:
+    """The results a forked child sent, read straight from its pipe, or None
+    if it sent a short payload or did not exit 0. The child is reaped before
+    this returns or raises."""
+    results = None
+    try:
+        with os.fdopen(read_end, "rb") as pipe:
+            results = pickle.load(pipe)
+    except (EOFError, pickle.UnpicklingError):  # a short payload: the caller computes the share
+        pass
+    finally:
+        if results is None:  # it may be stuck writing into a pipe a later child also holds
+            os.kill(pid, signal.SIGKILL)
+        status = os.waitpid(pid, 0)[1]
+    return results if status == 0 else None
+
+
+def _lane_map(fn: Callable[[T], R], items: Sequence[T], values: int) -> list[R]:
+    """_share(fn, items), computed in one contiguous share per lane when the
+    items carry more than _FORK_MIN_VALUES numbers: share 0 by the caller,
+    each other share by a forked child. A share whose child fails is computed
+    by the caller, so the result never depends on a child, and every child is
+    reaped, killed first if its result is not needed, before this returns or
+    raises."""
+    lanes = min(_fork_cpus(), len(items)) if values > _FORK_MIN_VALUES else 1
+    if lanes <= 1:
+        return _share(fn, items)
+    bounds = [len(items) * lane // lanes for lane in range(lanes + 1)]
+    children: list[tuple[int | None, int, int, int]] = []  # pid, read end, first and end item
+    try:
+        for start, stop in zip(bounds[1:-1], bounds[2:]):
+            try:
+                children.append((*_forked(fn, items[start:stop]), start, stop))
+            except OSError:  # no process or pipe to spare: the caller computes the share
+                children.append((None, -1, start, stop))
+        results = _share(fn, items[:bounds[1]])
+        while children and not (results and isinstance(results[-1], Exception)):
+            pid, read_end, start, stop = children.pop(0)
+            got = None if pid is None else _collected(pid, read_end)
+            results += _share(fn, items[start:stop]) if got is None else got
+        return results
+    finally:
+        for pid, read_end, _, _ in children:
+            if pid is not None:
+                os.kill(pid, signal.SIGKILL)
+                os.close(read_end)
+                os.waitpid(pid, 0)
+
+
+def _values(record: ImageRecord) -> int:
+    """The numbers on the record's line, near enough: coordinates, labels and features."""
+    cands = record.candidates
+    columns = (cands.boxes, cands.labels, cands.features)
+    return 4 * len(record.groundtruth) + sum(c.size for c in columns if c is not None)
+
+
+def _line(record: ImageRecord) -> str:
+    return json.dumps(record_to_dict(record), allow_nan=False)
+
+
 def dataset_to_lines(dataset: Dataset) -> list[str]:
-    return [json.dumps(record_to_dict(rec), allow_nan=False) for rec in dataset.records]
+    """The canonical JSON line of each record, encoded on the codec lanes."""
+    return _lane_map(_line, dataset.records, sum(map(_values, dataset.records)))
+
+
+def _decoded(numbered: tuple[int, bytes | str]) -> ImageRecord | DataError:
+    """The record on a numbered line, or the DataError that names the line."""
+    line_no, line = numbered
+    try:
+        return decode_json(line, record_from_dict, f"line {line_no}")
+    except DataError as exc:
+        return exc
+
+
+def _rounds(lines: Iterable[bytes | str]) -> Iterator[tuple[list[tuple[int, bytes | str]], int]]:
+    """The non-blank lines, numbered from 1, in rounds of about _ROUND_VALUES
+    numbers per lane, each with the numbers it holds, near enough."""
+    limit = _ROUND_VALUES * _fork_cpus()
+    numbered: list[tuple[int, bytes | str]] = []
+    values = 0
+    for line_no, line in enumerate(lines, start=1):
+        if not line.strip():
+            continue
+        numbered.append((line_no, line))
+        values += len(line) // _BYTES_PER_VALUE
+        if values >= limit:
+            yield numbered, values
+            numbered, values = [], 0
+    if numbered:
+        yield numbered, values
 
 
 def dataset_from_lines(lines: Iterable[bytes | str]) -> Dataset:
     """Dataset from JSON Lines, one record per line; blank lines are skipped.
 
-    The checks that span records (unique image ids, one feature dimension)
-    run as each line is read, so their errors name the line too.
+    Lines are decoded a round at a time on the codec lanes. The checks that
+    span records (unique image ids, one feature dimension) then run over
+    the records in line order, so the first error in line order is raised,
+    naming its line, whatever the number of lanes.
     """
     records: list[ImageRecord] = []
     by_id: dict[str, ImageRecord] = {}
     dim = None
-    for line_no, line in enumerate(lines, start=1):
-        if not line.strip():
-            continue
-        where = f"line {line_no}"
-        record = decode_json(line, record_from_dict, where)
-        try:
-            dim = _join(by_id, dim, record)
-        except DataError as exc:
-            raise DataError(f"{where}: {exc}") from exc
-        records.append(record)
+    for numbered, values in _rounds(lines):
+        for (line_no, _), record in zip(numbered, _lane_map(_decoded, numbered, values)):
+            if isinstance(record, DataError):
+                raise record
+            try:
+                dim = _join(by_id, dim, record)
+            except DataError as exc:
+                raise DataError(f"line {line_no}: {exc}") from exc
+            records.append(record)
     return Dataset(tuple(records))
 
 
@@ -673,13 +850,14 @@ def read_dataset(path: str | Path) -> Dataset:
     return dataset
 
 
-def atomic_write_text(path: str | Path, text: str) -> None:
-    """Write text to path through a sibling .tmp file, so readers never see a
-    partial file; a failed write removes the .tmp file and re-raises."""
+def atomic_write_text(path: str | Path, text: str | bytes) -> None:
+    """Write text, as UTF-8 unless it is bytes already, to path through a
+    sibling .tmp file, so readers never see a partial file; a failed write
+    removes the .tmp file and re-raises."""
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
     try:
-        tmp.write_text(text, encoding="utf-8")
+        tmp.write_bytes(text.encode("utf-8") if isinstance(text, str) else text)
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
@@ -689,9 +867,9 @@ def atomic_write_text(path: str | Path, text: str) -> None:
 def write_dataset(dataset: Dataset, path: str | Path) -> None:
     """Write the canonical JSON Lines of dataset, whose SHA-256 becomes its
     cached dataset_digest."""
-    text = "".join(line + "\n" for line in dataset_to_lines(dataset))
-    atomic_write_text(path, text)
-    object.__setattr__(dataset, "_digest", hashlib.sha256(text.encode("utf-8")).hexdigest())
+    data = "".join(line + "\n" for line in dataset_to_lines(dataset)).encode("utf-8")
+    atomic_write_text(path, data)
+    object.__setattr__(dataset, "_digest", hashlib.sha256(data).hexdigest())
 
 
 def dataset_digest(dataset: Dataset) -> str:

@@ -35,7 +35,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import Config, DataError, Dataset, ImageRecord, check_field_types, replace_column
+from .core import Config, DataError, Dataset, ImageRecord, _usable_cpus, check_field_types, replace_column
 
 _EPS = 1e-10
 
@@ -270,14 +270,6 @@ def _hog_stack(patches: np.ndarray, config: HogConfig) -> np.ndarray:
     np.minimum(v, config.clip_value, out=v)
     v /= np.sqrt(np.sum(v * v, axis=-1, keepdims=True)) + _EPS
     return v.reshape(n, config.dimension)
-
-
-def _usable_cpus() -> int:
-    """The number of CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity mask on this platform
-        return os.cpu_count() or 1
 
 
 @functools.cache

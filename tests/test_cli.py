@@ -373,13 +373,13 @@ def test_eval_serializes_no_dataset(chain, tmp_path, capsys, monkeypatch):
 
 
 def test_a_failed_write_leaves_no_partial_file(chain, tmp_path, capsys, monkeypatch):
-    write_text = Path.write_text
+    write_bytes = Path.write_bytes
 
-    def full_disk(self, text, *args, **kwargs):
-        write_text(self, text[: len(text) // 2], *args, **kwargs)
+    def full_disk(self, data):
+        write_bytes(self, data[: len(data) // 2])
         raise OSError(errno.ENOSPC, "No space left on device", str(self))
 
-    monkeypatch.setattr(Path, "write_text", full_disk)
+    monkeypatch.setattr(Path, "write_bytes", full_disk)
     assert run(capsys, "label", chain / "geo.jsonl", tmp_path / "out.jsonl")[0] == 2
     assert list(tmp_path.iterdir()) == []
 

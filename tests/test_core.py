@@ -308,7 +308,7 @@ def test_source_index_column_keeps_the_integer_rule():
     for value, message in ((True, "an integer, got True"), (2.5, "an integer, got 2.5"), (-1, "non-negative, got -1")):
         with pytest.raises(DataError, match=f"^im: candidate 0 source_index must be {message}$"):
             record_from_columns("im", 8, 8, (), box, source_index=[value])
-        with pytest.raises(DataError, match="^candidate source_index column breaks the Box and Candidate rules$"):
+        with pytest.raises(DataError, match="^candidate source_index column breaks the candidate rules$"):
             Candidates(box, source_index=(value,))
 
 
@@ -327,14 +327,14 @@ def test_a_candidates_table_checks_its_columns():
         dict(boxes=ok, features=np.array([[np.nan] * 2, [1.0, 2.0]])),
         dict(boxes=ok, source_index=(None, 2**64)),
     ):
-        with pytest.raises(DataError, match="column breaks the Box and Candidate rules"):
+        with pytest.raises(DataError, match="column breaks the candidate rules"):
             ImageRecord("a", 8, 8, (), Candidates(**columns))
     # A caller's NaN is an error through replace_column too.
     rec = record_from_columns("im", 8, 8, (), ok, [0.5, 0.5], [[1.0], [2.0]])
     for name, values in (("labels", [0.5, np.nan]), ("features", [[np.nan], [1.0]])):
-        with pytest.raises(DataError, match=f"^candidate {name} column breaks the Box and Candidate rules$"):
+        with pytest.raises(DataError, match=f"^candidate {name} column breaks the candidate rules$"):
             replace_column(rec, name, np.array(values))
-    with pytest.raises(DataError, match="^candidate labels column breaks the Box and Candidate rules$"):
+    with pytest.raises(DataError, match="^candidate labels column breaks the candidate rules$"):
         replace_column(rec, "labels", [0.5, 1.5])
     assert replace_column(rec, "labels", [1.0, 0.0]).iou_labels() == [1.0, 0.0]
 
