@@ -4,21 +4,26 @@ Boxes are axis-aligned real rectangles in pixel coordinates with the
 (x_max, y_max) corner exclusive, so the continuous area of an integer box
 equals the size of its half-open pixel set.
 
-Encoding records as JSON lines and decoding them is pure Python, which
+This module owns both kinds of lane, one per CPU in the process's affinity
+mask. The HOG kernel's lanes are threads (see features): numpy releases the
+GIL, so the caller and a shared pool of threads describe chunks side by
+side. Encoding records as JSON lines and decoding them is pure Python, which
 holds the GIL, so the codec's lanes are processes: the records or lines are
-cut into one contiguous share per CPU in the process's affinity mask (never
-more lanes than items), the caller computes share 0 and a forked child each
-other share, sending its results back pickled through a pipe. The lines,
-files, digests and error messages are those of one lane, and `taskset`
-limits the lane count. The codec forks only on Linux, only while the process
-has no other thread (so once featurize has started its HOG lanes it stays
-in the caller) and only for more than _FORK_MIN_VALUES numbers at once. The
-lanes pay while the other CPUs are free; when the host keeps them busy, a
-forked call can be slower than one lane.
+cut into one contiguous share per lane (never more lanes than items), the
+caller computes share 0 and a forked child each other share, sending its
+results back pickled through a pipe. The lines, files, digests and error
+messages are those of one lane, and `taskset` limits both lane counts. The
+codec forks only on Linux and only for more than _FORK_MIN_VALUES numbers at
+once. A thread may hold a lock across a fork, so it forks only while every
+other thread is an idle HOG lane thread, and it joins those first; the next
+HOG call starts them again. Beside any other thread it stays in the caller.
+The lanes pay while the other CPUs are free; when the host keeps them busy,
+a forked call can be slower than one lane.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
@@ -29,6 +34,7 @@ import signal
 import sys
 import threading
 from collections.abc import Sequence
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, fields, replace
 from itertools import accumulate, chain, repeat
 from pathlib import Path
@@ -676,11 +682,29 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
+@functools.cache
+def _lane_pool() -> ThreadPoolExecutor:
+    """The threads that run every HOG lane but the caller's, started as lanes
+    need them and joined by _lane_map before it forks."""
+    return ThreadPoolExecutor(max_workers=max(1, (os.cpu_count() or 1) - 1), thread_name_prefix="proprank-hog")
+
+
+if hasattr(os, "register_at_fork"):
+    # A forked child has none of its parent's threads, so it starts a pool of its own.
+    os.register_at_fork(after_in_child=_lane_pool.cache_clear)
+
+
 def _fork_cpus() -> int:
-    """The lanes the codec may fork: one per usable CPU on Linux while the
-    process has no other thread, since a thread may hold a lock across the
-    fork; else 1."""
-    if sys.platform != "linux" or threading.active_count() != 1:
+    """The lanes the codec may fork: one per usable CPU on Linux while every
+    other thread is a HOG lane thread, else 1, since any other thread may
+    hold a lock across the fork. The HOG lane threads are idle while the
+    caller is in the codec: the HOG kernel waits for its lanes before it
+    returns, and no other thread is left to hand them work. So _lane_map
+    can join them before it forks."""
+    others = set(threading.enumerate()) - {threading.current_thread()}
+    # A ThreadPoolExecutor keeps its worker threads in _threads.
+    lane_threads = _lane_pool()._threads if _lane_pool.cache_info().currsize else set()
+    if sys.platform != "linux" or not others <= lane_threads:
         return 1
     return _usable_cpus()
 
@@ -745,6 +769,9 @@ def _lane_map(fn: Callable[[T], R], items: Sequence[T], values: int) -> list[R]:
     lanes = min(_fork_cpus(), len(items)) if values > _FORK_MIN_VALUES else 1
     if lanes <= 1:
         return _share(fn, items)
+    if _lane_pool.cache_info().currsize:  # no thread may live across the fork; the next HOG call starts a new pool
+        _lane_pool().shutdown()
+        _lane_pool.cache_clear()
     bounds = [len(items) * lane // lanes for lane in range(lanes + 1)]
     children: list[tuple[int | None, int, int, int]] = []  # pid, read end, first and end item
     try:

@@ -15,12 +15,14 @@ One kernel describes a stack of boxes of one image at once, with the same
 arithmetic in the same order for every box, in fixed-size chunks of boxes.
 The chunks are independent, so they are spread over strided lanes, one per
 CPU in the process's affinity mask (never more lanes than chunks): the
-calling thread is lane 0 and a shared thread pool runs the others, each
+calling thread is lane 0 and core's shared thread pool runs the others, each
 writing its own rows of the output. numpy's ufuncs and takes release the
-GIL, so the lanes run side by side. Every chunk does the same arithmetic
-whichever lane runs it, so the output does not depend on the lane count,
-and `taskset` limits that count. Each extra lane holds one more chunk's
-temporaries, a peak of about 2.8 MB at the default geometry.
+GIL, so the lanes run side by side. The pool starts when a lane first
+needs it, and again after the JSON codec has joined its idle threads to
+fork. Every chunk does the same arithmetic whichever lane runs it, so the
+output does not depend on the lane count, and `taskset` limits that count.
+Each extra lane holds one more chunk's temporaries, a peak of about 2.8 MB
+at the default geometry.
 featurize_dataset feeds the kernel all the boxes of an image, and hog
 describes one patch that already has the configured size.
 """
@@ -28,14 +30,14 @@ describes one patch that already has the configured size.
 from __future__ import annotations
 
 import functools
-import os
-from concurrent.futures import ThreadPoolExecutor, wait
+from concurrent.futures import wait
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .core import Config, DataError, Dataset, ImageRecord, _usable_cpus, check_field_types, replace_column
+from .core import (Config, DataError, Dataset, ImageRecord, _lane_pool, _usable_cpus, check_field_types,
+                   replace_column)
 
 _EPS = 1e-10
 
@@ -270,17 +272,6 @@ def _hog_stack(patches: np.ndarray, config: HogConfig) -> np.ndarray:
     np.minimum(v, config.clip_value, out=v)
     v /= np.sqrt(np.sum(v * v, axis=-1, keepdims=True)) + _EPS
     return v.reshape(n, config.dimension)
-
-
-@functools.cache
-def _lane_pool() -> ThreadPoolExecutor:
-    """The threads that run every lane but the caller's, started as lanes need them."""
-    return ThreadPoolExecutor(max_workers=max(1, (os.cpu_count() or 1) - 1), thread_name_prefix="proprank-hog")
-
-
-if hasattr(os, "register_at_fork"):
-    # A forked child has none of its parent's threads, so it starts a pool of its own.
-    os.register_at_fork(after_in_child=_lane_pool.cache_clear)
 
 
 def _describe_lane(image: GrayImage, boxes: np.ndarray, config: HogConfig, feats: np.ndarray, starts: range) -> None:

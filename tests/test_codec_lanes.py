@@ -1,5 +1,7 @@
 """The codec lanes: JSON Lines encoded and decoded in forked children give the
-caller's bytes and errors at every lane count, and leave no process behind."""
+caller's bytes and errors at every lane count, and leave no process behind.
+They fork beside the HOG lane threads, which they join first, but beside no
+other thread."""
 
 from __future__ import annotations
 
@@ -13,10 +15,12 @@ import threading
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from proprank import DataError, Dataset, SynthConfig, generate_geometric_dataset
-from proprank import core
+from proprank import (DataError, Dataset, GrayImage, HogConfig, SynthConfig, featurize_dataset,
+                      generate_geometric_dataset)
+from proprank import core, features
 from proprank.core import dataset_digest, dataset_from_lines, dataset_to_lines, read_dataset, write_dataset
 
 
@@ -41,9 +45,6 @@ def lanes(monkeypatch):
     def set_lanes(n: int) -> None:
         monkeypatch.setattr(core, "_usable_cpus", lambda: n)
         monkeypatch.setattr(core, "_FORK_MIN_VALUES", -1)  # every round of lines forks
-        # Earlier tests may have started the HOG lane threads, which live on;
-        # here the gate reads the process as single-threaded, as a fresh one is.
-        monkeypatch.setattr(threading, "active_count", lambda: 1)
 
     return set_lanes
 
@@ -65,6 +66,27 @@ def _dataset(records: int) -> Dataset:
 
 def _with_blank_lines(lines: list[str]) -> bytes:
     return b"\n" + b"".join(line.encode() + b"\n   \n" for line in lines)
+
+
+def _hog_threads() -> list[threading.Thread]:
+    """The live threads of the HOG lane pool, found by their name."""
+    return [thread for thread in threading.enumerate() if thread.name.startswith("proprank-hog")]
+
+
+def _featurized(monkeypatch) -> Dataset:
+    """A 1080-d HOG set above _FORK_MIN_VALUES, described on two HOG lanes,
+    whose threads are left running."""
+    monkeypatch.setattr(features, "_usable_cpus", lambda: 2)
+    config = SynthConfig(seed=4, num_images=2, candidates_per_image=2 * features._CHUNK_BOXES, mode="geometric",
+                         image_size=(64, 48))
+    synth = generate_geometric_dataset(config)
+    rng = np.random.default_rng(4)
+    images = {rec.image_id: GrayImage(rec.width, rec.height, rng.random((rec.height, rec.width)))
+              for rec in synth.records}
+    dataset, failures = featurize_dataset(synth, images, HogConfig())
+    assert not failures and sum(map(core._values, dataset.records)) > core._FORK_MIN_VALUES
+    assert _hog_threads()
+    return dataset
 
 
 @pytest.mark.parametrize("records", [0, 1, 2, 5])
@@ -152,8 +174,10 @@ def test_a_share_whose_child_fails_or_is_not_forked_is_computed_by_the_caller(la
     _no_child_left()
 
 
-def test_the_codec_does_not_fork_beside_a_thread_or_below_the_break_even_size(monkeypatch, forks):
+def test_the_codec_does_not_fork_beside_a_thread_or_below_the_break_even_size(tmp_path, monkeypatch, forks):
     monkeypatch.setattr(core, "_usable_cpus", lambda: 2)
+    featurized = _featurized(monkeypatch)
+    hog_threads = _hog_threads()
     big = generate_geometric_dataset(SynthConfig(num_images=4, candidates_per_image=500, mode="geometric"))
     small = generate_geometric_dataset(SynthConfig(num_images=4, candidates_per_image=8, mode="geometric"))
     assert sum(map(core._values, small.records)) <= core._FORK_MIN_VALUES < sum(map(core._values, big.records))
@@ -162,17 +186,19 @@ def test_the_codec_does_not_fork_beside_a_thread_or_below_the_break_even_size(mo
     thread.start()
     try:
         dataset_from_lines(dataset_to_lines(big))
+        write_dataset(featurized, tmp_path / "featurized.jsonl")
     finally:
         done.set()
-        thread.join()
-    monkeypatch.setattr(threading, "active_count", lambda: 1)
+        thread.join(timeout=60)
+    assert not thread.is_alive()
+    assert _hog_threads() == hog_threads  # beside a thread the codec joins no HOG lane either
     dataset_from_lines(dataset_to_lines(small))
     assert not forks
 
 
 def test_a_fresh_process_forks_its_codec_lanes(tmp_path):
-    # The HOG lane threads of earlier tests close the thread gate in this
-    # process for good, so the open gate is checked in a new interpreter.
+    # The open gate checked in a new interpreter too, with none of pytest's
+    # fixtures and no thread that an earlier test started.
     script = textwrap.dedent("""
         import os, sys
         from proprank import SynthConfig, core, generate_geometric_dataset
@@ -199,3 +225,38 @@ def test_a_fresh_process_forks_its_codec_lanes(tmp_path):
                           timeout=120)
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "ok\n", "")
     assert (tmp_path / "serial.jsonl").read_bytes() == (tmp_path / "laned.jsonl").read_bytes()
+
+
+def test_a_featurized_set_is_digested_and_written_on_the_codec_lanes(tmp_path, monkeypatch, forks):
+    monkeypatch.setattr(core, "_usable_cpus", lambda: 1)
+    dataset = _featurized(monkeypatch)
+    write_dataset(dataset, tmp_path / "serial.jsonl")
+    serial = dataset_digest(dataset), (tmp_path / "serial.jsonl").read_bytes()
+    assert not forks and _hog_threads()
+    monkeypatch.setattr(core, "_usable_cpus", lambda: 2)
+    digest = dataset_digest(_featurized(monkeypatch))  # a new Dataset, whose digest is not cached
+    assert len(forks) == 1 and not _hog_threads()
+    write_dataset(_featurized(monkeypatch), tmp_path / "laned.jsonl")
+    assert len(forks) == 2 and not _hog_threads()
+    assert (digest, (tmp_path / "laned.jsonl").read_bytes()) == serial
+    _no_child_left()
+
+
+def test_the_hog_lanes_describe_the_same_bytes_after_the_codec_joined_them(monkeypatch, forks):
+    monkeypatch.setattr(core, "_usable_cpus", lambda: 2)
+    dataset = _featurized(monkeypatch)
+    dataset_digest(dataset)
+    assert forks and not _hog_threads()
+    again = _featurized(monkeypatch)  # starts the pool again
+    assert [rec.candidates.features.tobytes() for rec in again.records] == \
+        [rec.candidates.features.tobytes() for rec in dataset.records]
+
+
+def test_a_small_read_leaves_the_hog_lanes_running(tmp_path, monkeypatch, forks):
+    monkeypatch.setattr(core, "_usable_cpus", lambda: 2)
+    _featurized(monkeypatch)
+    hog_threads = _hog_threads()
+    write_dataset(_dataset(5), tmp_path / "small.jsonl")
+    assert len(read_dataset(tmp_path / "small.jsonl")) == 5
+    assert not forks
+    assert _hog_threads() == hog_threads

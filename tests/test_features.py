@@ -22,7 +22,7 @@ from proprank import (
     read_pgm,
 )
 from conftest import make_record
-from proprank import features
+from proprank import core, features
 from proprank.features import _CHUNK_BOXES, _describe_boxes, _hog_stack, _resample, _unsigned, _vote_tables
 
 # Small geometry for fast tests: 8x8 patch, 4x4 cells -> 2x2 grid, one block.
@@ -598,7 +598,7 @@ def test_a_forked_child_describes_after_the_parent_used_the_pool(monkeypatch):
     img = scene()
     boxes = np.array([b.as_list() for b in scene_boxes(count=2 * _CHUNK_BOXES + 1)])
     want = _describe_boxes(img, boxes, HogConfig()).tobytes()
-    assert features._lane_pool.cache_info().currsize == 1
+    assert core._lane_pool.cache_info().currsize == 1
     child = multiprocessing.get_context("fork").Process(target=_describe_in_child, args=(img, boxes, want))
     child.start()
     child.join(timeout=60)
