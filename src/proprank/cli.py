@@ -31,6 +31,7 @@ from .core import (
     Dataset,
     ImageRecord,
     atomic_write_text,
+    beside,
     json_field,
     json_value,
     label_dataset,
@@ -63,11 +64,6 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _beside(path: Path, suffix: str) -> Path:
-    """The sibling file named path + suffix: sidecars, manifests and report tables."""
-    return path.with_name(path.name + suffix)
-
-
 def _write_manifest(args: argparse.Namespace, inputs: Inputs, outputs: list[Path], started: float) -> None:
     resolved = {k: v for k, v in sorted(vars(args).items()) if k != "func"}
     manifest = {
@@ -81,7 +77,7 @@ def _write_manifest(args: argparse.Namespace, inputs: Inputs, outputs: list[Path
         "wall_time_s": round(time.monotonic() - started, 3),
         "version": __version__,
     }
-    atomic_write_text(_beside(outputs[0], ".manifest.json"), json.dumps(manifest, indent=2) + "\n")
+    atomic_write_text(beside(outputs[0], ".manifest.json"), json.dumps(manifest, indent=2) + "\n")
 
 
 def _parse_list(text: str, what: str, kind: type = float, pair: str = "") -> tuple:
@@ -106,7 +102,7 @@ def _write_tables(base: Path | None, tables: dict[str, str]) -> list[Path]:
     sys.stdout.write(tables[".txt"])
     if base is None:
         return []
-    paths = [_beside(base, suffix) for suffix in tables]
+    paths = [beside(base, suffix) for suffix in tables]
     for path, text in zip(paths, tables.values()):
         atomic_write_text(path, text)
     return paths
@@ -126,12 +122,12 @@ def cmd_label(args: argparse.Namespace) -> Paths:
     labeled = label_dataset(dataset)
     objects = sum(len(r.groundtruth) for r in labeled.records)
     candidates = sum(r.num_candidates for r in labeled.records)
-    write_dataset(labeled, args.output)
+    written = write_dataset(labeled, args.output)
     logger.info(
         "labeled %d records (%d groundtruth objects, %d candidates) -> %s",
         len(labeled.records), objects, candidates, args.output,
     )
-    return {args.input: dataset.source_sha256}, [args.output]
+    return {args.input: dataset.source_sha256}, written
 
 
 def _hog_config_from(args: argparse.Namespace) -> HogConfig:
@@ -153,14 +149,14 @@ def cmd_featurize(args: argparse.Namespace) -> Paths:
     featurized, failures = featurize_dataset(dataset, images, config)
     for failure in failures:
         logger.warning("featurize: %s", failure)
-    write_dataset(featurized, args.output)
-    meta_path = _beside(args.output, ".meta.json")
+    written = write_dataset(featurized, args.output)
+    meta_path = beside(args.output, ".meta.json")
     atomic_write_text(meta_path, json.dumps({"hog_config": config.to_dict()}, indent=2) + "\n")
     logger.info(
         "featurized %d records (%d failures, dimension %d) -> %s",
         len(featurized.records), len(failures), config.dimension, args.output,
     )
-    return {args.input: dataset.source_sha256}, [args.output, meta_path]
+    return {args.input: dataset.source_sha256}, [*written, meta_path]
 
 
 def _sidecar_hog_config(dataset_path: Path) -> tuple[HogConfig | None, Inputs]:
@@ -168,7 +164,7 @@ def _sidecar_hog_config(dataset_path: Path) -> tuple[HogConfig | None, Inputs]:
     with the sha256 of the bytes decoded as an input; None and no input
     when there is no sidecar. A synth sidecar has no hog_config: its
     dataset has no HOG features."""
-    meta_path = _beside(dataset_path, ".meta.json")
+    meta_path = beside(dataset_path, ".meta.json")
     if not meta_path.is_file():
         return None, {}
 
@@ -224,9 +220,9 @@ def cmd_rerank(args: argparse.Namespace) -> Paths:
                 f"the model's ({model.hog_config.to_dict()})"
             )
     out_records = [_reordered(rec, rerank(model, rec)) for rec in dataset.records]
-    write_dataset(Dataset(tuple(out_records), dataset.feature_dim), args.output)
+    written = write_dataset(Dataset(tuple(out_records), dataset.feature_dim), args.output)
     logger.info("reranked %d records -> %s", len(out_records), args.output)
-    return {args.input: dataset.source_sha256, args.model: model_sha256, **sidecar}, [args.output]
+    return {args.input: dataset.source_sha256, args.model: model_sha256, **sidecar}, written
 
 
 def _recover_rankings(base: Dataset, other: Dataset) -> dict[str, list[int]]:
@@ -301,11 +297,11 @@ def cmd_synth(args: argparse.Namespace) -> Paths:
         dataset, planted = generate_feature_dataset(config)
     else:
         dataset = generate_geometric_dataset(config)
-    write_dataset(dataset, args.output)
-    meta_path = _beside(args.output, ".meta.json")
+    written = write_dataset(dataset, args.output)
+    meta_path = beside(args.output, ".meta.json")
     atomic_write_text(meta_path, json.dumps(synth_metadata(config, planted), indent=2) + "\n")
     logger.info("generated %d %s records -> %s", len(dataset.records), config.mode, args.output)
-    return {}, [args.output, meta_path]
+    return {}, [*written, meta_path]
 
 
 def cmd_report(args: argparse.Namespace) -> Paths:

@@ -4,6 +4,10 @@ Boxes are axis-aligned real rectangles in pixel coordinates with the
 (x_max, y_max) corner exclusive, so the continuous area of an integer box
 equals the size of its half-open pixel set.
 
+Beside each JSON Lines file it writes, write_dataset leaves a binary columns
+file, from which read_dataset builds the dataset while the JSON Lines still
+have the SHA-256 it records (see The columns file below).
+
 This module owns both kinds of lane, one per CPU in the process's affinity
 mask. The HOG kernel's lanes are threads (see features): numpy releases the
 GIL, so the caller and a shared pool of threads describe chunks side by
@@ -25,6 +29,7 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import io
 import json
 import math
 import numbers
@@ -33,6 +38,7 @@ import pickle
 import signal
 import sys
 import threading
+import zipfile
 from collections.abc import Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, fields, replace
@@ -867,13 +873,186 @@ def _hashed(lines: Iterable[bytes], digest) -> Iterator[bytes]:
         yield line
 
 
-def read_dataset(path: str | Path) -> Dataset:
-    """The dataset in a JSON Lines file, with the SHA-256 of the bytes it
-    parsed as its source_sha256."""
+# ---------------------------------------------------------------------------
+# The columns file
+#
+# write_dataset leaves <path>.columns.npz beside the JSON Lines it writes:
+# every record's columns concatenated into a few arrays, and the SHA-256 of
+# the JSON Lines bytes. read_dataset builds the dataset from it, through
+# record_from_columns and Dataset, only while the file at path has that
+# SHA-256, as Python trusts a hash-based .pyc (PEP 552); in every other case
+# it parses the JSON Lines, so every error comes from them. Deleting the
+# columns file is always safe. The JSON Lines stay the interchange format.
+
+COLUMNS_SUFFIX = ".columns.npz"
+
+# Each array of a columns file, with its dtype and number of axes. Text is
+# one UTF-8 blob per kind with the byte length of each string, since a numpy
+# string array drops trailing NULs. Per record: (width, height), the
+# groundtruth and candidate counts, and the width of each optional candidate
+# column, which is complete or absent in each record: 1 or 0 for labels and
+# source_index, the feature dimension or 0 for features.
+_COLUMNS_FILE = {
+    "sha256": (np.uint8, 1),
+    "id_lengths": (np.int64, 1),
+    "ids": (np.uint8, 1),
+    "sizes": (np.int64, 2),
+    "groundtruth": (np.int64, 1),
+    "class_lengths": (np.int64, 1),
+    "classes": (np.uint8, 1),
+    "gt_boxes": (np.float64, 2),
+    "candidates": (np.int64, 1),
+    "widths": (np.int64, 2),
+    "boxes": (np.float64, 2),
+    "labels": (np.float64, 1),
+    "features": (np.float64, 1),
+    "source_index": (np.int64, 1),
+}
+
+
+def beside(path: str | Path, suffix: str) -> Path:
+    """The sibling file named path + suffix: the columns file, sidecars,
+    manifests, report tables and the .tmp file of a write."""
+    path = Path(path)
+    return path.with_name(path.name + suffix)
+
+
+def _text_blob(texts: Iterable[str]) -> tuple[np.ndarray, np.ndarray]:
+    """The byte length of each text in UTF-8, and their bytes as one array; a
+    lone surrogate is a UnicodeEncodeError."""
+    encoded = [text.encode("utf-8") for text in texts]
+    return np.array(list(map(len, encoded)), dtype=np.int64), np.frombuffer(b"".join(encoded), dtype=np.uint8)
+
+
+def _columns_file_arrays(dataset: Dataset, sha256: bytes) -> dict[str, np.ndarray]:
+    """The arrays of dataset's columns file; an OverflowError for an integer
+    beyond int64 and a UnicodeEncodeError for text that is not UTF-8, which
+    have no exact form there."""
+    records = dataset.records
+    tables = [rec.candidates for rec in records]
+    groundtruth = [g for rec in records for g in rec.groundtruth]
+    id_lengths, ids = _text_blob(rec.image_id for rec in records)
+    class_lengths, classes = _text_blob(g.class_label for g in groundtruth)
+    present = [[t for t in tables if getattr(t, name) is not None] for name in _COLUMNS[1:]]
+    return {
+        "sha256": np.frombuffer(sha256, dtype=np.uint8),
+        "id_lengths": id_lengths,
+        "ids": ids,
+        "sizes": np.array([(rec.width, rec.height) for rec in records], dtype=np.int64).reshape(-1, 2),
+        "groundtruth": np.array([len(rec.groundtruth) for rec in records], dtype=np.int64),
+        "class_lengths": class_lengths,
+        "classes": classes,
+        "gt_boxes": box_array(g.box for g in groundtruth),
+        "candidates": np.array(list(map(len, tables)), dtype=np.int64),
+        "widths": np.array([
+            (t.labels is not None, 0 if t.features is None else t.features.shape[1], t.source_index is not None)
+            for t in tables
+        ], dtype=np.int64).reshape(-1, 3),
+        "boxes": np.concatenate([np.zeros((0, 4)), *(t.boxes for t in tables)]),
+        "labels": np.concatenate([np.zeros(0), *(t.labels for t in present[0])]),
+        "features": np.concatenate([np.zeros(0), *(t.features.ravel() for t in present[1])]),
+        "source_index": np.concatenate([
+            np.zeros(0, dtype=np.int64), *(np.array(t.source_index, dtype=np.int64) for t in present[2])
+        ]),
+    }
+
+
+def _load_columns_file(path: Path) -> dict[str, np.ndarray] | None:
+    """The arrays of the columns file at path, or None if there is none or it
+    is not an npz of every array, each of its dtype and number of axes.
+    allow_pickle=False refuses an object array, so loading runs no code."""
+    try:
+        npz = np.load(path, allow_pickle=False)
+        if not isinstance(npz, np.lib.npyio.NpzFile):  # a lone .npy array
+            return None
+        with npz:
+            arrays = {name: npz[name] for name in _COLUMNS_FILE}
+    except (OSError, ValueError, EOFError, KeyError, zipfile.BadZipFile):
+        return None
+    if all(arrays[name].dtype == dtype and arrays[name].ndim == ndim for name, (dtype, ndim) in _COLUMNS_FILE.items()):
+        return arrays
+    return None
+
+
+def _parts(items, lengths: np.ndarray) -> list:
+    """items cut into consecutive parts of the given lengths, which must
+    cover them exactly; a part of an array is a view."""
+    if (lengths < 0).any() or lengths.sum() != len(items):
+        raise DataError("the columns file's lengths do not cover its columns")
+    bounds = [0, *np.cumsum(lengths).tolist()]
+    return [items[start:stop] for start, stop in zip(bounds, bounds[1:])]
+
+
+def _texts(blob: np.ndarray, lengths: np.ndarray) -> list[str]:
+    return [part.tobytes().decode("utf-8") for part in _parts(blob, lengths)]
+
+
+def _dataset_from_columns_file(arrays: dict[str, np.ndarray]) -> Dataset:
+    """The dataset whose columns file holds arrays, built and checked as every
+    dataset is; a ValueError, a DataError among them, if they do not build one."""
+    counts, widths = arrays["candidates"], arrays["widths"]
+    classes = _texts(arrays["classes"], arrays["class_lengths"])
+    groundtruth = [GroundTruthObject(c, Box(*box)) for c, box in zip(classes, arrays["gt_boxes"].tolist(), strict=True)]
+    per_record = (
+        _texts(arrays["ids"], arrays["id_lengths"]),
+        arrays["sizes"].tolist(),
+        _parts(groundtruth, arrays["groundtruth"]),
+        _parts(arrays["boxes"], counts),
+        *(_parts(arrays[name], counts * widths[:, k]) for k, name in enumerate(_COLUMNS[1:])),
+        widths.tolist(),
+    )
+    records = []
+    for image_id, (width, height), gt, boxes, labels, features, sources, (has_labels, dim, has_sources) in zip(
+        *per_record, strict=True
+    ):
+        n = len(boxes)
+        records.append(record_from_columns(
+            image_id, width, height, gt, boxes,
+            labels.reshape(n) if has_labels else None,
+            features.reshape(n, dim) if dim else None,
+            tuple(sources.reshape(n).tolist()) if has_sources else None,
+        ))
+    return Dataset(tuple(records))
+
+
+def _file_sha256(path: str | Path) -> bytes:
+    """The SHA-256 of the file's bytes, read in 1 MB blocks."""
     digest = hashlib.sha256()
     with open(path, "rb") as fh:
-        dataset = dataset_from_lines(_hashed(fh, digest))
-    object.__setattr__(dataset, "source_sha256", digest.hexdigest())
+        for block in iter(lambda: fh.read(1 << 20), b""):
+            digest.update(block)
+    return digest.digest()
+
+
+def _read_columns_file(path: str | Path) -> Dataset | None:
+    """The dataset in the columns file beside path, with its source_sha256,
+    if that file records the SHA-256 of path's bytes and builds a dataset;
+    else None."""
+    arrays = _load_columns_file(beside(path, COLUMNS_SUFFIX))
+    if arrays is None:
+        return None
+    sha256 = _file_sha256(path)
+    if arrays["sha256"].tobytes() != sha256:
+        return None
+    try:
+        dataset = _dataset_from_columns_file(arrays)
+    except ValueError:  # a DataError among them
+        return None
+    object.__setattr__(dataset, "source_sha256", sha256.hex())
+    return dataset
+
+
+def read_dataset(path: str | Path) -> Dataset:
+    """The dataset in a JSON Lines file, with the SHA-256 of its bytes as its
+    source_sha256. It is built from the columns file beside path when that
+    file records this SHA-256; otherwise the JSON Lines are parsed, and
+    hashed as they are read."""
+    dataset = _read_columns_file(path)
+    if dataset is None:
+        digest = hashlib.sha256()
+        with open(path, "rb") as fh:
+            dataset = dataset_from_lines(_hashed(fh, digest))
+        object.__setattr__(dataset, "source_sha256", digest.hexdigest())
     return dataset
 
 
@@ -881,8 +1060,7 @@ def atomic_write_text(path: str | Path, text: str | bytes) -> None:
     """Write text, as UTF-8 unless it is bytes already, to path through a
     sibling .tmp file, so readers never see a partial file; a failed write
     removes the .tmp file and re-raises."""
-    path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
+    tmp = beside(path, ".tmp")
     try:
         tmp.write_bytes(text.encode("utf-8") if isinstance(text, str) else text)
         os.replace(tmp, path)
@@ -891,12 +1069,27 @@ def atomic_write_text(path: str | Path, text: str | bytes) -> None:
         raise
 
 
-def write_dataset(dataset: Dataset, path: str | Path) -> None:
+def write_dataset(dataset: Dataset, path: str | Path) -> list[Path]:
     """Write the canonical JSON Lines of dataset, whose SHA-256 becomes its
-    cached dataset_digest."""
+    cached dataset_digest, then its columns file beside them; return the
+    paths written. A dataset with a value the columns file cannot hold
+    exactly (an integer beyond int64, text that is not UTF-8) gets none, and
+    a columns file left beside path by an earlier write is removed."""
+    path = Path(path)
     data = "".join(line + "\n" for line in dataset_to_lines(dataset)).encode("utf-8")
     atomic_write_text(path, data)
-    object.__setattr__(dataset, "_digest", hashlib.sha256(data).hexdigest())
+    digest = hashlib.sha256(data)
+    object.__setattr__(dataset, "_digest", digest.hexdigest())
+    columns_path = beside(path, COLUMNS_SUFFIX)
+    try:
+        arrays = _columns_file_arrays(dataset, digest.digest())
+    except (OverflowError, UnicodeEncodeError):
+        columns_path.unlink(missing_ok=True)
+        return [path]
+    npz = io.BytesIO()
+    np.savez(npz, **arrays)
+    atomic_write_text(columns_path, npz.getvalue())
+    return [path, columns_path]
 
 
 def dataset_digest(dataset: Dataset) -> str:

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from proprank import Box, Dataset, GroundTruthObject
-from proprank.core import record_from_columns
+from proprank.core import dataset_to_lines, record_from_columns
 
 
 def make_record(image_id, labels=None, feats=None, gts=(), cand_boxes=None, size=(100, 100)):
@@ -27,3 +27,19 @@ def make_dataset(instance, prefix="img"):
         for j, (labels, feats) in enumerate(instance)
     ]
     return Dataset(tuple(records))
+
+
+def assert_same_reads(got: Dataset, want: Dataset) -> None:
+    """got and want read alike: the same lines, source_sha256 and
+    feature_dim, the same dtype, shape and read-only flag of every candidate
+    column, and source_index values that are Python ints."""
+    assert dataset_to_lines(got) == dataset_to_lines(want)
+    assert (got.source_sha256, got.feature_dim) == (want.source_sha256, want.feature_dim)
+    for a, b in zip(got.records, want.records, strict=True):
+        assert a.groundtruth == b.groundtruth
+        for name in ("boxes", "labels", "features"):
+            columns = getattr(a.candidates, name), getattr(b.candidates, name)
+            assert len({None if c is None else (c.dtype, c.shape, c.flags.writeable) for c in columns}) == 1
+            assert columns[0] is None or not columns[0].flags.writeable
+        assert a.candidates.source_index == b.candidates.source_index
+        assert all(type(i) is int for i in a.candidates.source_index or ())

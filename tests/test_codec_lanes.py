@@ -207,10 +207,11 @@ def test_a_fresh_process_forks_its_codec_lanes(tmp_path):
         os.fork = lambda: forks.append(1) or fork()
         dataset = generate_geometric_dataset(SynthConfig(num_images=4, candidates_per_image=500, mode="geometric"))
         core._usable_cpus = lambda: 1
-        core.write_dataset(dataset, sys.argv[1] + "/serial.jsonl")
+        # Each read parses the JSON Lines: the columns file beside them is removed first.
+        os.remove(core.write_dataset(dataset, sys.argv[1] + "/serial.jsonl")[1])
         serial = core.read_dataset(sys.argv[1] + "/serial.jsonl")
         core._usable_cpus = lambda: 2
-        core.write_dataset(dataset, sys.argv[1] + "/laned.jsonl")
+        os.remove(core.write_dataset(dataset, sys.argv[1] + "/laned.jsonl")[1])
         laned = core.read_dataset(sys.argv[1] + "/laned.jsonl")
         assert (laned.source_sha256, core.dataset_to_lines(laned)) == (serial.source_sha256, core.dataset_to_lines(serial))
         assert len(forks) == 4, forks

@@ -13,6 +13,7 @@ import re
 import tempfile
 from dataclasses import replace
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -47,6 +48,8 @@ from proprank import (
     save_model,
     write_dataset,
 )
+from conftest import assert_same_reads
+from proprank import core
 from proprank.cli import main
 from proprank.core import _as_int, _candidate, box_array, decode_json, record_from_dict
 from proprank.features import _describe_boxes
@@ -279,11 +282,11 @@ _FAULTS = st.integers(0, 7).flatmap(lambda roll: [
 
 
 @st.composite
-def _record_lines(draw) -> str:
-    """A valid record line with up to two values replaced by a fault. Each
-    optional candidate key is absent, on every candidate or on some; in half
-    the lines every key is on every candidate and exactly one value is
-    faulty, the case the column checks decide."""
+def _record_lines(draw, faults: bool = True) -> str:
+    """A valid record line with up to two values replaced by a fault, or
+    none without faults. Each optional candidate key is absent, on every
+    candidate or on some; in half the lines every key is on every candidate
+    and exactly one value is faulty, the case the column checks decide."""
     regular = draw(st.booleans())
     dim = draw(st.integers(1, 3))
     valid = {**_VALID, "features": st.lists(st.floats(-1e6, 1e6) | st.integers(-9, 9), min_size=dim, max_size=dim)}
@@ -302,7 +305,7 @@ def _record_lines(draw) -> str:
         "groundtruth": [{"class": "c", "box": draw(_box_values)} for _ in range(draw(st.integers(0, 1)))],
         "candidates": candidates,
     }
-    for _ in range(1 if regular else draw(st.sampled_from([0, 1, 1, 2]))):
+    for _ in range(0 if not faults else 1 if regular else draw(st.sampled_from([0, 1, 1, 2]))):
         # A fault goes to the image size, a groundtruth value or one
         # candidate field, each as likely as the others.
         places = {("width",): [("width",)]}
@@ -341,6 +344,40 @@ def test_label_command_writes_what_label_dataset_gives_or_exits_2_writing_nothin
         else:
             assert code == 2
             assert [p.name for p in Path(tmp).iterdir()] == ["in.jsonl"]
+
+
+def _exact_in_columns(dataset: Dataset) -> bool:
+    """Whether the columns file can hold every value of dataset: integers
+    within int64 and text without lone surrogates."""
+    texts = [rec.image_id for rec in dataset.records] + [g.class_label for r in dataset.records for g in r.groundtruth]
+    integers = [n for r in dataset.records for n in (r.width, r.height, *(r.candidates.source_index or ()))]
+    return max(integers, default=0) < 2**63 and not any("\ud800" <= ch <= "\udfff" for text in texts for ch in text)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.tuples(_record_lines(faults=False) | _record_lines(),
+                          st.text(min_size=1, max_size=4) | st.sampled_from(["\x00", "a\x00", "\ud800"])),
+                max_size=4))
+def test_any_decoded_dataset_reads_from_its_columns_file_as_from_its_json_lines(drawn):
+    records: dict = {}
+    for line, image_id in drawn:  # the records that decode and join, under ids of any character
+        try:
+            record = replace(decode_json(line, record_from_dict, "line 1"), image_id=image_id)
+        except DataError:
+            continue
+        dims = {r.feature_dim for r in records.values()} - {None}
+        if image_id not in records and (record.feature_dim is None or dims <= {record.feature_dim}):
+            records[image_id] = record
+    dataset = Dataset(tuple(records.values()))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "d.jsonl"
+        exact = _exact_in_columns(dataset)
+        assert write_dataset(dataset, path) == [path, Path(tmp) / "d.jsonl.columns.npz"][:1 + exact]
+        with mock.patch.object(core, "dataset_from_lines", wraps=core.dataset_from_lines) as parse:
+            got = read_dataset(path)
+        assert parse.call_count == 1 - exact
+        core.beside(path, core.COLUMNS_SUFFIX).unlink(missing_ok=True)
+        assert_same_reads(got, read_dataset(path))
 
 
 # ---------------------------------------------------------------------------
