@@ -122,7 +122,7 @@ def cmd_label(args: argparse.Namespace) -> Paths:
     labeled = label_dataset(dataset)
     objects = sum(len(r.groundtruth) for r in labeled.records)
     candidates = sum(r.num_candidates for r in labeled.records)
-    written = write_dataset(labeled, args.output)
+    written = write_dataset(labeled, args.output, dataset)
     logger.info(
         "labeled %d records (%d groundtruth objects, %d candidates) -> %s",
         len(labeled.records), objects, candidates, args.output,
@@ -149,7 +149,7 @@ def cmd_featurize(args: argparse.Namespace) -> Paths:
     featurized, failures = featurize_dataset(dataset, images, config)
     for failure in failures:
         logger.warning("featurize: %s", failure)
-    written = write_dataset(featurized, args.output)
+    written = write_dataset(featurized, args.output, dataset)
     meta_path = beside(args.output, ".meta.json")
     atomic_write_text(meta_path, json.dumps({"hog_config": config.to_dict()}, indent=2) + "\n")
     logger.info(
@@ -220,7 +220,7 @@ def cmd_rerank(args: argparse.Namespace) -> Paths:
                 f"the model's ({model.hog_config.to_dict()})"
             )
     out_records = [_reordered(rec, rerank(model, rec)) for rec in dataset.records]
-    written = write_dataset(Dataset(tuple(out_records), dataset.feature_dim), args.output)
+    written = write_dataset(Dataset(tuple(out_records), dataset.feature_dim), args.output, dataset)
     logger.info("reranked %d records -> %s", len(out_records), args.output)
     return {args.input: dataset.source_sha256, args.model: model_sha256, **sidecar}, written
 

@@ -6,7 +6,9 @@ equals the size of its half-open pixel set.
 
 Beside each JSON Lines file it writes, write_dataset leaves a binary columns
 file, from which read_dataset builds the dataset while the JSON Lines still
-have the SHA-256 it records (see The columns file below).
+have the SHA-256 it records (see The columns file below). A dataset derived
+from one read that way is written with the text of its unchanged values
+copied from those JSON Lines (see Copying the source's text).
 
 This module owns both kinds of lane, one per CPU in the process's affinity
 mask. The HOG kernel's lanes are threads (see features): numpy releases the
@@ -27,6 +29,7 @@ a forked call can be slower than one lane.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import hashlib
 import io
@@ -400,9 +403,13 @@ class Dataset:
     """An ordered collection of image records with unique image ids.
 
     source_sha256 is the SHA-256 of the bytes read_dataset parsed it from,
-    None for a dataset built in memory. Neither it nor the cached
-    dataset_digest is a field, so a Dataset built from another one, by
-    dataclasses.replace or from its records, starts without both.
+    None for a dataset built in memory. _source_path is the JSON Lines
+    file when read_dataset built the dataset from the columns file beside
+    it, else None: those lines are then the canonical text of its values,
+    which write_dataset of a dataset derived from it may copy. None of the
+    three, nor the cached dataset_digest, is a field, so a Dataset built
+    from another one, by dataclasses.replace or from its records, starts
+    without them.
     """
 
     records: tuple[ImageRecord, ...] = ()
@@ -419,6 +426,7 @@ class Dataset:
         object.__setattr__(self, "_by_id", by_id)
         object.__setattr__(self, "feature_dim", dim)
         object.__setattr__(self, "source_sha256", None)
+        object.__setattr__(self, "_source_path", None)
         object.__setattr__(self, "_digest", None)
 
     def __len__(self) -> int:
@@ -548,6 +556,9 @@ def record_from_columns(
         table = Candidates(boxes, labels, features, source_index)
     except _Irregular:
         rows = boxes.tolist() if isinstance(boxes, np.ndarray) else boxes
+        for name, column in zip(_COLUMNS[1:], (labels, features, source_index)):
+            if column is not None and len(column) != len(rows):  # zip would stop at the shorter one
+                raise DataError(f"{image_id}: the {name} column has {len(column)} entries for {len(rows)} boxes")
         entries = zip(rows, *(repeat(None) if c is None else c for c in (labels, features, source_index)))
         table = _each(image_id, "candidate", entries, lambda entry: _candidate(_box_from_list(entry[0]), *entry[1:]))
     return ImageRecord(image_id, width, height, groundtruth, table)
@@ -593,8 +604,9 @@ def rank_by_label(record: ImageRecord) -> list[int]:
 # repr so every value round-trips exactly.
 
 
-def record_to_dict(record: ImageRecord) -> dict:
-    obj: dict = {
+def _head(record: ImageRecord) -> dict:
+    """The keys of record's line before its candidates."""
+    return {
         "image_id": record.image_id,
         "width": record.width,
         "height": record.height,
@@ -602,6 +614,10 @@ def record_to_dict(record: ImageRecord) -> dict:
             {"class": g.class_label, "box": g.box.as_list()} for g in record.groundtruth
         ],
     }
+
+
+def record_to_dict(record: ImageRecord) -> dict:
+    obj = _head(record)
     cands = record.candidates
     entries = [{"box": box} for box in cands.boxes.tolist()]
     for key, column in (("iou_label", cands.labels), ("features", cands.features)):
@@ -811,9 +827,25 @@ def _line(record: ImageRecord) -> str:
     return json.dumps(record_to_dict(record), allow_nan=False)
 
 
-def dataset_to_lines(dataset: Dataset) -> list[str]:
-    """The canonical JSON line of each record, encoded on the codec lanes."""
-    return _lane_map(_line, dataset.records, sum(map(_values, dataset.records)))
+def dataset_to_lines(dataset: Dataset, source: Dataset | None = None) -> list[str]:
+    """The canonical JSON line of each record, encoded on the codec lanes.
+
+    source is the dataset this one was derived from, if any. While its JSON
+    Lines may be copied (see Copying the source's text), each candidate's
+    box, iou_label and features take their text from the source's line of
+    the same image_id wherever it holds a value with the same bits, and only
+    the other numbers are formatted, and counted towards forking. The lines
+    are the same with and without the source.
+    """
+    with _source_spans(source) as spans:
+        if spans is None:
+            return _lane_map(_line, dataset.records, sum(map(_values, dataset.records)))
+        position = {rec.image_id: i for i, rec in enumerate(source.records)}
+        plans = [
+            _plan(rec, None, None) if i is None else _plan(rec, source.records[i], spans[i])
+            for rec, i in ((rec, position.get(rec.image_id)) for rec in dataset.records)
+        ]
+        return _lane_map(_copied_line, [plan for plan, _ in plans], sum(numbers for _, numbers in plans))
 
 
 def _decoded(numbered: tuple[int, bytes | str]) -> ImageRecord | DataError:
@@ -957,19 +989,20 @@ def _columns_file_arrays(dataset: Dataset, sha256: bytes) -> dict[str, np.ndarra
     }
 
 
-def _load_columns_file(path: Path) -> dict[str, np.ndarray] | None:
-    """The arrays of the columns file at path, or None if there is none or it
-    is not an npz of every array, each of its dtype and number of axes.
-    allow_pickle=False refuses an object array, so loading runs no code."""
+def _load_columns_file(path: Path, names: Iterable[str] = _COLUMNS_FILE) -> dict[str, np.ndarray] | None:
+    """The named arrays, by default all, of the columns file at path, or None
+    if there is none or it is not an npz of them, each of its dtype and
+    number of axes. allow_pickle=False refuses an object array, so loading
+    runs no code."""
     try:
         npz = np.load(path, allow_pickle=False)
         if not isinstance(npz, np.lib.npyio.NpzFile):  # a lone .npy array
             return None
         with npz:
-            arrays = {name: npz[name] for name in _COLUMNS_FILE}
+            arrays = {name: npz[name] for name in names}
     except (OSError, ValueError, EOFError, KeyError, zipfile.BadZipFile):
         return None
-    if all(arrays[name].dtype == dtype and arrays[name].ndim == ndim for name, (dtype, ndim) in _COLUMNS_FILE.items()):
+    if all((array.dtype, array.ndim) == _COLUMNS_FILE[name] for name, array in arrays.items()):
         return arrays
     return None
 
@@ -1039,14 +1072,18 @@ def _read_columns_file(path: str | Path) -> Dataset | None:
     except ValueError:  # a DataError among them
         return None
     object.__setattr__(dataset, "source_sha256", sha256.hex())
+    object.__setattr__(dataset, "_source_path", Path(path).absolute())
     return dataset
 
 
 def read_dataset(path: str | Path) -> Dataset:
     """The dataset in a JSON Lines file, with the SHA-256 of its bytes as its
     source_sha256. It is built from the columns file beside path when that
-    file records this SHA-256; otherwise the JSON Lines are parsed, and
-    hashed as they are read."""
+    file records this SHA-256, and then remembers path, so that writing a
+    dataset derived from it can copy the text of its unchanged values (see
+    write_dataset); otherwise the JSON Lines are parsed, and hashed as they
+    are read, and their text is never copied, since it need not be the
+    canonical text of the values."""
     dataset = _read_columns_file(path)
     if dataset is None:
         digest = hashlib.sha256()
@@ -1054,6 +1091,166 @@ def read_dataset(path: str | Path) -> Dataset:
             dataset = dataset_from_lines(_hashed(fh, digest))
         object.__setattr__(dataset, "source_sha256", digest.hexdigest())
     return dataset
+
+
+# ---------------------------------------------------------------------------
+# Copying the source's text
+#
+# A line write_dataset wrote is json.dumps of its record, so the text of a
+# candidate's box, iou_label or features there is the text json.dumps gives
+# any value with the same float64 bits (-0.0 and 0.0 have different bits,
+# and different texts). When read_dataset built a dataset from its columns
+# file, and its JSON Lines still hash to the source_sha256 that columns file
+# still records, dataset_to_lines of a dataset derived from it copies those
+# texts. Each column of a record is matched row by row to the source
+# record's by the bytes of its values, whatever the rows' order, so
+# permuted, dropped or repeated candidates find their text; the values no
+# source row holds are formatted. The source file is hashed a line at a
+# time, and each line is read again only while its record is written, and
+# only if it still has the SHA-256 it had then, so no more than one source
+# line per lane is held at once.
+
+_NEXT_CANDIDATE = '}, {"box": '
+# The optional candidate columns with the text before their value on a line, in line order.
+_FIELD_KEYS = {"labels": ', "iou_label": ', "features": ', "features": ', "source_index": ', "source_index": '}
+
+
+@contextlib.contextmanager
+def _source_spans(source: Dataset | None) -> Iterator[list[tuple[int, int, int, bytes]] | None]:
+    """While open, the (descriptor, offset, length, SHA-256) of each line of
+    the JSON Lines read_dataset built source from through the columns file
+    beside them, if the lines and that columns file still record
+    source.source_sha256; else None."""
+    path = None if source is None else source._source_path
+    recorded = None if path is None else _load_columns_file(beside(path, COLUMNS_SUFFIX), ("sha256",))
+    if recorded is None or recorded["sha256"].tobytes().hex() != source.source_sha256 or not hasattr(os, "pread"):
+        yield None
+        return
+    try:
+        file = path.open("rb", buffering=1 << 20)
+    except OSError:
+        yield None
+        return
+    with file:
+        digest, spans, offset = hashlib.sha256(), [], 0
+        try:
+            for line in file:
+                digest.update(line)
+                spans.append((file.fileno(), offset, len(line), hashlib.sha256(line).digest()))
+                offset += len(line)
+        except OSError:
+            spans = None
+        intact = spans is not None and len(spans) == len(source.records) and digest.hexdigest() == source.source_sha256
+        yield spans if intact else None
+
+
+def _row_keys(column: np.ndarray) -> np.ndarray:
+    """Each row of a float64 column as one opaque value of its bytes."""
+    column = np.ascontiguousarray(column).reshape(len(column), -1)
+    return column.view(np.dtype((np.void, column.itemsize * column.shape[1]))).ravel()
+
+
+def _copies(column: np.ndarray, source_column: np.ndarray | None) -> np.ndarray | None:
+    """For each row of column, the index of a row of source_column with the
+    same bytes, or -1 if it has none; None if the two have the same bytes."""
+    if source_column is None or not len(source_column) or source_column.shape[1:] != column.shape[1:]:
+        return np.full(len(column), -1)
+    keys, source_keys = _row_keys(column), _row_keys(source_column)
+    if np.array_equal(keys, source_keys):
+        return None
+    order = np.argsort(source_keys, kind="stable")
+    found = order[np.searchsorted(source_keys[order], keys).clip(max=len(order) - 1)]
+    return np.where(source_keys[found] == keys, found, -1)
+
+
+def _plan(record: ImageRecord, source: ImageRecord | None, span: tuple | None) -> tuple[tuple, int]:
+    """What _copied_line needs for record, whose source record (its line at
+    span) may be None, and how many numbers it will format."""
+    if source is None:
+        return (record, None, None, {}), _values(record)
+    copies, numbers = {}, 4 * len(record.groundtruth)
+    for name in _COLUMNS[:3]:
+        column = getattr(record.candidates, name)
+        if column is not None and len(column):
+            index = copies[name] = _copies(column, getattr(source.candidates, name))
+            if index is not None:
+                numbers += int(np.count_nonzero(index < 0)) * (column.size // len(column))
+    return (record, source, span, copies), numbers
+
+
+def _present(cands: Candidates) -> list[str]:
+    """The columns cands has, in line order."""
+    return ["boxes", *(name for name in _FIELD_KEYS if getattr(cands, name) is not None)]
+
+
+def _formatted(values: np.ndarray | tuple) -> list[str]:
+    """The text json.dumps gives each value of a column, a row at a time
+    for a two-dimensional one, so that only one row's floats live at once."""
+    if isinstance(values, np.ndarray) and values.ndim == 2:
+        return [json.dumps(row, allow_nan=False) for row in map(np.ndarray.tolist, values)]
+    if not len(values):
+        return []
+    text = json.dumps(values.tolist() if isinstance(values, np.ndarray) else [*values], allow_nan=False)
+    return text[1:-1].split(", ")
+
+
+def _column_texts(values: np.ndarray | tuple, index: np.ndarray | None, source_texts: list[str] | None) -> list[str]:
+    """The text of each value: source_texts[index[i]] where index[i] >= 0,
+    all of source_texts when index is None, formatted otherwise."""
+    if source_texts is None:
+        return _formatted(values)
+    if index is None:
+        return source_texts
+    index = index.tolist()
+    texts = [source_texts[i] if i >= 0 else "" for i in index]
+    holes = [k for k, i in enumerate(index) if i < 0]
+    for k, text in zip(holes, _formatted(values[holes])):
+        texts[k] = text
+    return texts
+
+
+def _source_texts(source: Candidates, span: tuple) -> dict[str, list[str]] | None:
+    """The text of each box, iou_label and features value of source on its
+    line at span, by column; None if the line no longer has the SHA-256 it
+    had when the source was checked, or source has no candidates."""
+    fd, offset, length, sha256 = span
+    line = os.pread(fd, length, offset)
+    names = _present(source)
+    count = len(source) * len(names)
+    if not count or not line.endswith(b"}]}\n") or hashlib.sha256(line).digest() != sha256:
+        return None
+    # Every key ends in '": ', which no number's text holds and every other
+    # quote on a line is escaped: split there, the last pieces are the
+    # candidates' values, each followed by the start of the key after it,
+    # and the one before them starts the first candidate.
+    text = str(line, "utf-8", "replace")
+    del line  # a line can take megabytes: hold one copy of it at a time
+    pieces = text.split('": ')[-count - 1:]
+    del text
+    if len(pieces) != count + 1 or pieces[0] != '[{"box':
+        return None
+    pieces[-1] = pieces[-1][:-4] + _NEXT_CANDIDATE[:-3]  # the last value is followed by the line's end
+    ends = [len(_FIELD_KEYS[name]) - 3 for name in names[1:]] + [len(_NEXT_CANDIDATE) - 3]
+    return {
+        name: [piece[:-end] for piece in pieces[1 + k::len(names)]]
+        for k, (name, end) in enumerate(zip(names, ends)) if name != "source_index"
+    }
+
+
+def _copied_line(plan: tuple) -> str:
+    """The canonical JSON line of a record planned by _plan: each value's
+    text copied from its source record's line where copies finds a row with
+    the same bits, formatted otherwise."""
+    record, source, span, copies = plan
+    source_texts = None if source is None or not len(record.candidates) else _source_texts(source.candidates, span)
+    if source_texts is None:
+        return _line(record)
+    parts = []
+    for name in _present(record.candidates):
+        texts = _column_texts(getattr(record.candidates, name), copies.get(name), source_texts.get(name))
+        parts += [texts] if name == "boxes" else [repeat(_FIELD_KEYS[name]), texts]
+    head = json.dumps({**_head(record), "candidates": []}, allow_nan=False)[:-2]
+    return head + '{"box": ' + _NEXT_CANDIDATE.join(map("".join, zip(*parts))) + "}]}"
 
 
 def atomic_write_text(path: str | Path, text: str | bytes) -> None:
@@ -1069,14 +1266,21 @@ def atomic_write_text(path: str | Path, text: str | bytes) -> None:
         raise
 
 
-def write_dataset(dataset: Dataset, path: str | Path) -> list[Path]:
+def write_dataset(dataset: Dataset, path: str | Path, source: Dataset | None = None) -> list[Path]:
     """Write the canonical JSON Lines of dataset, whose SHA-256 becomes its
     cached dataset_digest, then its columns file beside them; return the
     paths written. A dataset with a value the columns file cannot hold
     exactly (an integer beyond int64, text that is not UTF-8) gets none, and
-    a columns file left beside path by an earlier write is removed."""
+    a columns file left beside path by an earlier write is removed.
+
+    source is the dataset that dataset was derived from, as label, rerank
+    and featurize derive theirs. If read_dataset built it from its columns
+    file, and that file and the JSON Lines beside it are unchanged, the text
+    of each candidate value that still has the bits source had is copied
+    from those lines rather than formatted again. The bytes written are the
+    same: a value's text there is json.dumps of the same bits."""
     path = Path(path)
-    data = "".join(line + "\n" for line in dataset_to_lines(dataset)).encode("utf-8")
+    data = "\n".join([*dataset_to_lines(dataset, source), ""]).encode("utf-8")  # no second copy of each line
     atomic_write_text(path, data)
     digest = hashlib.sha256(data)
     object.__setattr__(dataset, "_digest", digest.hexdigest())

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from proprank import Box, Dataset, GroundTruthObject
+from proprank import Box, Dataset, GroundTruthObject, core
 from proprank.core import dataset_to_lines, record_from_columns
 
 
@@ -43,3 +43,18 @@ def assert_same_reads(got: Dataset, want: Dataset) -> None:
             assert columns[0] is None or not columns[0].flags.writeable
         assert a.candidates.source_index == b.candidates.source_index
         assert all(type(i) is int for i in a.candidates.source_index or ())
+
+
+def copied_records(monkeypatch) -> list:
+    """The source records, as candidates, whose line's text dataset_to_lines
+    copies from, as it copies it in this process."""
+    built, source_texts = [], core._source_texts
+
+    def spy(source, span):
+        texts = source_texts(source, span)
+        if texts is not None:
+            built.append(source)
+        return texts
+
+    monkeypatch.setattr(core, "_source_texts", spy)
+    return built

@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import copied_records
 from proprank import Dataset, dataset_digest, load_model, rank_by_label, read_dataset, write_dataset
 from proprank import core
 from proprank.cli import main
@@ -315,6 +316,26 @@ def test_runs_that_write_nothing_leave_no_manifest(chain, tmp_path, capsys):
     assert run(capsys, "eval", chain / "labeled.jsonl", chain / "ranked.jsonl", "--budgets", "1,5")[0] == 0
     assert list(tmp_path.iterdir()) == []
     assert not list(chain.glob("*.manifest.json"))
+
+
+@pytest.mark.parametrize("command, source, extra", [
+    ("label", "geo.jsonl", []),
+    ("label", "ranked.jsonl", []),
+    ("rerank", "labeled.jsonl", ["--model", "model.json"]),
+    ("rerank", "ranked.jsonl", ["--model", "model.json"]),
+    ("featurize", "labeled.jsonl", ["--images", "imgs", "--resize-w", 16, "--resize-h", 16]),
+])
+def test_a_command_writes_the_same_bytes_with_and_without_a_columns_file(
+        chain, tmp_path, capsys, monkeypatch, command, source, extra):
+    copied = copied_records(monkeypatch)
+    bare = tmp_path / source  # the same JSON Lines, with no columns file beside them
+    bare.write_bytes((chain / source).read_bytes())
+    extra = [chain / arg if arg in ("model.json", "imgs") else arg for arg in extra]
+    for given, out, lines_copied in ((chain / source, "copied.jsonl", 3), (bare, "parsed.jsonl", 0)):
+        copied.clear()
+        assert run(capsys, command, given, tmp_path / out, *extra)[0] == 0
+        assert len(copied) == lines_copied
+    assert (tmp_path / "copied.jsonl").read_bytes() == (tmp_path / "parsed.jsonl").read_bytes()
 
 
 def test_every_dataset_proprank_writes_is_named_alike_by_its_bytes_and_its_digest(chain, tmp_path, capsys):

@@ -299,6 +299,24 @@ def test_record_from_columns_fails_with_the_types_errors():
             record_from_columns(image_id, width, 12, (), boxes)
 
 
+@pytest.mark.parametrize("name, values", [
+    ("labels", [0.5]),
+    ("labels", [0.5, 0.7, 0.9]),
+    ("features", [[1.0, 2.0]]),
+    ("features", np.ones((3, 2))),
+    ("source_index", [4]),
+    ("source_index", (4, 5, 6)),
+    ("labels", np.array([0.5, 0.7, 0.9])),
+])
+def test_record_from_columns_refuses_a_column_of_another_length(name, values):
+    boxes = [[0, 0, 1, 1], [0, 0, 2, 2]]
+    message = f"im: the {name} column has {len(values)} entries for 2 boxes"
+    with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+        record_from_columns("im", 8, 8, (), boxes, **{name: values})
+    with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+        record_from_columns("im", 8, 8, (), np.array(boxes, dtype=np.float64), **{name: values})
+
+
 def test_source_index_column_keeps_the_integer_rule():
     box = np.array([[0.0, 0.0, 1.0, 1.0]])
     for value, index in ((2.0, 2), (np.int64(3), 3), (7, 7), (2**64, 2**64)):
@@ -452,7 +470,7 @@ def test_a_read_dataset_is_named_by_the_bytes_it_was_parsed_from(tmp_path):
 def test_a_dataset_is_serialized_for_its_digest_at_most_once(tmp_path, monkeypatch):
     calls = []
     to_lines = core.dataset_to_lines
-    monkeypatch.setattr(core, "dataset_to_lines", lambda ds: calls.append(ds) or to_lines(ds))
+    monkeypatch.setattr(core, "dataset_to_lines", lambda ds, *source: calls.append(ds) or to_lines(ds, *source))
     ds = Dataset((make_record("once", labels=[0.5, 1.0], feats=[[1.0], [2.0]]),))
     first = dataset_digest(ds)
     assert dataset_digest(ds) == first and calls == [ds]

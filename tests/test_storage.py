@@ -1,24 +1,30 @@
 """A record keeps its candidates as columns, and a NaN inside them is an error.
 A dataset read back from the columns file beside its JSON Lines is the one
 the JSON Lines give, and any columns file that does not match them is
-passed over for them."""
+passed over for them. A dataset derived from one read that way is written
+with the text of its unchanged values copied from the source's JSON Lines,
+in the same bytes as without the source."""
 
 import gc
 import io
 import logging
+import tempfile
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import assert_same_reads, make_record
+from conftest import assert_same_reads, copied_records, make_record
 from proprank import (Box, DataError, Dataset, GroundTruthObject, ImageRecord, SynthConfig, dataset_from_lines,
                       generate_geometric_dataset, label_dataset, read_dataset, write_dataset)
 from proprank import core
-from proprank.cli import main
-from proprank.core import Candidates, record_from_columns
+from proprank.cli import _reordered, main
+from proprank.core import Candidates, record_from_columns, replace_column
 
 
 def test_a_read_dataset_stores_no_object_per_candidate(tmp_path):
@@ -222,3 +228,167 @@ def test_a_stale_columns_file_is_passed_over_and_a_bad_line_still_named(tmp_path
         assert main(["label", str(path), str(out)]) == 2
     assert caplog.messages[-1].startswith("line 3: invalid JSON (")
     assert sorted(p.name for p in tmp_path.iterdir()) == ["d.jsonl", columns.name]
+
+
+# ---------------------------------------------------------------------------
+# Copying the source's text
+
+
+# Values whose text is easy to get wrong: both zeros, the least subnormal,
+# and magnitudes repr writes in exponent form.
+SPECIAL = [0.0, -0.0, 5e-324, 1e-7, 1e16, 0.1, 1.0]
+# The image is large enough for every box, 1e16 included.
+SIZE = 10**17
+_text = st.text(st.characters(exclude_categories=("Cs",), include_characters='"\\é猫'), min_size=1, max_size=4)
+_box = st.sampled_from(SPECIAL[:5]).flatmap(
+    lambda x: st.sampled_from([v for v in SPECIAL if x + v > x]).map(lambda w: [x, -0.0, x + w, 1e16])
+) | st.lists(st.floats(0, 1e3), min_size=2, max_size=2).map(lambda p: [p[0], p[1], p[0] + 1.5, p[1] + 1e-7])
+_number = st.sampled_from([*SPECIAL, -1e16, -1e-7]) | st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _derived_sources(draw):
+    """A dataset whose boxes repeat with different features and whose labels
+    and features hold the special values, with labels, features and
+    source_index on some records only and records without candidates."""
+    dim = draw(st.integers(1, 3))
+    records = []
+    for image_id in draw(st.lists(_text, max_size=4, unique=True)):
+        n = draw(st.integers(0, 5))
+        boxes = [draw(st.sampled_from([[0.0, 0.0, 1.0, 1.0], [-0.0, 0.0, 1.0, 1.0]]) | _box) for _ in range(n)]
+        labels = draw(st.none() | st.lists(st.sampled_from(SPECIAL[:4] + SPECIAL[5:]) | st.floats(0, 1),
+                                           min_size=n, max_size=n))
+        features = draw(st.none() | st.lists(st.lists(_number, min_size=dim, max_size=dim), min_size=n, max_size=n))
+        sources = draw(st.none() | st.lists(st.integers(0, 9), min_size=n, max_size=n))
+        gts = draw(st.lists(st.tuples(_text, _box), max_size=2))
+        groundtruth = tuple(GroundTruthObject(cls, Box(*box)) for cls, box in gts)
+        records.append(record_from_columns(image_id, SIZE, SIZE, groundtruth, boxes, labels, features, sources))
+    return Dataset(tuple(records))
+
+
+def _transforms(draw, dataset: Dataset) -> dict[str, Dataset]:
+    """What label, rerank and featurize make of dataset, the other changes
+    to its columns and records a command may write, and boxes the source
+    lacks, which no command writes yet."""
+    records = dataset.records
+    dim = draw(st.integers(1, 3))
+    orders = [draw(st.lists(st.integers(0, max(rec.num_candidates - 1, 0)), max_size=6) if rec.num_candidates
+                   else st.just([])) for rec in records]
+    new = [draw(st.lists(st.lists(_number, min_size=dim, max_size=dim), min_size=rec.num_candidates,
+                         max_size=rec.num_candidates)) for rec in records]
+    kept = draw(st.lists(st.booleans(), min_size=len(records), max_size=len(records)))
+    moved = [np.array(draw(st.lists(st.booleans(), min_size=rec.num_candidates, max_size=rec.num_candidates)),
+                      dtype=bool) for rec in records]
+    return {
+        "label": label_dataset(dataset),
+        "rerank": Dataset(tuple(_reordered(rec, list(range(rec.num_candidates))[::-1]) for rec in records)),
+        "permute, drop and repeat rows": Dataset(tuple(_reordered(rec, order) for rec, order in zip(records, orders))),
+        "new features": Dataset(tuple(replace_column(rec, "features", f) for rec, f in zip(records, new))),
+        "unchanged features": Dataset(tuple(
+            replace_column(rec, "features", rec.candidates.features) for rec in records)),
+        "no labels": Dataset(tuple(replace_column(rec, "labels", None) for rec in records)),
+        "no features": Dataset(tuple(replace_column(rec, "features", None) for rec in records)),
+        "new source_index": Dataset(tuple(
+            replace_column(rec, "source_index", tuple(range(rec.num_candidates, 0, -1))) for rec in records)),
+        "a subset of records": Dataset(tuple(rec for rec, keep in zip(records, kept) if keep)),
+        "some boxes not in the source": Dataset(tuple(_grown(rec, m) for rec, m in zip(records, moved))),
+    }
+
+
+def _grown(rec: ImageRecord, mask: np.ndarray) -> ImageRecord:
+    """rec with the boxes mask picks grown to the right and down, so that
+    the source need not hold them; the other columns keep their rows."""
+    c = rec.candidates
+    boxes = c.boxes.copy()
+    boxes[mask, 2:] = 2 * boxes[mask, 2:] + 1
+    return replace(rec, candidates=Candidates(boxes, c.labels, c.features, c.source_index))
+
+
+def _written(dataset: Dataset, path: Path, source: Dataset | None = None) -> bytes:
+    write_dataset(dataset, path, source)
+    return path.read_bytes()
+
+
+@settings(max_examples=120, deadline=None)
+@given(_derived_sources(), st.data())
+def test_a_derived_dataset_is_written_in_the_same_bytes_with_its_source(dataset, data):
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        write_dataset(dataset, tmp / "source.jsonl")
+        source = read_dataset(tmp / "source.jsonl")
+        assert source._source_path == tmp / "source.jsonl"
+        with core._source_spans(source) as spans:
+            assert spans is not None
+        for name, derived in _transforms(data.draw, source).items():
+            canonical = _written(derived, tmp / "plain.jsonl")
+            assert _written(derived, tmp / "copied.jsonl", source) == canonical, name
+
+
+def _labeled_source(tmp_path) -> tuple[Dataset, Path]:
+    """A labeled geometric synth and a record of 0.5 labels, read back from
+    its columns file, and the path of its JSON Lines."""
+    path = tmp_path / "source.jsonl"
+    half = make_record("halves", labels=[0.5, 0.5], cand_boxes=[[0, 0, 1, 1], [0, 0, 2, 2]])
+    write_dataset(Dataset(_geometric().records + (half,)), path)
+    return read_dataset(path), path
+
+
+def test_a_derived_dataset_copies_its_sources_text(tmp_path, monkeypatch):
+    source, _ = _labeled_source(tmp_path)
+    built = copied_records(monkeypatch)
+    for derived in (label_dataset(source), _reversed(source)):
+        built.clear()
+        copied = _written(derived, tmp_path / "copied.jsonl", source)
+        assert len(built) == len(derived.records)
+        assert copied == _written(derived, tmp_path / "plain.jsonl")
+
+
+def _reversed(dataset: Dataset) -> Dataset:
+    """What rerank writes of dataset for a model that reverses every order."""
+    return Dataset(tuple(_reordered(rec, list(range(rec.num_candidates))[::-1]) for rec in dataset.records))
+
+
+@pytest.mark.parametrize("change", ["rewrite the JSON Lines", "delete the columns file"])
+def test_a_changed_source_is_not_copied(tmp_path, monkeypatch, change):
+    source, path = _labeled_source(tmp_path)
+    if change == "rewrite the JSON Lines":  # valid, but 0.5 is not its canonical text
+        text = path.read_text(encoding="utf-8")
+        path.write_text(text.replace('"iou_label": 0.5}', '"iou_label": 0.50}'), encoding="utf-8")
+        assert path.read_text(encoding="utf-8") != text
+    else:
+        core.beside(path, core.COLUMNS_SUFFIX).unlink()
+    built = copied_records(monkeypatch)
+    ranked = _reversed(source)
+    copied = _written(ranked, tmp_path / "copied.jsonl", source)
+    assert built == []
+    assert copied == _written(ranked, tmp_path / "plain.jsonl")
+    assert b'"iou_label": 0.5, ' in copied and b'"iou_label": 0.50, ' not in copied
+
+
+def test_a_line_rewritten_after_the_source_was_checked_is_not_copied(tmp_path, monkeypatch):
+    source, path = _labeled_source(tmp_path)
+    text = path.read_text(encoding="utf-8")
+    plan = core._plan
+
+    def rewrite_then_plan(*args):  # the file was hashed; its lines are read again as each is written
+        path.write_text(text.replace('"iou_label": 0.5}', '"iou_label": 1.5}'), encoding="utf-8")
+        return plan(*args)
+
+    monkeypatch.setattr(core, "_plan", rewrite_then_plan)
+    ranked = _reversed(source)
+    copied = _written(ranked, tmp_path / "copied.jsonl", source)
+    assert path.read_text(encoding="utf-8") != text
+    assert copied == _written(ranked, tmp_path / "plain.jsonl")
+    assert b'"iou_label": 0.5, ' in copied and b'"iou_label": 1.5' not in copied
+
+
+def test_a_hand_written_source_is_parsed_and_its_text_never_copied(tmp_path, monkeypatch):
+    path, out = tmp_path / "hand.jsonl", tmp_path / "out.jsonl"
+    path.write_text('{"image_id": "a", "width": 200, "height": 200, "candidates": '
+                    '[{"box": [0, 0, 1e2, 1e2], "iou_label": 0.50, "features": [0.50, 1e2]}]}\n', encoding="utf-8")
+    built = copied_records(monkeypatch)
+    assert main(["label", str(path), str(out)]) == 0
+    assert read_dataset(path)._source_path is None and built == []
+    assert out.read_text(encoding="utf-8") == (
+        '{"image_id": "a", "width": 200, "height": 200, "groundtruth": [], "candidates": '
+        '[{"box": [0.0, 0.0, 100.0, 100.0], "iou_label": 0.0, "features": [0.5, 100.0]}]}\n')
