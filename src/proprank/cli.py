@@ -16,6 +16,7 @@ path it returns.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import logging
@@ -23,6 +24,8 @@ import sys
 import time
 from dataclasses import replace
 from pathlib import Path
+
+import numpy as np
 
 from . import __version__
 from .core import (
@@ -229,23 +232,38 @@ def _recover_rankings(base: Dataset, other: Dataset) -> dict[str, list[int]]:
     """Ranking of base's candidates encoded by the other dataset's order.
 
     label and rerank copy boxes exactly, so each candidate takes the first
-    unused base candidate with the identical box and the file's own order is
-    the ranking; the metrics read only the boxes. A candidate whose box no
-    unused base candidate has is a DataError.
+    unused base candidate with an equal box (as floats compare, so -0.0 is
+    0.0) and the file's own order is the ranking; the metrics read only the
+    boxes. A candidate whose box no unused base candidate has is a DataError.
     """
     rankings: dict[str, list[int]] = {}
     for rec in other.records:
-        base_boxes, boxes = base.get(rec.image_id).candidates.boxes.tolist(), rec.candidates.boxes.tolist()
-        if len(base_boxes) != len(boxes):
-            raise DataError(f"{rec.image_id}: candidate counts differ ({len(base_boxes)} vs {len(boxes)})")
-        unused: dict[tuple, list[int]] = {}  # each box's unused positions in base, the first one last
-        for i in reversed(range(len(base_boxes))):
-            unused.setdefault(tuple(base_boxes[i]), []).append(i)
-        rankings[rec.image_id] = []
-        for j, box in enumerate(boxes):
-            if not unused.get(tuple(box)):
-                raise DataError(f"{rec.image_id}: candidate {j} box {box} does not match the dataset's candidates")
-            rankings[rec.image_id].append(unused[tuple(box)].pop())
+        base_boxes, boxes = base.get(rec.image_id).candidates.boxes, rec.candidates.boxes
+        n = len(boxes)
+        if len(base_boxes) != n:
+            raise DataError(f"{rec.image_id}: candidate counts differ ({len(base_boxes)} vs {n})")
+        # A stable sort of both records' boxes by their bits (+ 0.0 makes -0.0 0.0) puts each
+        # run of equal boxes in file order, base's first: the k-th of the other's in a run
+        # takes the run's k-th base candidate, if it has one.
+        keys = (np.concatenate([base_boxes, boxes]) + 0.0).view(np.uint64)
+        order = np.lexsort(keys.T[::-1])
+        keys = keys[order]
+        new_run = np.concatenate([[True], (keys[1:] != keys[:-1]).any(axis=1)])[: 2 * n]
+        run = np.cumsum(new_run) - 1  # the run of each place in the sort
+        run_start = np.flatnonzero(new_run)
+        run_base = np.bincount(run[order < n], minlength=len(run_start))  # base candidates in each run
+        at = np.flatnonzero(order >= n)  # the places of the other's candidates
+        run_of = run[at]
+        k = at - run_start[run_of] - run_base[run_of]  # the other's candidates before each in its run
+        matched = k < run_base[run_of]
+        if not matched.all():
+            j = int((order[at[~matched]] - n).min())
+            raise DataError(
+                f"{rec.image_id}: candidate {j} box {boxes[j].tolist()} does not match the dataset's candidates"
+            )
+        ranking = np.empty(n, dtype=np.int64)
+        ranking[order[at] - n] = order[run_start[run_of] + k]
+        rankings[rec.image_id] = ranking.tolist()
     return rankings
 
 
@@ -314,7 +332,9 @@ def cmd_report(args: argparse.Namespace) -> Paths:
 # Parser
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every command, built once per process."""
     parser = _Parser(prog="proprank", description="Train and evaluate top-k partial ranking of box proposals.")
     parser.add_argument("-v", "--verbose", action="store_true", help="log per-epoch detail to stderr")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -29,7 +29,6 @@ a forked call can be slower than one lane.
 
 from __future__ import annotations
 
-import contextlib
 import functools
 import hashlib
 import io
@@ -781,6 +780,11 @@ def _collected(pid: int, read_end: int) -> list | None:
     return results if status == 0 else None
 
 
+def _lanes(items: int, values: int) -> int:
+    """The lanes _lane_map computes that many items on, which carry that many numbers."""
+    return min(_fork_cpus(), items) if values > _FORK_MIN_VALUES else 1
+
+
 def _lane_map(fn: Callable[[T], R], items: Sequence[T], values: int) -> list[R]:
     """_share(fn, items), computed in one contiguous share per lane when the
     items carry more than _FORK_MIN_VALUES numbers: share 0 by the caller,
@@ -788,7 +792,7 @@ def _lane_map(fn: Callable[[T], R], items: Sequence[T], values: int) -> list[R]:
     by the caller, so the result never depends on a child, and every child is
     reaped, killed first if its result is not needed, before this returns or
     raises."""
-    lanes = min(_fork_cpus(), len(items)) if values > _FORK_MIN_VALUES else 1
+    lanes = _lanes(len(items), values)
     if lanes <= 1:
         return _share(fn, items)
     if _lane_pool.cache_info().currsize:  # no thread may live across the fork; the next HOG call starts a new pool
@@ -831,21 +835,18 @@ def dataset_to_lines(dataset: Dataset, source: Dataset | None = None) -> list[st
     """The canonical JSON line of each record, encoded on the codec lanes.
 
     source is the dataset this one was derived from, if any. While its JSON
-    Lines may be copied (see Copying the source's text), each candidate's
-    box, iou_label and features take their text from the source's line of
-    the same image_id wherever it holds a value with the same bits, and only
-    the other numbers are formatted, and counted towards forking. The lines
-    are the same with and without the source.
+    Lines may be copied (see Copying the source's text), they are read once,
+    start to end, and each candidate's box, iou_label and features take
+    their text from the source's line of the same image_id wherever it
+    holds a value with the same bits; only the other numbers are formatted,
+    and counted towards forking. If the lines read do not hash to the
+    source's sha256, or are not one per source record, every number is
+    formatted. The lines are the same with and without the source.
     """
-    with _source_spans(source) as spans:
-        if spans is None:
-            return _lane_map(_line, dataset.records, sum(map(_values, dataset.records)))
-        position = {rec.image_id: i for i, rec in enumerate(source.records)}
-        plans = [
-            _plan(rec, None, None) if i is None else _plan(rec, source.records[i], spans[i])
-            for rec, i in ((rec, position.get(rec.image_id)) for rec in dataset.records)
-        ]
-        return _lane_map(_copied_line, [plan for plan, _ in plans], sum(numbers for _, numbers in plans))
+    lines = None if source is None else _copied_lines(dataset, source)
+    if lines is None:
+        lines = _lane_map(_line, dataset.records, sum(map(_values, dataset.records)))
+    return lines
 
 
 def _decoded(numbered: tuple[int, bytes | str]) -> ImageRecord | DataError:
@@ -1100,82 +1101,67 @@ def read_dataset(path: str | Path) -> Dataset:
 # candidate's box, iou_label or features there is the text json.dumps gives
 # any value with the same float64 bits (-0.0 and 0.0 have different bits,
 # and different texts). When read_dataset built a dataset from its columns
-# file, and its JSON Lines still hash to the source_sha256 that columns file
-# still records, dataset_to_lines of a dataset derived from it copies those
-# texts. Each column of a record is matched row by row to the source
-# record's by the bytes of its values, whatever the rows' order, so
-# permuted, dropped or repeated candidates find their text; the values no
-# source row holds are formatted. The source file is hashed a line at a
-# time, and each line is read again only while its record is written, and
-# only if it still has the SHA-256 it had then, so no more than one source
-# line per lane is held at once.
+# file, and that file still records the dataset's source_sha256,
+# dataset_to_lines of a dataset derived from it reads the source's JSON
+# Lines once, from start to end: each line is hashed as it goes by, and the
+# value texts of a record written from it are taken from it then. They are
+# used only if the whole file turns out to have one line per source record
+# and to hash to source_sha256; otherwise every record is formatted. So
+# every copied text comes from bytes that, together, hash to the SHA-256
+# read_dataset checked the columns file against, and no more than one source
+# line is held at a time. A record's boxes are matched row by row to the
+# source record's by their bits once, whatever the rows' order, so
+# permuted, dropped or repeated candidates find their text; its labels and
+# features are compared bitwise under that match, and only the rows that
+# differ are searched for on their own. The values no source row holds are
+# formatted.
 
 _NEXT_CANDIDATE = '}, {"box": '
 # The optional candidate columns with the text before their value on a line, in line order.
 _FIELD_KEYS = {"labels": ', "iou_label": ', "features": ', "features": ', "source_index": ', "source_index": '}
 
 
-@contextlib.contextmanager
-def _source_spans(source: Dataset | None) -> Iterator[list[tuple[int, int, int, bytes]] | None]:
-    """While open, the (descriptor, offset, length, SHA-256) of each line of
-    the JSON Lines read_dataset built source from through the columns file
-    beside them, if the lines and that columns file still record
-    source.source_sha256; else None."""
-    path = None if source is None else source._source_path
-    recorded = None if path is None else _load_columns_file(beside(path, COLUMNS_SUFFIX), ("sha256",))
-    if recorded is None or recorded["sha256"].tobytes().hex() != source.source_sha256 or not hasattr(os, "pread"):
-        yield None
-        return
-    try:
-        file = path.open("rb", buffering=1 << 20)
-    except OSError:
-        yield None
-        return
-    with file:
-        digest, spans, offset = hashlib.sha256(), [], 0
-        try:
-            for line in file:
-                digest.update(line)
-                spans.append((file.fileno(), offset, len(line), hashlib.sha256(line).digest()))
-                offset += len(line)
-        except OSError:
-            spans = None
-        intact = spans is not None and len(spans) == len(source.records) and digest.hexdigest() == source.source_sha256
-        yield spans if intact else None
+def _bits(column: np.ndarray | None) -> np.ndarray | None:
+    """The rows of a float64 column as rows of uint64 words, which are equal
+    only where the floats have the same bits."""
+    return None if column is None else np.ascontiguousarray(column).view(np.uint64).reshape(len(column), -1)
 
 
-def _row_keys(column: np.ndarray) -> np.ndarray:
-    """Each row of a float64 column as one opaque value of its bytes."""
-    column = np.ascontiguousarray(column).reshape(len(column), -1)
-    return column.view(np.dtype((np.void, column.itemsize * column.shape[1]))).ravel()
-
-
-def _copies(column: np.ndarray, source_column: np.ndarray | None) -> np.ndarray | None:
-    """For each row of column, the index of a row of source_column with the
-    same bytes, or -1 if it has none; None if the two have the same bytes."""
-    if source_column is None or not len(source_column) or source_column.shape[1:] != column.shape[1:]:
-        return np.full(len(column), -1)
-    keys, source_keys = _row_keys(column), _row_keys(source_column)
-    if np.array_equal(keys, source_keys):
+def _copies(bits: np.ndarray, source_bits: np.ndarray | None, guess: np.ndarray | None = None) -> np.ndarray | None:
+    """For each row of bits, the index of a row of source_bits with the same
+    bits, or -1 if it has none; None if the two hold the same rows. Each row
+    is tried at its guess, if given, and searched for only if that fails."""
+    if source_bits is None or not len(source_bits) or source_bits.shape[1] != bits.shape[1]:
+        return np.full(len(bits), -1)
+    if source_bits.shape == bits.shape and np.array_equal(bits, source_bits):
         return None
-    order = np.argsort(source_keys, kind="stable")
-    found = order[np.searchsorted(source_keys[order], keys).clip(max=len(order) - 1)]
-    return np.where(source_keys[found] == keys, found, -1)
+    index = np.full(len(bits), -1) if guess is None else np.where((source_bits[guess] == bits).all(axis=1), guess, -1)
+    missed = np.flatnonzero(index < 0)
+    if len(missed):  # each row's bytes as one opaque value, sought among the source rows'
+        void = np.dtype((np.void, bits.itemsize * bits.shape[1]))
+        keys, source_keys = np.ascontiguousarray(bits[missed]).view(void).ravel(), source_bits.view(void).ravel()
+        order = np.argsort(source_keys, kind="stable")
+        found = order[np.searchsorted(source_keys[order], keys).clip(max=len(order) - 1)]
+        index[missed] = np.where(source_keys[found] == keys, found, -1)
+    return index
 
 
-def _plan(record: ImageRecord, source: ImageRecord | None, span: tuple | None) -> tuple[tuple, int]:
-    """What _copied_line needs for record, whose source record (its line at
-    span) may be None, and how many numbers it will format."""
-    if source is None:
-        return (record, None, None, {}), _values(record)
-    copies, numbers = {}, 4 * len(record.groundtruth)
-    for name in _COLUMNS[:3]:
-        column = getattr(record.candidates, name)
-        if column is not None and len(column):
-            index = copies[name] = _copies(column, getattr(source.candidates, name))
-            if index is not None:
-                numbers += int(np.count_nonzero(index < 0)) * (column.size // len(column))
-    return (record, source, span, copies), numbers
+def _plan(record: ImageRecord, source: ImageRecord) -> tuple[dict[str, np.ndarray | None], int]:
+    """Where each of record's box, iou_label and features values finds its
+    text in source's line, by column, as _copies gives it, and how many
+    numbers are left to format. Both records have candidates."""
+    cands, source_cands = record.candidates, source.candidates
+    rows = _copies(_bits(cands.boxes), _bits(source_cands.boxes))
+    guess = np.arange(len(cands)) if rows is None else rows
+    copies = {"boxes": rows}
+    for name in ("labels", "features"):
+        if getattr(cands, name) is not None:
+            copies[name] = _copies(_bits(getattr(cands, name)), _bits(getattr(source_cands, name)), guess)
+    numbers = 4 * len(record.groundtruth) + sum(
+        int(np.count_nonzero(index < 0)) * (getattr(cands, name).size // len(cands))
+        for name, index in copies.items() if index is not None
+    )
+    return copies, numbers
 
 
 def _present(cands: Candidates) -> list[str]:
@@ -1209,24 +1195,21 @@ def _column_texts(values: np.ndarray | tuple, index: np.ndarray | None, source_t
     return texts
 
 
-def _source_texts(source: Candidates, span: tuple) -> dict[str, list[str]] | None:
+def _source_texts(source: Candidates, line: bytes) -> dict[str, list[str]] | None:
     """The text of each box, iou_label and features value of source on its
-    line at span, by column; None if the line no longer has the SHA-256 it
-    had when the source was checked, or source has no candidates."""
-    fd, offset, length, sha256 = span
-    line = os.pread(fd, length, offset)
+    line, by column; None if the line does not hold them where write_dataset
+    puts them."""
     names = _present(source)
     count = len(source) * len(names)
-    if not count or not line.endswith(b"}]}\n") or hashlib.sha256(line).digest() != sha256:
+    if not line.endswith(b"}]}\n"):
         return None
     # Every key ends in '": ', which no number's text holds and every other
     # quote on a line is escaped: split there, the last pieces are the
     # candidates' values, each followed by the start of the key after it,
     # and the one before them starts the first candidate.
     text = str(line, "utf-8", "replace")
-    del line  # a line can take megabytes: hold one copy of it at a time
     pieces = text.split('": ')[-count - 1:]
-    del text
+    del text  # a line can take megabytes: hold as few copies of it as can be
     if len(pieces) != count + 1 or pieces[0] != '[{"box':
         return None
     pieces[-1] = pieces[-1][:-4] + _NEXT_CANDIDATE[:-3]  # the last value is followed by the line's end
@@ -1237,12 +1220,11 @@ def _source_texts(source: Candidates, span: tuple) -> dict[str, list[str]] | Non
     }
 
 
-def _copied_line(plan: tuple) -> str:
-    """The canonical JSON line of a record planned by _plan: each value's
-    text copied from its source record's line where copies finds a row with
-    the same bits, formatted otherwise."""
-    record, source, span, copies = plan
-    source_texts = None if source is None or not len(record.candidates) else _source_texts(source.candidates, span)
+def _copied_line(item: tuple) -> str:
+    """The canonical JSON line of a record, given as (record, its _plan
+    copies, its source line's _source_texts): each value's text copied where
+    copies finds a row with the same bits, formatted otherwise."""
+    record, copies, source_texts = item
     if source_texts is None:
         return _line(record)
     parts = []
@@ -1251,6 +1233,50 @@ def _copied_line(plan: tuple) -> str:
         parts += [texts] if name == "boxes" else [repeat(_FIELD_KEYS[name]), texts]
     head = json.dumps({**_head(record), "candidates": []}, allow_nan=False)[:-2]
     return head + '{"box": ' + _NEXT_CANDIDATE.join(map("".join, zip(*parts))) + "}]}"
+
+
+def _copied_lines(dataset: Dataset, source: Dataset) -> list[str] | None:
+    """dataset_to_lines(dataset) with the text of the values source's JSON
+    Lines hold copied from them, in one pass over those lines; None if they
+    may not be copied.
+
+    A write that forks the codec lanes takes each record's texts as its
+    source line goes by and builds the lines on the lanes after the pass;
+    any other builds each line as its source line goes by."""
+    path = source._source_path
+    recorded = None if path is None else _load_columns_file(beside(path, COLUMNS_SUFFIX), ("sha256",))
+    if recorded is None or recorded["sha256"].tobytes().hex() != source.source_sha256:
+        return None
+    records, position = dataset.records, {rec.image_id: i for i, rec in enumerate(source.records)}
+    items: list = [(rec, None, None) for rec in records]  # each becomes its line, or the lanes' item for it
+    wanted, numbers = {}, 0  # source line -> (record written from it, its copies); numbers to format
+    for j, rec in enumerate(records):
+        i = position.get(rec.image_id)
+        if i is None or not len(rec.candidates) or not len(source.records[i].candidates):
+            numbers += _values(rec)
+        else:
+            copies, count = _plan(rec, source.records[i])
+            wanted[i] = j, copies
+            numbers += count
+    forks = _lanes(len(records), numbers) > 1
+    digest, lines_read = hashlib.sha256(), 0
+    try:
+        with open(path, "rb", buffering=1 << 20) as file:
+            for i, line in enumerate(file):
+                digest.update(line)
+                lines_read = i + 1
+                if i in wanted:
+                    j, copies = wanted[i]
+                    items[j] = (records[j], copies, _source_texts(source.records[i].candidates, line))
+                    if not forks:
+                        items[j] = _copied_line(items[j])
+    except OSError:
+        return None
+    if lines_read != len(source.records) or digest.hexdigest() != source.source_sha256:
+        return None
+    if forks:
+        return _lane_map(_copied_line, items, numbers)
+    return [item if isinstance(item, str) else _copied_line(item) for item in items]
 
 
 def atomic_write_text(path: str | Path, text: str | bytes) -> None:
@@ -1275,10 +1301,14 @@ def write_dataset(dataset: Dataset, path: str | Path, source: Dataset | None = N
 
     source is the dataset that dataset was derived from, as label, rerank
     and featurize derive theirs. If read_dataset built it from its columns
-    file, and that file and the JSON Lines beside it are unchanged, the text
-    of each candidate value that still has the bits source had is copied
-    from those lines rather than formatted again. The bytes written are the
-    same: a value's text there is json.dumps of the same bits."""
+    file, and that file still records source's sha256, the JSON Lines beside
+    it are read and hashed once, and the text of each candidate value that
+    still has the bits source had is taken from its line as the line goes
+    by. That text is copied, rather than formatted again, only if the whole
+    file still hashes to that sha256. The bytes written are the same: a
+    value's text there is json.dumps of the same bits. The source is read
+    in full before the file at path is replaced, so path may be the
+    source's own."""
     path = Path(path)
     data = "\n".join([*dataset_to_lines(dataset, source), ""]).encode("utf-8")  # no second copy of each line
     atomic_write_text(path, data)

@@ -47,14 +47,24 @@ def assert_same_reads(got: Dataset, want: Dataset) -> None:
 
 def copied_records(monkeypatch) -> list:
     """The source records, as candidates, whose line's text dataset_to_lines
-    copies from, as it copies it in this process."""
-    built, source_texts = [], core._source_texts
+    copies from: those whose texts its pass over the source's JSON Lines
+    took from their line, in a pass that found the whole file intact."""
+    built, taken = [], []
+    source_texts, copied_lines = core._source_texts, core._copied_lines
 
-    def spy(source, span):
-        texts = source_texts(source, span)
+    def texts_spy(source, line):
+        texts = source_texts(source, line)
         if texts is not None:
-            built.append(source)
+            taken.append(source)
         return texts
 
-    monkeypatch.setattr(core, "_source_texts", spy)
+    def lines_spy(dataset, source):
+        taken.clear()
+        lines = copied_lines(dataset, source)
+        if lines is not None:
+            built.extend(taken)
+        return lines
+
+    monkeypatch.setattr(core, "_source_texts", texts_spy)
+    monkeypatch.setattr(core, "_copied_lines", lines_spy)
     return built

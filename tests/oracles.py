@@ -8,7 +8,8 @@ through four broadcast index sums, for the training objective an exact dual
 QP whose duality gap certifies its optimum, for the trainer's steps the
 descent loop as it ran on materialized constraint rows, one x_p - x_q row per
 baseline pair, and for the geometric synth its uniform clutter boxes drawn
-with four scalar Generator.uniform calls each. Slow is fine; these only run
+with four scalar Generator.uniform calls each, and for eval's ranking
+recovery a dict of each box's unused positions. Slow is fine; these only run
 on small inputs.
 """
 
@@ -522,3 +523,27 @@ def scalar_geometric_dataset(config):
             f"geo-{config.seed}-{j:05d}", width, height, groundtruth, boxes, labels, features
         ))
     return Dataset(tuple(records), GEOMETRIC_FEATURE_DIM)
+
+
+# ---------------------------------------------------------------------------
+# eval's ranking recovery with a dict of each box's unused base positions
+
+
+def recover_rankings(base: Dataset, other: Dataset) -> dict[str, list[int]]:
+    """Each candidate of other takes the first unused base candidate whose
+    box is equal as Python floats compare; a candidate with none is a
+    DataError, and so is a record whose candidate count differs."""
+    rankings: dict[str, list[int]] = {}
+    for rec in other.records:
+        base_boxes, boxes = base.get(rec.image_id).candidates.boxes.tolist(), rec.candidates.boxes.tolist()
+        if len(base_boxes) != len(boxes):
+            raise DataError(f"{rec.image_id}: candidate counts differ ({len(base_boxes)} vs {len(boxes)})")
+        unused: dict[tuple, list[int]] = {}  # each box's unused positions in base, the first one last
+        for i in reversed(range(len(base_boxes))):
+            unused.setdefault(tuple(base_boxes[i]), []).append(i)
+        rankings[rec.image_id] = []
+        for j, box in enumerate(boxes):
+            if not unused.get(tuple(box)):
+                raise DataError(f"{rec.image_id}: candidate {j} box {box} does not match the dataset's candidates")
+            rankings[rec.image_id].append(unused[tuple(box)].pop())
+    return rankings

@@ -10,11 +10,16 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracles
 from conftest import copied_records
-from proprank import Dataset, dataset_digest, load_model, rank_by_label, read_dataset, write_dataset
+from proprank import (DataError, Dataset, EvalConfig, dataset_digest, load_model, rank_by_label, read_dataset,
+                      write_dataset)
 from proprank import core
-from proprank.cli import main
+from proprank.cli import _recover_rankings, build_parser, main
+from proprank.core import record_from_columns
 
 
 def run(capsys, *argv):
@@ -162,6 +167,74 @@ def test_eval_takes_the_order_of_a_file_without_source_index_and_rejects_foreign
         assert sorted(p.name for p in tmp_path.glob("foreign*")) == ["foreign.jsonl", "foreign.jsonl.columns.npz"]
     capsys.readouterr()
 
+
+
+# Boxes from a pool of sixteen, so that they repeat and -0.0 meets 0.0.
+_COORD = st.sampled_from([0.0, -0.0, 1.0, 2.5])
+_POOL_BOX = st.tuples(_COORD, _COORD).map(lambda p: [p[0], p[1], p[0] + 3.0, p[1] + 3.0])
+
+
+@st.composite
+def _reordered_pairs(draw):
+    """A dataset and another of the same images in any order: each record a
+    permutation of its boxes with the sign of their zeros flipped, some
+    boxes swapped for a box of the record (which may then repeat more often
+    than in the first) or of the pool, and now and then one box more or fewer."""
+    base, other = [], []
+    for j in range(draw(st.integers(1, 3))):
+        boxes = draw(st.lists(_POOL_BOX, max_size=8))
+        moved = [boxes[i] for i in draw(st.permutations(range(len(boxes))))]
+        moved = [[-c if c == 0.0 and flip else c for c in box]
+                 for box, flip in zip(moved, draw(st.lists(st.booleans(), min_size=len(moved), max_size=len(moved))))]
+        for k in draw(st.lists(st.integers(0, len(moved) - 1), max_size=2)) if moved else ():
+            moved[k] = draw(st.sampled_from(boxes) | _POOL_BOX)
+        count = draw(st.sampled_from(["same"] * 8 + ["one more", "one fewer"]))
+        if count == "one more":
+            moved.append(draw(st.sampled_from(boxes) | _POOL_BOX) if boxes else [0.0, 0.0, 3.0, 3.0])
+        elif count == "one fewer" and moved:
+            moved.pop()
+        base.append(record_from_columns(f"im{j}", 8, 8, (), boxes))
+        other.append(record_from_columns(f"im{j}", 8, 8, (), moved))
+    return Dataset(tuple(base)), Dataset(tuple(draw(st.permutations(other))))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_reordered_pairs())
+def test_eval_recovers_the_rankings_and_errors_of_the_dict_oracle(pair):
+    base, other = pair
+    try:
+        want = oracles.recover_rankings(base, other)
+    except DataError as exc:
+        with pytest.raises(DataError) as info:
+            _recover_rankings(base, other)
+        assert str(info.value) == str(exc)
+    else:
+        assert _recover_rankings(base, other) == want
+
+
+def test_two_runs_in_one_process_share_no_parsed_arguments(chain, tmp_path, capsys):
+    argv = ("eval", chain / "labeled.jsonl", chain / "ranked.jsonl", "--budgets", "1,5")
+    assert run(capsys, *argv, "--thresholds", "0.5", "--output", tmp_path / "a")[0] == 0
+    assert run(capsys, *argv, "--output", tmp_path / "b")[0] == 0
+    for base, thresholds in (("a", [0.5]), ("b", list(EvalConfig.iou_thresholds))):
+        assert json.loads((tmp_path / f"{base}.json").read_text())["config"]["iou_thresholds"] == thresholds
+    assert build_parser() is build_parser()
+
+
+@pytest.mark.parametrize("command, extra", [("label", []), ("rerank", ["--model", "model.json"])])
+def test_a_command_writes_over_its_input_what_it_writes_elsewhere(chain, tmp_path, capsys, monkeypatch, command, extra):
+    extra = [chain / arg if arg == "model.json" else arg for arg in extra]
+    given = tmp_path / "d.jsonl"  # labeled.jsonl with its columns file
+    for suffix in ("", core.COLUMNS_SUFFIX):
+        core.beside(given, suffix).write_bytes(core.beside(chain / "labeled.jsonl", suffix).read_bytes())
+    assert run(capsys, command, chain / "labeled.jsonl", tmp_path / "out.jsonl", *extra)[0] == 0
+    copied = copied_records(monkeypatch)
+    assert run(capsys, command, given, given, *extra)[0] == 0
+    assert len(copied) == 3
+    assert given.read_bytes() == (tmp_path / "out.jsonl").read_bytes()
+    again = read_dataset(given)
+    assert again._source_path is not None  # from the columns file, which records the new bytes
+    assert again.source_sha256 == hashlib.sha256(given.read_bytes()).hexdigest()
 
 def make_pgm(path, width, height, seed):
     rng = np.random.default_rng(seed)

@@ -18,10 +18,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import copied_records
 from proprank import (DataError, Dataset, GrayImage, HogConfig, SynthConfig, featurize_dataset,
                       generate_geometric_dataset)
 from proprank import core, features
-from proprank.core import dataset_digest, dataset_from_lines, dataset_to_lines, read_dataset, write_dataset
+from proprank.core import (dataset_digest, dataset_from_lines, dataset_to_lines, read_dataset, replace_column,
+                           write_dataset)
 
 
 @pytest.fixture
@@ -261,3 +263,15 @@ def test_a_small_read_leaves_the_hog_lanes_running(tmp_path, monkeypatch, forks)
     assert len(read_dataset(tmp_path / "small.jsonl")) == 5
     assert not forks
     assert _hog_threads() == hog_threads
+
+
+def test_a_derived_write_that_formats_enough_numbers_copies_its_source_and_forks(tmp_path, lanes, forks, monkeypatch):
+    write_dataset(_dataset(4), tmp_path / "source.jsonl")
+    source = read_dataset(tmp_path / "source.jsonl")
+    featurized = Dataset(tuple(replace_column(rec, "features", rec.candidates.features + 0.5) for rec in source.records))
+    serial = dataset_to_lines(featurized)
+    built = copied_records(monkeypatch)
+    lanes(2)
+    assert dataset_to_lines(featurized, source) == serial
+    assert len(forks) == 1 and len(built) == 4  # each line's boxes and labels copied, its features formatted
+    _no_child_left()

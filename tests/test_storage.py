@@ -5,7 +5,9 @@ passed over for them. A dataset derived from one read that way is written
 with the text of its unchanged values copied from the source's JSON Lines,
 in the same bytes as without the source."""
 
+import builtins
 import gc
+import hashlib
 import io
 import logging
 import tempfile
@@ -317,8 +319,7 @@ def test_a_derived_dataset_is_written_in_the_same_bytes_with_its_source(dataset,
         write_dataset(dataset, tmp / "source.jsonl")
         source = read_dataset(tmp / "source.jsonl")
         assert source._source_path == tmp / "source.jsonl"
-        with core._source_spans(source) as spans:
-            assert spans is not None
+        assert core._copied_lines(source, source) is not None
         for name, derived in _transforms(data.draw, source).items():
             canonical = _written(derived, tmp / "plain.jsonl")
             assert _written(derived, tmp / "copied.jsonl", source) == canonical, name
@@ -370,7 +371,7 @@ def test_a_line_rewritten_after_the_source_was_checked_is_not_copied(tmp_path, m
     text = path.read_text(encoding="utf-8")
     plan = core._plan
 
-    def rewrite_then_plan(*args):  # the file was hashed; its lines are read again as each is written
+    def rewrite_then_plan(*args):  # the columns file was checked; the write has not read the lines yet
         path.write_text(text.replace('"iou_label": 0.5}', '"iou_label": 1.5}'), encoding="utf-8")
         return plan(*args)
 
@@ -392,3 +393,76 @@ def test_a_hand_written_source_is_parsed_and_its_text_never_copied(tmp_path, mon
     assert out.read_text(encoding="utf-8") == (
         '{"image_id": "a", "width": 200, "height": 200, "groundtruth": [], "candidates": '
         '[{"box": [0.0, 0.0, 100.0, 100.0], "iou_label": 0.0, "features": [0.5, 100.0]}]}\n')
+
+
+def test_a_source_rewritten_during_the_pass_is_not_copied(tmp_path, monkeypatch):
+    source, path = _labeled_source(tmp_path)
+    text = path.read_text(encoding="utf-8")
+    built = copied_records(monkeypatch)
+    source_texts, lines = core._source_texts, []
+
+    def rewrite_after_the_first_line(cands, line):  # longer, so the pass reads bytes it had not buffered
+        if not lines:
+            path.write_text(text.replace('"iou_label": 0.5}', '"iou_label": 0.50}'), encoding="utf-8")
+        lines.append(line)
+        return source_texts(cands, line)
+
+    monkeypatch.setattr(core, "_source_texts", rewrite_after_the_first_line)
+    ranked = _reversed(source)
+    copied = _written(ranked, tmp_path / "copied.jsonl", source)
+    assert lines and path.read_text(encoding="utf-8") != text
+    assert built == []
+    assert copied == _written(ranked, tmp_path / "plain.jsonl")
+    assert b'"iou_label": 0.5, ' in copied and b'"iou_label": 0.50, ' not in copied
+
+
+@pytest.mark.parametrize("records", ["one fewer", "one more"])
+def test_a_source_of_one_record_more_or_fewer_than_lines_is_never_copied_from(tmp_path, monkeypatch, records):
+    source, path = _labeled_source(tmp_path)
+    extra = make_record("extra", labels=[0.5], cand_boxes=[[0, 0, 1, 1]])
+    forged = Dataset(source.records[:-1] if records == "one fewer" else source.records + (extra,))
+    arrays = core._columns_file_arrays(forged, bytes.fromhex(source.source_sha256))  # the lines' own SHA-256
+    core.beside(path, core.COLUMNS_SUFFIX).write_bytes(_saved(np.savez, **arrays))
+    source = read_dataset(path)
+    assert source._source_path is not None and len(source) == len(forged)
+    built = copied_records(monkeypatch)
+    ranked = _reversed(source)
+    copied = _written(ranked, tmp_path / "copied.jsonl", source)
+    assert built == []
+    assert copied == _written(ranked, tmp_path / "plain.jsonl")
+
+
+def test_a_derived_write_opens_and_hashes_its_source_once(tmp_path, monkeypatch):
+    source, path = _labeled_source(tmp_path)
+    opened, hashed = [], []
+    real_open, real_sha256 = io.open, hashlib.sha256
+
+    def counted_open(file, *args, **kwargs):
+        opened.append(file)
+        return real_open(file, *args, **kwargs)
+
+    class CountedSha256:
+        def __init__(self, data=b""):
+            self.digest_ = real_sha256()
+            self.update(data)
+
+        def update(self, data):
+            hashed.append(len(data))
+            self.digest_.update(data)
+
+        def digest(self):
+            return self.digest_.digest()
+
+        def hexdigest(self):
+            return self.digest_.hexdigest()
+
+    for module in (builtins, io):  # Path.open calls io.open
+        monkeypatch.setattr(module, "open", counted_open)
+    monkeypatch.setattr(hashlib, "sha256", CountedSha256)
+    built = copied_records(monkeypatch)
+    out = tmp_path / "copied.jsonl"
+    write_dataset(_reversed(source), out, source)
+    monkeypatch.undo()
+    assert len(built) == len(source)
+    assert [Path(file) for file in opened if isinstance(file, (str, Path))].count(path) == 1
+    assert sum(hashed) == path.stat().st_size + out.stat().st_size  # the source's bytes and the output's, once each
