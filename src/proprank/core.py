@@ -23,12 +23,15 @@ codec forks only on Linux and only for more than _FORK_MIN_VALUES numbers at
 once. A thread may hold a lock across a fork, so it forks only while every
 other thread is an idle HOG lane thread, and it joins those first; the next
 HOG call starts them again. Beside any other thread it stays in the caller.
+The same gate (_lanes) and the same forking (_forked_shares) also let
+ranking train an in-memory set on a forked lane while the caller digests it.
 The lanes pay while the other CPUs are free; when the host keeps them busy,
 a forked call can be slower than one lane.
 """
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import hashlib
 import io
@@ -686,6 +689,12 @@ def record_from_dict(obj: dict) -> ImageRecord:
 # two lanes, _FORK_MIN_VALUES numbers save about one fork even when decoded,
 # so a call with no more stays in the caller.
 _FORK_MIN_VALUES = 16_384
+# Image visits of a descent that ranking runs on a forked lane beside the
+# digest of its training set (see ranking._fit). A visit takes about 4 us at
+# tens of rows per image, so a slow fork costs about 800 of them; 4096 visits
+# (about 16 ms) pay for it five times over and keep a hog-online-sized set
+# (4 images x 200 epochs) in the caller.
+_FORK_MIN_STEPS = 4_096
 # Numbers read_dataset gathers per lane before it decodes them, about 5 MB of
 # raw lines; a round closes at the line that reaches lanes times this.
 _ROUND_VALUES = 1 << 18
@@ -706,7 +715,7 @@ def _usable_cpus() -> int:
 @functools.cache
 def _lane_pool() -> ThreadPoolExecutor:
     """The threads that run every HOG lane but the caller's, started as lanes
-    need them and joined by _lane_map before it forks."""
+    need them and joined by _forked_shares before it forks."""
     return ThreadPoolExecutor(max_workers=max(1, (os.cpu_count() or 1) - 1), thread_name_prefix="proprank-hog")
 
 
@@ -720,8 +729,8 @@ def _fork_cpus() -> int:
     other thread is a HOG lane thread, else 1, since any other thread may
     hold a lock across the fork. The HOG lane threads are idle while the
     caller is in the codec: the HOG kernel waits for its lanes before it
-    returns, and no other thread is left to hand them work. So _lane_map
-    can join them before it forks."""
+    returns, and no other thread is left to hand them work. So
+    _forked_shares can join them before it forks."""
     others = set(threading.enumerate()) - {threading.current_thread()}
     # A ThreadPoolExecutor keeps its worker threads in _threads.
     lane_threads = _lane_pool()._threads if _lane_pool.cache_info().currsize else set()
@@ -785,39 +794,56 @@ def _lanes(items: int, values: int) -> int:
     return min(_fork_cpus(), items) if values > _FORK_MIN_VALUES else 1
 
 
+@contextlib.contextmanager
+def _forked_shares(fn: Callable[[T], R], shares: Sequence[Sequence[T]]) -> Iterator[Callable[[int], list[R]]]:
+    """Fork one child per share, which computes _share(fn, share), and yield
+    result(i): the results of shares[i] from its child, or computed by the
+    caller if that child failed or could not be forked. The HOG lane threads
+    are joined before the first fork, since no thread may live across one;
+    the next HOG call starts a new pool. When the with block exits, every
+    child whose result was not taken is killed, and every child is reaped."""
+    if _lane_pool.cache_info().currsize:
+        _lane_pool().shutdown()
+        _lane_pool.cache_clear()
+    children: list[tuple[int, int] | None] = []  # pid and read end of each share's child
+    try:
+        for share in shares:
+            try:
+                children.append(_forked(fn, share))
+            except OSError:  # no process or pipe to spare: the caller computes the share
+                children.append(None)
+
+        def result(i: int) -> list[R]:
+            child, children[i] = children[i], None
+            got = None if child is None else _collected(*child)
+            return _share(fn, shares[i]) if got is None else got
+
+        yield result
+    finally:
+        for pid, read_end in filter(None, children):
+            os.kill(pid, signal.SIGKILL)
+            os.close(read_end)
+            os.waitpid(pid, 0)
+
+
 def _lane_map(fn: Callable[[T], R], items: Sequence[T], values: int) -> list[R]:
     """_share(fn, items), computed in one contiguous share per lane when the
     items carry more than _FORK_MIN_VALUES numbers: share 0 by the caller,
-    each other share by a forked child. A share whose child fails is computed
-    by the caller, so the result never depends on a child, and every child is
-    reaped, killed first if its result is not needed, before this returns or
-    raises."""
+    each other share by a forked child (see _forked_shares). A share whose
+    child fails is computed by the caller, so the result never depends on a
+    child, and every child is reaped, killed first if its result is not
+    needed, before this returns or raises."""
     lanes = _lanes(len(items), values)
     if lanes <= 1:
         return _share(fn, items)
-    if _lane_pool.cache_info().currsize:  # no thread may live across the fork; the next HOG call starts a new pool
-        _lane_pool().shutdown()
-        _lane_pool.cache_clear()
     bounds = [len(items) * lane // lanes for lane in range(lanes + 1)]
-    children: list[tuple[int | None, int, int, int]] = []  # pid, read end, first and end item
-    try:
-        for start, stop in zip(bounds[1:-1], bounds[2:]):
-            try:
-                children.append((*_forked(fn, items[start:stop]), start, stop))
-            except OSError:  # no process or pipe to spare: the caller computes the share
-                children.append((None, -1, start, stop))
+    with _forked_shares(fn, [items[start:stop] for start, stop in zip(bounds[1:-1], bounds[2:])]) as result:
         results = _share(fn, items[:bounds[1]])
-        while children and not (results and isinstance(results[-1], Exception)):
-            pid, read_end, start, stop = children.pop(0)
-            got = None if pid is None else _collected(pid, read_end)
-            results += _share(fn, items[start:stop]) if got is None else got
+        for i in range(lanes - 1):
+            if results and isinstance(results[-1], Exception):
+                break
+            results += result(i)
         return results
-    finally:
-        for pid, read_end, _, _ in children:
-            if pid is not None:
-                os.kill(pid, signal.SIGKILL)
-                os.close(read_end)
-                os.waitpid(pid, 0)
 
 
 def _values(record: ImageRecord) -> int:

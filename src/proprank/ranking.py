@@ -36,7 +36,7 @@ import numpy as np
 
 from .core import (Config, DataError, Dataset, ImageRecord, atomic_write_text, check_field_types, dataset_digest,
                    json_field, json_value, rank_by_label, read_json)
-from .core import _as_float, _as_int
+from .core import _FORK_MIN_STEPS, _as_float, _as_int, _forked_shares, _lanes, _values
 from .features import HogConfig
 
 logger = logging.getLogger(__name__)
@@ -396,15 +396,31 @@ def _fit(
     """Descend on the rows and package the result as a model trained with config.
 
     Rows with a P/Q split (a partial model) also get a violation report.
+
+    A set whose provenance still needs its dataset_digest (no source_sha256,
+    no cached digest) is digested by the caller, on the codec lanes, while
+    the descent runs in one forked child, when the codec may fork for the
+    set's numbers (core._lanes) and the descent makes at least
+    _FORK_MIN_STEPS image visits; the two do not depend on each other. If
+    the child fails or cannot be forked, the caller descends itself, so the
+    model, and a NumericError, are the same at every CPU count.
     """
-    best_w, best_obj, history = _descend(rows, config, trainer)
+    if (dataset.source_sha256 is None and dataset._digest is None
+            and config.epochs * len(dataset.records) >= _FORK_MIN_STEPS
+            and _lanes(2, sum(map(_values, dataset.records))) > 1):
+        with _forked_shares(lambda rows: _descend(rows, config, trainer), [[rows]]) as result:
+            provenance = _provenance(dataset, trainer)
+            (best_w, best_obj, history), = result(0)
+    else:
+        best_w, best_obj, history = _descend(rows, config, trainer)
+        provenance = _provenance(dataset, trainer)
     return TrainedModel(
         weights=best_w,
         feature_dim=rows.dim,
         training_config=config,
         final_objective=best_obj,
         hog_config=hog_config,
-        provenance=_provenance(dataset, trainer),
+        provenance=provenance,
         violation_report=None if rows.num_pos is None else _violation_summary(best_w, rows),
         objective_history=tuple(history),
     )
@@ -425,6 +441,11 @@ def train_soft_margin(
     hard-margin feasibility check. The per-epoch objective history records
     the best value seen so far and is therefore non-increasing, and
     final_objective never exceeds the zero-weight objective.
+
+    An in-memory dataset whose digest is still to be computed for the
+    model's provenance is digested while the descent runs on a forked lane,
+    when both are long enough to pay for the fork (see _fit); the model is
+    the same bits either way.
     """
     rows = _partial_rows(dataset, [build_partial_constraints(rec, config) for rec in dataset.records])
     return _fit(dataset, rows, config, hog_config, "partial")

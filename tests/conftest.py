@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import os
+import tempfile
+
 from proprank import Box, Dataset, GroundTruthObject, core
 from proprank.core import dataset_to_lines, record_from_columns
 
@@ -46,25 +49,35 @@ def assert_same_reads(got: Dataset, want: Dataset) -> None:
 
 
 def copied_records(monkeypatch) -> list:
-    """The source records, as candidates, whose line's text dataset_to_lines
-    copies from: those whose texts its pass over the source's JSON Lines
-    took from their line, in a pass that found the whole file intact."""
-    built, taken = [], []
-    source_texts, copied_lines = core._source_texts, core._copied_lines
+    """The image ids of the lines each dataset_to_lines built from its
+    source's text: those for which _column_texts took some value's text from
+    the source line, in the caller or in a forked codec lane, in a pass that
+    found the whole file intact."""
+    built, used, log = [], [], []
+    column_texts, copied_line, copied_lines = core._column_texts, core._copied_line, core._copied_lines
 
-    def texts_spy(source, line):
-        texts = source_texts(source, line)
-        if texts is not None:
-            taken.append(source)
-        return texts
+    def texts_spy(values, index, source_texts):
+        if source_texts is not None and (index is None or (index >= 0).any()):
+            used.append(1)
+        return column_texts(values, index, source_texts)
+
+    def line_spy(item):
+        used.clear()
+        line = copied_line(item)
+        if used:
+            os.write(log[0].fileno(), item[0].image_id.encode() + b"\n")
+        return line
 
     def lines_spy(dataset, source):
-        taken.clear()
-        lines = copied_lines(dataset, source)
-        if lines is not None:
-            built.extend(taken)
+        with tempfile.TemporaryFile(buffering=0) as file:  # a forked lane's list dies with it, its writes do not
+            log[:] = [file]
+            lines = copied_lines(dataset, source)
+            file.seek(0)
+            if lines is not None:
+                built.extend(file.read().decode().split())
         return lines
 
-    monkeypatch.setattr(core, "_source_texts", texts_spy)
+    monkeypatch.setattr(core, "_column_texts", texts_spy)
+    monkeypatch.setattr(core, "_copied_line", line_spy)
     monkeypatch.setattr(core, "_copied_lines", lines_spy)
     return built

@@ -1,27 +1,31 @@
 """The codec lanes: JSON Lines encoded and decoded in forked children give the
 caller's bytes and errors at every lane count, and leave no process behind.
 They fork beside the HOG lane threads, which they join first, but beside no
-other thread."""
+other thread. Training an in-memory set descends on one such lane while the
+caller digests the set, and gives the same model at every CPU count."""
 
 from __future__ import annotations
 
 import errno
 import os
 import pickle
+import signal
 import subprocess
 import sys
 import textwrap
 import threading
+import time
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from conftest import copied_records
-from proprank import (DataError, Dataset, GrayImage, HogConfig, SynthConfig, featurize_dataset,
-                      generate_geometric_dataset)
-from proprank import core, features
+from conftest import copied_records, make_record
+from proprank import (DataError, Dataset, GrayImage, HogConfig, NumericError, SynthConfig, TrainingConfig,
+                      featurize_dataset, generate_feature_dataset, generate_geometric_dataset, train_full_rank_baseline,
+                      train_soft_margin)
+from proprank import core, features, ranking
 from proprank.core import (dataset_digest, dataset_from_lines, dataset_to_lines, read_dataset, replace_column,
                            write_dataset)
 
@@ -49,6 +53,24 @@ def lanes(monkeypatch):
         monkeypatch.setattr(core, "_FORK_MIN_VALUES", -1)  # every round of lines forks
 
     return set_lanes
+
+
+@pytest.fixture
+def descents(monkeypatch):
+    """The list of descents the caller ran: a forked child's entry dies with it."""
+    calls = []
+    descend = ranking._descend
+
+    def counted(*args):
+        calls.append(1)
+        return descend(*args)
+
+    monkeypatch.setattr(ranking, "_descend", counted)
+    return calls
+
+
+def _no_process_to_spare():
+    raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
 
 
 def _no_child_left() -> None:
@@ -167,11 +189,7 @@ def test_a_share_whose_child_fails_or_is_not_forked_is_computed_by_the_caller(la
         assert (dataset_to_lines(dataset), dataset_to_lines(dataset_from_lines(dataset_to_lines(dataset)))) == expected
         _no_child_left()
     assert len(forks) == 16
-
-    def no_process_to_spare():
-        raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
-
-    monkeypatch.setattr(os, "fork", no_process_to_spare)
+    monkeypatch.setattr(os, "fork", _no_process_to_spare)
     assert (dataset_to_lines(dataset), dataset_to_lines(dataset_from_lines(dataset_to_lines(dataset)))) == expected
     _no_child_left()
 
@@ -274,4 +292,146 @@ def test_a_derived_write_that_formats_enough_numbers_copies_its_source_and_forks
     lanes(2)
     assert dataset_to_lines(featurized, source) == serial
     assert len(forks) == 1 and len(built) == 4  # each line's boxes and labels copied, its features formatted
+    _no_child_left()
+
+
+# ---------------------------------------------------------------------------
+# Training beside the digest
+
+# Above both gates: 64 x 20 candidates at d = 16 carry 26,880 numbers, and 64
+# epochs visit an image 4096 times.
+_CONFIG = TrainingConfig(k=3, epochs=64, convergence_tol=0.0)
+
+TRAINERS = {
+    "per-image-slack": lambda dataset: train_soft_margin(dataset, _CONFIG),
+    "per-row-slack": lambda dataset: train_soft_margin(dataset, replace(_CONFIG, per_image_slack=False)),
+    "all-pairs": lambda dataset: train_full_rank_baseline(dataset, _CONFIG),
+}
+
+
+def _trainable() -> Dataset:
+    """A new in-memory set, whose digest is still to be computed."""
+    dataset = generate_feature_dataset(SynthConfig(seed=5, num_images=64, candidates_per_image=20, feature_dim=16,
+                                                   noise_sigma=0.1))[0]
+    assert sum(map(core._values, dataset.records)) > core._FORK_MIN_VALUES
+    assert _CONFIG.epochs * len(dataset) >= ranking._FORK_MIN_STEPS
+    return dataset
+
+
+def _bits(model) -> tuple:
+    """Everything a model holds but the time it was created."""
+    provenance = {key: value for key, value in model.provenance.items() if key != "created"}
+    return (model.weights.tobytes(), model.final_objective, model.objective_history, model.violation_report,
+            model.training_config, provenance)
+
+
+@pytest.mark.parametrize("trainer", TRAINERS)
+def test_a_model_and_its_provenance_are_the_same_bits_at_one_and_two_cpus(monkeypatch, forks, descents, trainer):
+    train = TRAINERS[trainer]
+    monkeypatch.setattr(core, "_usable_cpus", lambda: 1)
+    serial = _bits(train(_trainable()))
+    assert not forks and len(descents) == 1
+    monkeypatch.setattr(core, "_usable_cpus", lambda: 2)
+    assert _bits(train(_trainable())) == serial
+    assert "dataset_digest" in serial[-1] and np.any(np.frombuffer(serial[0]) != 0.0)
+    assert len(forks) == 2 and len(descents) == 1  # the descent's lane and a codec lane; the child descended
+    _no_child_left()
+
+
+def _exits_1(*args, **kwargs):
+    os._exit(1)
+
+
+def _is_killed(*args, **kwargs):
+    os.kill(os.getpid(), signal.SIGKILL)
+
+
+@pytest.mark.parametrize("child", ["exits 1", "is killed", "cannot be forked"])
+def test_a_descent_whose_child_fails_is_run_by_the_caller(monkeypatch, forks, descents, child):
+    monkeypatch.setattr(core, "_usable_cpus", lambda: 1)
+    serial = _bits(train_soft_margin(_trainable(), _CONFIG))
+    monkeypatch.setattr(core, "_usable_cpus", lambda: 2)
+    if child == "cannot be forked":
+        monkeypatch.setattr(os, "fork", _no_process_to_spare)
+    else:  # only a child pickles
+        monkeypatch.setattr(pickle, "dump", _exits_1 if child == "exits 1" else _is_killed)
+    descents.clear()
+    assert _bits(train_soft_margin(_trainable(), _CONFIG)) == serial
+    assert len(descents) == 1
+    _no_child_left()
+
+
+def test_an_error_in_the_digest_kills_and_reaps_the_descending_child(monkeypatch, forks):
+    monkeypatch.setattr(core, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(ranking, "_descend", lambda *args: time.sleep(60))  # the child is still descending
+
+    def failed_digest(dataset):
+        raise RuntimeError("no digest")
+
+    monkeypatch.setattr(ranking, "dataset_digest", failed_digest)
+    statuses, waitpid = [], os.waitpid
+
+    def recorded(pid, options):
+        reaped = waitpid(pid, options)
+        statuses.append(reaped[1])
+        return reaped
+
+    monkeypatch.setattr(os, "waitpid", recorded)
+    with pytest.raises(RuntimeError, match="no digest"):
+        train_soft_margin(_trainable(), _CONFIG)
+    assert len(forks) == 1 and len(statuses) == 1
+    assert os.WIFSIGNALED(statuses[0]) and os.WTERMSIG(statuses[0]) == signal.SIGKILL
+    _no_child_left()
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_a_non_finite_descent_raises_the_same_error_at_one_and_two_cpus(monkeypatch, lanes, forks, descents):
+    monkeypatch.setattr(ranking, "_FORK_MIN_STEPS", 1)
+    errors = []
+    for n in (1, 2):
+        lanes(n)
+        with pytest.raises(NumericError) as raised:
+            train_soft_margin(Dataset((make_record("blow", labels=[1.0, 0.0], feats=[[1e200], [-1e200]]),)),
+                              TrainingConfig(k=1, epochs=3))
+        errors.append(str(raised.value))
+        _no_child_left()
+    assert errors == ["objective became non-finite at epoch 0"] * 2
+    assert len(forks) == 1 and len(descents) == 2  # the child failed, so the caller descended too
+
+
+def test_training_a_featurized_set_joins_the_hog_lanes_before_it_forks(monkeypatch, forks, descents):
+    monkeypatch.setattr(core, "_usable_cpus", lambda: 2)
+    dataset = _featurized(monkeypatch)
+    config = TrainingConfig(k=2, epochs=ranking._FORK_MIN_STEPS // len(dataset), convergence_tol=0.0)
+    model = train_soft_margin(dataset, config)
+    assert len(forks) == 2 and not descents and not _hog_threads()
+    monkeypatch.setattr(core, "_usable_cpus", lambda: 1)
+    assert _bits(train_soft_margin(Dataset(dataset.records), config)) == _bits(model)
+    _no_child_left()
+
+
+def test_a_short_descent_or_a_set_named_without_a_digest_is_not_forked(tmp_path, monkeypatch, forks, descents):
+    monkeypatch.setattr(core, "_usable_cpus", lambda: 2)
+    # hog-online's training set: 4 x 100 at d = 1080, 200 epochs of 4 visits.
+    hog_sized = generate_feature_dataset(SynthConfig(seed=6, num_images=4, candidates_per_image=100, feature_dim=1080))[0]
+    train_soft_margin(hog_sized, TrainingConfig(k=10, epochs=200))
+    assert len(forks) == 1 and len(descents) == 1  # the digest's codec lane only
+    digested = _trainable()
+    dataset_digest(digested)
+    write_dataset(_trainable(), tmp_path / "set.jsonl")
+    read = read_dataset(tmp_path / "set.jsonl")  # from the columns file beside it, with its source_sha256
+    forks.clear()
+    for dataset in (digested, read):
+        train_soft_margin(dataset, _CONFIG)
+    assert not forks and len(descents) == 3
+    _no_child_left()
+
+
+def test_a_second_training_on_the_same_set_forks_nothing(monkeypatch, forks, descents):
+    monkeypatch.setattr(core, "_usable_cpus", lambda: 2)
+    dataset = _trainable()
+    first = train_soft_margin(dataset, _CONFIG)
+    assert len(forks) == 2 and not descents
+    assert _bits(train_soft_margin(dataset, _CONFIG)) == _bits(first)
+    assert len(forks) == 2 and len(descents) == 1
     _no_child_left()
