@@ -13,16 +13,18 @@ copied from those JSON Lines (see Copying the source's text).
 This module owns both kinds of lane, one per CPU in the process's affinity
 mask. The HOG kernel's lanes are threads (see features): numpy releases the
 GIL, so the caller and a shared pool of threads describe chunks side by
-side. Encoding records as JSON lines and decoding them is pure Python, which
-holds the GIL, so the codec's lanes are processes: the records or lines are
-cut into one contiguous share per lane (never more lanes than items), the
-caller computes share 0 and a forked child each other share, sending its
-results back pickled through a pipe. The lines, files, digests and error
-messages are those of one lane, and `taskset` limits both lane counts. The
-codec forks only on Linux and only for more than _FORK_MIN_VALUES numbers at
-once. A thread may hold a lock across a fork, so it forks only while every
-other thread is an idle HOG lane thread, and it joins those first; the next
-HOG call starts them again. Beside any other thread it stays in the caller.
+side. Encoding records as JSON lines is pure Python, which holds the GIL, so
+the codec's lanes are processes: the records are cut into one contiguous
+share per lane (never more lanes than records), the caller encodes share 0
+and a forked child each other share, sending its lines back pickled through
+a pipe. The lines, files and digests are those of one lane, and `taskset`
+limits both lane counts. Decoding JSON Lines runs in the caller, line by
+line: read_dataset parses them only when no columns file vouches for them.
+The codec forks only on Linux and only for more than _FORK_MIN_VALUES
+numbers at once. A thread may hold a lock across a fork, so it forks only
+while every other thread is an idle HOG lane thread, and it joins those
+first; the next HOG call starts them again. Beside any other thread it stays
+in the caller.
 The same gate (_lanes) and the same forking (_forked_shares) also let
 ranking train an in-memory set on a forked lane while the caller digests it.
 The lanes pay while the other CPUs are free; when the host keeps them busy,
@@ -685,9 +687,9 @@ def record_from_dict(obj: dict) -> ImageRecord:
 # Codec lanes (see the module docstring)
 #
 # On the 2-vCPU machine the benchmark runs on, a fork costs 1.4-3.2 ms and
-# the codec about 0.4 us a number to decode and 0.7 us to encode. Split over
-# two lanes, _FORK_MIN_VALUES numbers save about one fork even when decoded,
-# so a call with no more stays in the caller.
+# the codec about 0.7 us a number to encode. Split over two lanes,
+# _FORK_MIN_VALUES numbers save more than one fork, so a call with no more
+# stays in the caller.
 _FORK_MIN_VALUES = 16_384
 # Image visits of a descent that ranking runs on a forked lane beside the
 # digest of its training set (see ranking._fit). A visit takes about 4 us at
@@ -695,13 +697,6 @@ _FORK_MIN_VALUES = 16_384
 # (about 16 ms) pay for it five times over and keep a hog-online-sized set
 # (4 images x 200 epochs) in the caller.
 _FORK_MIN_STEPS = 4_096
-# Numbers read_dataset gathers per lane before it decodes them, about 5 MB of
-# raw lines; a round closes at the line that reaches lanes times this.
-_ROUND_VALUES = 1 << 18
-# Bytes of JSON a number takes with its separator, about: a line's numbers
-# are counted from its length, which counting its commas would cost 5% of
-# decoding it.
-_BYTES_PER_VALUE = 20
 
 
 def _usable_cpus() -> int:
@@ -739,19 +734,10 @@ def _fork_cpus() -> int:
     return _usable_cpus()
 
 
-def _share(fn: Callable[[T], R], items: Sequence[T]) -> list[R]:
-    """fn of each item, up to and including the first result that is an Exception."""
-    results = []
-    for item in items:
-        results.append(fn(item))
-        if isinstance(results[-1], Exception):
-            break
-    return results
-
-
 def _forked(fn: Callable[[T], R], items: Sequence[T]) -> tuple[int, int]:
-    """(pid, read end of its pipe) of a child that writes _share(fn, items),
-    pickled, into the pipe and exits 0, or exits 1 if anything fails."""
+    """(pid, read end of its pipe) of a child that writes fn of each item,
+    as one pickled list, into the pipe and exits 0, or exits 1 if anything
+    fails."""
     read_end, write_end = os.pipe()
     try:
         pid = os.fork()
@@ -764,7 +750,7 @@ def _forked(fn: Callable[[T], R], items: Sequence[T]) -> tuple[int, int]:
         try:
             os.close(read_end)
             with os.fdopen(write_end, "wb") as pipe:
-                pickle.dump(_share(fn, items), pipe, pickle.HIGHEST_PROTOCOL)
+                pickle.dump(list(map(fn, items)), pipe, pickle.HIGHEST_PROTOCOL)
             code = 0
         finally:
             os._exit(code)  # never back into the caller's stack
@@ -796,12 +782,13 @@ def _lanes(items: int, values: int) -> int:
 
 @contextlib.contextmanager
 def _forked_shares(fn: Callable[[T], R], shares: Sequence[Sequence[T]]) -> Iterator[Callable[[int], list[R]]]:
-    """Fork one child per share, which computes _share(fn, share), and yield
-    result(i): the results of shares[i] from its child, or computed by the
-    caller if that child failed or could not be forked. The HOG lane threads
-    are joined before the first fork, since no thread may live across one;
-    the next HOG call starts a new pool. When the with block exits, every
-    child whose result was not taken is killed, and every child is reaped."""
+    """Fork one child per share, which computes fn of each of its items, and
+    yield result(i): the results of shares[i] from its child, or computed by
+    the caller if that child failed or could not be forked. The HOG lane
+    threads are joined before the first fork, since no thread may live
+    across one; the next HOG call starts a new pool. When the with block
+    exits, every child whose result was not taken is killed, and every
+    child is reaped."""
     if _lane_pool.cache_info().currsize:
         _lane_pool().shutdown()
         _lane_pool.cache_clear()
@@ -816,7 +803,7 @@ def _forked_shares(fn: Callable[[T], R], shares: Sequence[Sequence[T]]) -> Itera
         def result(i: int) -> list[R]:
             child, children[i] = children[i], None
             got = None if child is None else _collected(*child)
-            return _share(fn, shares[i]) if got is None else got
+            return list(map(fn, shares[i])) if got is None else got
 
         yield result
     finally:
@@ -827,7 +814,7 @@ def _forked_shares(fn: Callable[[T], R], shares: Sequence[Sequence[T]]) -> Itera
 
 
 def _lane_map(fn: Callable[[T], R], items: Sequence[T], values: int) -> list[R]:
-    """_share(fn, items), computed in one contiguous share per lane when the
+    """fn of each item, computed in one contiguous share per lane when the
     items carry more than _FORK_MIN_VALUES numbers: share 0 by the caller,
     each other share by a forked child (see _forked_shares). A share whose
     child fails is computed by the caller, so the result never depends on a
@@ -835,13 +822,11 @@ def _lane_map(fn: Callable[[T], R], items: Sequence[T], values: int) -> list[R]:
     needed, before this returns or raises."""
     lanes = _lanes(len(items), values)
     if lanes <= 1:
-        return _share(fn, items)
+        return list(map(fn, items))
     bounds = [len(items) * lane // lanes for lane in range(lanes + 1)]
     with _forked_shares(fn, [items[start:stop] for start, stop in zip(bounds[1:-1], bounds[2:])]) as result:
-        results = _share(fn, items[:bounds[1]])
+        results = list(map(fn, items[:bounds[1]]))
         for i in range(lanes - 1):
-            if results and isinstance(results[-1], Exception):
-                break
             results += result(i)
         return results
 
@@ -875,53 +860,25 @@ def dataset_to_lines(dataset: Dataset, source: Dataset | None = None) -> list[st
     return lines
 
 
-def _decoded(numbered: tuple[int, bytes | str]) -> ImageRecord | DataError:
-    """The record on a numbered line, or the DataError that names the line."""
-    line_no, line = numbered
-    try:
-        return decode_json(line, record_from_dict, f"line {line_no}")
-    except DataError as exc:
-        return exc
-
-
-def _rounds(lines: Iterable[bytes | str]) -> Iterator[tuple[list[tuple[int, bytes | str]], int]]:
-    """The non-blank lines, numbered from 1, in rounds of about _ROUND_VALUES
-    numbers per lane, each with the numbers it holds, near enough."""
-    limit = _ROUND_VALUES * _fork_cpus()
-    numbered: list[tuple[int, bytes | str]] = []
-    values = 0
-    for line_no, line in enumerate(lines, start=1):
-        if not line.strip():
-            continue
-        numbered.append((line_no, line))
-        values += len(line) // _BYTES_PER_VALUE
-        if values >= limit:
-            yield numbered, values
-            numbered, values = [], 0
-    if numbered:
-        yield numbered, values
-
-
 def dataset_from_lines(lines: Iterable[bytes | str]) -> Dataset:
     """Dataset from JSON Lines, one record per line; blank lines are skipped.
 
-    Lines are decoded a round at a time on the codec lanes. The checks that
-    span records (unique image ids, one feature dimension) then run over
-    the records in line order, so the first error in line order is raised,
-    naming its line, whatever the number of lanes.
+    Each line is decoded, and checked against the records before it (unique
+    image ids, one feature dimension), as it is read, so the first error in
+    line order is raised, naming its line.
     """
     records: list[ImageRecord] = []
     by_id: dict[str, ImageRecord] = {}
     dim = None
-    for numbered, values in _rounds(lines):
-        for (line_no, _), record in zip(numbered, _lane_map(_decoded, numbered, values)):
-            if isinstance(record, DataError):
-                raise record
-            try:
-                dim = _join(by_id, dim, record)
-            except DataError as exc:
-                raise DataError(f"line {line_no}: {exc}") from exc
-            records.append(record)
+    for line_no, line in enumerate(lines, start=1):
+        if not line.strip():
+            continue
+        record = decode_json(line, record_from_dict, f"line {line_no}")
+        try:
+            dim = _join(by_id, dim, record)
+        except DataError as exc:
+            raise DataError(f"line {line_no}: {exc}") from exc
+        records.append(record)
     return Dataset(tuple(records))
 
 
@@ -1016,17 +973,18 @@ def _columns_file_arrays(dataset: Dataset, sha256: bytes) -> dict[str, np.ndarra
     }
 
 
-def _load_columns_file(path: Path, names: Iterable[str] = _COLUMNS_FILE) -> dict[str, np.ndarray] | None:
-    """The named arrays, by default all, of the columns file at path, or None
-    if there is none or it is not an npz of them, each of its dtype and
-    number of axes. allow_pickle=False refuses an object array, so loading
-    runs no code."""
+def _load_columns_file(path: Path) -> dict[str, np.ndarray] | None:
+    """The arrays of the columns file at path, or None if there is none or
+    it is not an npz of them, each of its dtype and number of axes.
+    allow_pickle=False refuses an object array, so loading runs no code.
+    The file is closed on every path, an error of np.load's too."""
     try:
-        npz = np.load(path, allow_pickle=False)
-        if not isinstance(npz, np.lib.npyio.NpzFile):  # a lone .npy array
-            return None
-        with npz:
-            arrays = {name: npz[name] for name in names}
+        with open(path, "rb") as file:
+            npz = np.load(file, allow_pickle=False)
+            if not isinstance(npz, np.lib.npyio.NpzFile):  # a lone .npy array
+                return None
+            with npz:
+                arrays = {name: npz[name] for name in _COLUMNS_FILE}
     except (OSError, ValueError, EOFError, KeyError, zipfile.BadZipFile):
         return None
     if all((array.dtype, array.ndim) == _COLUMNS_FILE[name] for name, array in arrays.items()):
@@ -1127,7 +1085,7 @@ def read_dataset(path: str | Path) -> Dataset:
 # candidate's box, iou_label or features there is the text json.dumps gives
 # any value with the same float64 bits (-0.0 and 0.0 have different bits,
 # and different texts). When read_dataset built a dataset from its columns
-# file, and that file still records the dataset's source_sha256,
+# file, which recorded the SHA-256 of the JSON Lines beside it,
 # dataset_to_lines of a dataset derived from it reads the source's JSON
 # Lines once, from start to end: each line is hashed as it goes by, and the
 # value texts of a record written from it are taken from it then. They are
@@ -1270,8 +1228,7 @@ def _copied_lines(dataset: Dataset, source: Dataset) -> list[str] | None:
     source line goes by and builds the lines on the lanes after the pass;
     any other builds each line as its source line goes by."""
     path = source._source_path
-    recorded = None if path is None else _load_columns_file(beside(path, COLUMNS_SUFFIX), ("sha256",))
-    if recorded is None or recorded["sha256"].tobytes().hex() != source.source_sha256:
+    if path is None:
         return None
     records, position = dataset.records, {rec.image_id: i for i, rec in enumerate(source.records)}
     items: list = [(rec, None, None) for rec in records]  # each becomes its line, or the lanes' item for it
@@ -1327,14 +1284,13 @@ def write_dataset(dataset: Dataset, path: str | Path, source: Dataset | None = N
 
     source is the dataset that dataset was derived from, as label, rerank
     and featurize derive theirs. If read_dataset built it from its columns
-    file, and that file still records source's sha256, the JSON Lines beside
-    it are read and hashed once, and the text of each candidate value that
-    still has the bits source had is taken from its line as the line goes
-    by. That text is copied, rather than formatted again, only if the whole
-    file still hashes to that sha256. The bytes written are the same: a
-    value's text there is json.dumps of the same bits. The source is read
-    in full before the file at path is replaced, so path may be the
-    source's own."""
+    file, the JSON Lines beside that file are read and hashed once, and the
+    text of each candidate value that still has the bits source had is
+    taken from its line as the line goes by. That text is copied, rather
+    than formatted again, only if the whole file still hashes to source's
+    sha256. The bytes written are the same: a value's text there is
+    json.dumps of the same bits. The source is read in full before the file
+    at path is replaced, so path may be the source's own."""
     path = Path(path)
     data = "\n".join([*dataset_to_lines(dataset, source), ""]).encode("utf-8")  # no second copy of each line
     atomic_write_text(path, data)

@@ -1,8 +1,9 @@
-"""The codec lanes: JSON Lines encoded and decoded in forked children give the
-caller's bytes and errors at every lane count, and leave no process behind.
-They fork beside the HOG lane threads, which they join first, but beside no
-other thread. Training an in-memory set descends on one such lane while the
-caller digests the set, and gives the same model at every CPU count."""
+"""The codec lanes: JSON Lines encoded in forked children give the caller's
+bytes at every lane count, and leave no process behind; JSON Lines are
+decoded in the caller, which forks nothing. The lanes fork beside the HOG
+lane threads, which they join first, but beside no other thread. Training an
+in-memory set descends on one such lane while the caller digests the set,
+and gives the same model at every CPU count."""
 
 from __future__ import annotations
 
@@ -21,13 +22,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import copied_records, make_record
-from proprank import (DataError, Dataset, GrayImage, HogConfig, NumericError, SynthConfig, TrainingConfig,
+from conftest import assert_same_reads, copied_records, make_record
+from proprank import (Dataset, GrayImage, HogConfig, NumericError, SynthConfig, TrainingConfig,
                       featurize_dataset, generate_feature_dataset, generate_geometric_dataset, train_full_rank_baseline,
                       train_soft_margin)
 from proprank import core, features, ranking
-from proprank.core import (dataset_digest, dataset_from_lines, dataset_to_lines, read_dataset, replace_column,
-                           write_dataset)
+from proprank.core import dataset_digest, dataset_to_lines, read_dataset, replace_column, write_dataset
 
 
 @pytest.fixture
@@ -50,7 +50,7 @@ def lanes(monkeypatch):
 
     def set_lanes(n: int) -> None:
         monkeypatch.setattr(core, "_usable_cpus", lambda: n)
-        monkeypatch.setattr(core, "_FORK_MIN_VALUES", -1)  # every round of lines forks
+        monkeypatch.setattr(core, "_FORK_MIN_VALUES", -1)  # every encode forks
 
     return set_lanes
 
@@ -132,53 +132,14 @@ def test_lines_files_and_digests_match_at_every_lane_count(tmp_path, lanes, fork
         assert got == expected
         assert all(not rec.candidates.boxes.flags.writeable for rec in read.records)
         _no_child_left()
-    # Five maps at each count: two encodes, a digest, a read and its encode.
-    assert len(forks) == 5 * sum(max(min(n, records) - 1, 0) for n in (2, 3, 64))
-
-
-def _lines_of(records: list[tuple[str, int]]) -> list[str]:
-    """One line per (image_id, feature dimension)."""
-    return [
-        '{"image_id": "%s", "width": 8, "height": 8, "candidates": [{"box": [0, 0, 1, 1], "features": %s}]}'
-        % (image_id, [0.5] * dim)
-        for image_id, dim in records
-    ]
-
-
-@pytest.mark.parametrize("lines, message", [
-    # A decode error in the last child's share.
-    (_lines_of([("a", 2), ("b", 2), ("c", 2)]) + ["{not json"],
-     r"^line 7: invalid JSON \(Expecting property name enclosed in double quotes\)$"),
-    # A duplicate id in the last share, before a decode error in it.
-    (_lines_of([("a", 2), ("b", 2), ("a", 2)]) + ["{not json"], "^line 5: duplicate image_id: a$"),
-    (_lines_of([("a", 2), ("b", 2), ("c", 3), ("d", 2)]), "^line 5: c: candidates have feature dimension 3, expected 2$"),
-])
-def test_the_first_error_in_line_order_is_raised_at_every_lane_count(lanes, forks, lines, message):
-    text = [line for pair in zip(lines, [""] * len(lines)) for line in pair]  # a blank line after each
-    for n in (1, 3):
-        lanes(n)
-        with pytest.raises(DataError, match=message):
-            dataset_from_lines(text)
-        _no_child_left()
-    assert forks
-
-
-def test_no_child_is_left_after_a_success_or_an_error(lanes, forks):
-    lanes(3)
-    good = _lines_of([("a", 2), ("b", 2), ("c", 2)])
-    assert len(dataset_from_lines(good)) == 3
-    _no_child_left()
-    for bad in (["{not json"] + good, good + ["{not json"]):  # the caller's share, a child's share
-        with pytest.raises(DataError, match="invalid JSON"):
-            dataset_from_lines(bad)
-        _no_child_left()
-    assert len(forks) == 6
+    # Four maps at each count: two encodes, a digest and the read's encode; the read forks none.
+    assert len(forks) == 4 * sum(max(min(n, records) - 1, 0) for n in (2, 3, 64))
 
 
 def test_a_share_whose_child_fails_or_is_not_forked_is_computed_by_the_caller(lanes, forks, monkeypatch):
     dataset = _dataset(5)
     lanes(1)
-    expected = dataset_to_lines(dataset), dataset_to_lines(dataset_from_lines(dataset_to_lines(dataset)))
+    expected = dataset_to_lines(dataset)
 
     def short(obj, file, protocol=None):
         file.write(pickle.dumps(obj, protocol)[:-3])
@@ -186,11 +147,11 @@ def test_a_share_whose_child_fails_or_is_not_forked_is_computed_by_the_caller(la
     for child in (lambda *args, **kwargs: os._exit(3), short):
         monkeypatch.setattr(pickle, "dump", child)  # only a child pickles
         lanes(3)
-        assert (dataset_to_lines(dataset), dataset_to_lines(dataset_from_lines(dataset_to_lines(dataset)))) == expected
+        assert dataset_to_lines(dataset) == expected
         _no_child_left()
-    assert len(forks) == 16
+    assert len(forks) == 4
     monkeypatch.setattr(os, "fork", _no_process_to_spare)
-    assert (dataset_to_lines(dataset), dataset_to_lines(dataset_from_lines(dataset_to_lines(dataset)))) == expected
+    assert dataset_to_lines(dataset) == expected
     _no_child_left()
 
 
@@ -205,14 +166,14 @@ def test_the_codec_does_not_fork_beside_a_thread_or_below_the_break_even_size(tm
     thread = threading.Thread(target=done.wait)
     thread.start()
     try:
-        dataset_from_lines(dataset_to_lines(big))
+        dataset_to_lines(big)
         write_dataset(featurized, tmp_path / "featurized.jsonl")
     finally:
         done.set()
         thread.join(timeout=60)
     assert not thread.is_alive()
     assert _hog_threads() == hog_threads  # beside a thread the codec joins no HOG lane either
-    dataset_from_lines(dataset_to_lines(small))
+    dataset_to_lines(small)
     assert not forks
 
 
@@ -232,9 +193,11 @@ def test_a_fresh_process_forks_its_codec_lanes(tmp_path):
         serial = core.read_dataset(sys.argv[1] + "/serial.jsonl")
         core._usable_cpus = lambda: 2
         os.remove(core.write_dataset(dataset, sys.argv[1] + "/laned.jsonl")[1])
+        assert len(forks) == 1, forks  # the write's second lane
         laned = core.read_dataset(sys.argv[1] + "/laned.jsonl")
+        assert len(forks) == 1, forks  # the read decodes in the caller
         assert (laned.source_sha256, core.dataset_to_lines(laned)) == (serial.source_sha256, core.dataset_to_lines(serial))
-        assert len(forks) == 4, forks
+        assert len(forks) == 3, forks  # one for each encode compared
         try:
             os.waitpid(-1, os.WNOHANG)
         except ChildProcessError:
@@ -274,13 +237,21 @@ def test_the_hog_lanes_describe_the_same_bytes_after_the_codec_joined_them(monke
 
 
 def test_a_small_read_leaves_the_hog_lanes_running(tmp_path, monkeypatch, forks):
+    # A large read parses its JSON Lines in the caller too.
+    big = generate_geometric_dataset(SynthConfig(num_images=4, candidates_per_image=500, mode="geometric"))
+    assert sum(map(core._values, big.records)) > core._FORK_MIN_VALUES
+    monkeypatch.setattr(core, "_usable_cpus", lambda: 1)
+    write_dataset(big, tmp_path / "big.jsonl")[1].unlink()
+    serial = read_dataset(tmp_path / "big.jsonl")
     monkeypatch.setattr(core, "_usable_cpus", lambda: 2)
     _featurized(monkeypatch)
     hog_threads = _hog_threads()
     write_dataset(_dataset(5), tmp_path / "small.jsonl")
     assert len(read_dataset(tmp_path / "small.jsonl")) == 5
+    parsed = read_dataset(tmp_path / "big.jsonl")
     assert not forks
     assert _hog_threads() == hog_threads
+    assert_same_reads(parsed, serial)
 
 
 def test_a_derived_write_that_formats_enough_numbers_copies_its_source_and_forks(tmp_path, lanes, forks, monkeypatch):

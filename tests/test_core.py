@@ -524,6 +524,9 @@ def test_jsonl_cross_record_errors_carry_line_numbers():
     other = {**line, "image_id": "b", "candidates": [{"box": [0, 0, 1, 1], "features": [1.0, 2.0]}]}
     with pytest.raises(DataError, match="^line 3: duplicate image_id: a$"):
         dataset_from_lines([json.dumps(line), "", json.dumps(line)])
+    same_dim = {**line, "image_id": "b"}
+    with pytest.raises(DataError, match="^line 5: duplicate image_id: a$"):  # not the decode error after it
+        dataset_from_lines([json.dumps(line), "", json.dumps(same_dim), "", json.dumps(line), "", "{not json"])
     with pytest.raises(DataError, match="^line 2: b: candidates have feature dimension 2, expected 1$"):
         dataset_from_lines([json.dumps(line), json.dumps(other)])
 

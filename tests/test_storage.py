@@ -12,6 +12,7 @@ import io
 import logging
 import tempfile
 import tracemalloc
+import warnings
 from dataclasses import replace
 from pathlib import Path
 from unittest import mock
@@ -206,8 +207,14 @@ def test_a_columns_file_that_does_not_build_the_dataset_is_passed_over(tmp_path,
     path = tmp_path / "d.jsonl"
     columns = write_dataset(_geometric(), path)[1]
     columns.write_bytes(CORRUPT[name](columns.read_bytes()))
-    got, parses = _parsed(path)
+    # An unclosed file warns when it is collected, which pytest's
+    # filterwarnings does not see, so the warnings are recorded here.
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        got, parses = _parsed(path)
+        gc.collect()
     assert parses == 1
+    assert [str(w.message) for w in caught if w.category is ResourceWarning] == []
     assert_same_reads(got, _json_read(path))
 
 
@@ -351,6 +358,9 @@ def _reversed(dataset: Dataset) -> Dataset:
 
 @pytest.mark.parametrize("change", ["rewrite the JSON Lines", "delete the columns file"])
 def test_a_changed_source_is_not_copied(tmp_path, monkeypatch, change):
+    # The JSON Lines are what the copy takes its text from, and it checks
+    # their bytes; the columns file vouched for them at the read, and its
+    # deletion since then changes nothing the copy relies on.
     source, path = _labeled_source(tmp_path)
     if change == "rewrite the JSON Lines":  # valid, but 0.5 is not its canonical text
         text = path.read_text(encoding="utf-8")
@@ -361,7 +371,7 @@ def test_a_changed_source_is_not_copied(tmp_path, monkeypatch, change):
     built = copied_records(monkeypatch)
     ranked = _reversed(source)
     copied = _written(ranked, tmp_path / "copied.jsonl", source)
-    assert built == []
+    assert len(built) == (0 if change == "rewrite the JSON Lines" else len(ranked.records))
     assert copied == _written(ranked, tmp_path / "plain.jsonl")
     assert b'"iou_label": 0.5, ' in copied and b'"iou_label": 0.50, ' not in copied
 
