@@ -36,7 +36,6 @@ from __future__ import annotations
 import contextlib
 import functools
 import hashlib
-import io
 import json
 import math
 import numbers
@@ -45,7 +44,7 @@ import pickle
 import signal
 import sys
 import threading
-import zipfile
+import zlib
 from collections.abc import Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, fields, replace
@@ -892,37 +891,43 @@ def _hashed(lines: Iterable[bytes], digest) -> Iterator[bytes]:
 # ---------------------------------------------------------------------------
 # The columns file
 #
-# write_dataset leaves <path>.columns.npz beside the JSON Lines it writes:
-# every record's columns concatenated into a few arrays, and the SHA-256 of
-# the JSON Lines bytes. read_dataset builds the dataset from it, through
+# write_dataset leaves <path>.columns beside the JSON Lines it writes: every
+# record's columns concatenated into a few arrays, and the SHA-256 of the
+# JSON Lines bytes. read_dataset builds the dataset from it, through
 # record_from_columns and Dataset, only while the file at path has that
 # SHA-256, as Python trusts a hash-based .pyc (PEP 552); in every other case
 # it parses the JSON Lines, so every error comes from them. Deleting the
 # columns file is always safe. The JSON Lines stay the interchange format.
+# The file is the arrays as they lie in memory, in the list layout of Apache
+# Arrow's columnar format: _MAGIC, the header's byte length (8 bytes), a JSON
+# header {name: [dtype, shape, offset]} padded with spaces to 8 bytes, each
+# array's bytes at the next offset from the header's end that is a multiple
+# of 8, and the CRC-32 of all of it (4 bytes); integers are little-endian.
 
-COLUMNS_SUFFIX = ".columns.npz"
+COLUMNS_SUFFIX = ".columns"
+_MAGIC = b"PRCOLS\x00\x01"  # a name and a version
 
-# Each array of a columns file, with its dtype and number of axes. Text is
-# one UTF-8 blob per kind with the byte length of each string, since a numpy
-# string array drops trailing NULs. Per record: (width, height), the
-# groundtruth and candidate counts, and the width of each optional candidate
-# column, which is complete or absent in each record: 1 or 0 for labels and
-# source_index, the feature dimension or 0 for features.
+# Each array of a columns file, with its dtype and its shape after the first
+# axis. Text is one UTF-8 blob per kind with the byte length of each string,
+# since a numpy string array drops trailing NULs. Per record: (width,
+# height), the groundtruth and candidate counts, and the width of each
+# optional candidate column, which is complete or absent in each record: 1
+# or 0 for labels and source_index, the feature dimension or 0 for features.
 _COLUMNS_FILE = {
-    "sha256": (np.uint8, 1),
-    "id_lengths": (np.int64, 1),
-    "ids": (np.uint8, 1),
-    "sizes": (np.int64, 2),
-    "groundtruth": (np.int64, 1),
-    "class_lengths": (np.int64, 1),
-    "classes": (np.uint8, 1),
-    "gt_boxes": (np.float64, 2),
-    "candidates": (np.int64, 1),
-    "widths": (np.int64, 2),
-    "boxes": (np.float64, 2),
-    "labels": (np.float64, 1),
-    "features": (np.float64, 1),
-    "source_index": (np.int64, 1),
+    "sha256": ("|u1", ()),
+    "id_lengths": ("<i8", ()),
+    "ids": ("|u1", ()),
+    "sizes": ("<i8", (2,)),
+    "groundtruth": ("<i8", ()),
+    "class_lengths": ("<i8", ()),
+    "classes": ("|u1", ()),
+    "gt_boxes": ("<f8", (4,)),
+    "candidates": ("<i8", ()),
+    "widths": ("<i8", (3,)),
+    "boxes": ("<f8", (4,)),
+    "labels": ("<f8", ()),
+    "features": ("<f8", ()),
+    "source_index": ("<i8", ()),
 }
 
 
@@ -973,23 +978,48 @@ def _columns_file_arrays(dataset: Dataset, sha256: bytes) -> dict[str, np.ndarra
     }
 
 
+def _columns_file_chunks(arrays: dict[str, np.ndarray]) -> Iterator:
+    """The bytes of the columns file of arrays, each in its dtype made
+    little-endian, as pieces in file order, so that no joined copy is made."""
+    arrays = {name: np.ascontiguousarray(a, a.dtype.newbyteorder("<")) for name, a in arrays.items()}
+    offsets = accumulate((a.nbytes + -a.nbytes % 8 for a in arrays.values()), initial=0)
+    header = json.dumps({name: [a.dtype.str, a.shape, at] for (name, a), at in zip(arrays.items(), offsets)})
+    header = header.encode("ascii") + b" " * (-len(header) % 8)
+    crc = 0
+    for piece in chain([_MAGIC, len(header).to_bytes(8, "little"), header],
+                       *((a, bytes(-a.nbytes % 8)) for a in arrays.values())):
+        crc = zlib.crc32(piece, crc)
+        yield piece
+    yield crc.to_bytes(4, "little")
+
+
 def _load_columns_file(path: Path) -> dict[str, np.ndarray] | None:
-    """The arrays of the columns file at path, or None if there is none or
-    it is not an npz of them, each of its dtype and number of axes.
-    allow_pickle=False refuses an object array, so loading runs no code.
-    The file is closed on every path, an error of np.load's too."""
+    """The arrays of the columns file at path, as read-only views of the one
+    aligned buffer it is read into with one read; None if there is none, or
+    if it is not the table's arrays, each of its dtype and shape after the
+    first axis, laid out as _columns_file_chunks lays them out."""
     try:
         with open(path, "rb") as file:
-            npz = np.load(file, allow_pickle=False)
-            if not isinstance(npz, np.lib.npyio.NpzFile):  # a lone .npy array
+            raw = np.empty(os.fstat(file.fileno()).st_size, dtype=np.uint8)
+            raw = raw[:file.readinto(raw)]
+        raw.flags.writeable = False
+        start = 16 + int.from_bytes(raw[8:16], "little")
+        if (raw[:8].tobytes() != _MAGIC or zlib.crc32(raw[:-4]) != int.from_bytes(raw[-4:], "little")
+                or start % 8 or start > raw.size - 4):
+            return None
+        layout, data, arrays, end = json.loads(raw[16:start].tobytes()), raw[start:-4], {}, 0
+        if type(layout) is not dict or layout.keys() != _COLUMNS_FILE.keys():
+            return None
+        for name, entry in layout.items():  # in file order
+            dtype, tail = _COLUMNS_FILE[name]
+            n = entry[1][0]
+            if entry != [dtype, [n, *tail], end] or type(n) is not int or not 0 <= n <= data.size:
                 return None
-            with npz:
-                arrays = {name: npz[name] for name in _COLUMNS_FILE}
-    except (OSError, ValueError, EOFError, KeyError, zipfile.BadZipFile):
+            arrays[name] = np.frombuffer(data, dtype, n * math.prod(tail), end).reshape(n, *tail)
+            end += arrays[name].nbytes + -arrays[name].nbytes % 8
+    except (OSError, ValueError, RecursionError, TypeError, LookupError):  # a ValueError for an array past the end
         return None
-    if all((array.dtype, array.ndim) == _COLUMNS_FILE[name] for name, array in arrays.items()):
-        return arrays
-    return None
+    return arrays if end == data.size else None
 
 
 def _parts(items, lengths: np.ndarray) -> list:
@@ -1262,13 +1292,17 @@ def _copied_lines(dataset: Dataset, source: Dataset) -> list[str] | None:
     return [item if isinstance(item, str) else _copied_line(item) for item in items]
 
 
-def atomic_write_text(path: str | Path, text: str | bytes) -> None:
-    """Write text, as UTF-8 unless it is bytes already, to path through a
-    sibling .tmp file, so readers never see a partial file; a failed write
-    removes the .tmp file and re-raises."""
+def atomic_write_text(path: str | Path, text: str | bytes | Iterable[bytes]) -> None:
+    """Write text, as UTF-8 if it is a str, or bytes, or pieces of bytes one
+    after another, to path through a sibling .tmp file, so readers never see
+    a partial file; a failed write removes the .tmp file and re-raises."""
     tmp = beside(path, ".tmp")
     try:
-        tmp.write_bytes(text.encode("utf-8") if isinstance(text, str) else text)
+        if isinstance(text, (str, bytes)):
+            tmp.write_bytes(text.encode("utf-8") if isinstance(text, str) else text)
+        else:
+            with open(tmp, "wb") as file:
+                file.writelines(text)
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
@@ -1280,7 +1314,8 @@ def write_dataset(dataset: Dataset, path: str | Path, source: Dataset | None = N
     cached dataset_digest, then its columns file beside them; return the
     paths written. A dataset with a value the columns file cannot hold
     exactly (an integer beyond int64, text that is not UTF-8) gets none, and
-    a columns file left beside path by an earlier write is removed.
+    a columns file left beside path by an earlier write is removed; a
+    .columns.npz, the layout before this one, always is.
 
     source is the dataset that dataset was derived from, as label, rerank
     and featurize derive theirs. If read_dataset built it from its columns
@@ -1297,14 +1332,13 @@ def write_dataset(dataset: Dataset, path: str | Path, source: Dataset | None = N
     digest = hashlib.sha256(data)
     object.__setattr__(dataset, "_digest", digest.hexdigest())
     columns_path = beside(path, COLUMNS_SUFFIX)
+    beside(path, ".columns.npz").unlink(missing_ok=True)
     try:
         arrays = _columns_file_arrays(dataset, digest.digest())
     except (OverflowError, UnicodeEncodeError):
         columns_path.unlink(missing_ok=True)
         return [path]
-    npz = io.BytesIO()
-    np.savez(npz, **arrays)
-    atomic_write_text(columns_path, npz.getvalue())
+    atomic_write_text(columns_path, _columns_file_chunks(arrays))
     return [path, columns_path]
 
 

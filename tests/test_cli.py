@@ -50,7 +50,7 @@ def test_synth_writes_dataset_metadata_and_manifest(tmp_path, capsys):
     assert len(meta["planted_weight"]) == 5
     manifest = json.loads((tmp_path / "feats.jsonl.manifest.json").read_text())
     assert manifest["command"] == "synth"
-    assert manifest["outputs"] == [str(out), str(out) + ".columns.npz", str(out) + ".meta.json"]
+    assert manifest["outputs"] == [str(out), str(out) + core.COLUMNS_SUFFIX, str(out) + ".meta.json"]
     assert manifest["version"]
 
 
@@ -164,7 +164,7 @@ def test_eval_takes_the_order_of_a_file_without_source_index_and_rejects_foreign
         assert main(["eval", str(data), str(foreign), "--output", str(out)]) == 2
         assert caplog.messages[-1].startswith(f"{image_id}: candidate 5 box [")
         assert caplog.messages[-1].endswith("does not match the dataset's candidates")
-        assert sorted(p.name for p in tmp_path.glob("foreign*")) == ["foreign.jsonl", "foreign.jsonl.columns.npz"]
+        assert sorted(p.name for p in tmp_path.glob("foreign*")) == ["foreign.jsonl", "foreign.jsonl" + core.COLUMNS_SUFFIX]
     capsys.readouterr()
 
 

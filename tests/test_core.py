@@ -449,9 +449,9 @@ def test_jsonl_round_trip_is_exact(tmp_path):
     assert back.feature_dim == 2
     assert dataset_digest(back) == dataset_digest(ds)
     path = tmp_path / "ds.jsonl"
-    assert write_dataset(ds, path) == [path, tmp_path / "ds.jsonl.columns.npz"]
+    assert write_dataset(ds, path) == [path, core.beside(path, core.COLUMNS_SUFFIX)]
     assert path.read_text(encoding="utf-8") == "".join(line + "\n" for line in lines)
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["ds.jsonl", "ds.jsonl.columns.npz"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["ds.jsonl", "ds.jsonl" + core.COLUMNS_SUFFIX]
 
 
 def test_a_read_dataset_is_named_by_the_bytes_it_was_parsed_from(tmp_path):

@@ -372,7 +372,7 @@ def test_any_decoded_dataset_reads_from_its_columns_file_as_from_its_json_lines(
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "d.jsonl"
         exact = _exact_in_columns(dataset)
-        assert write_dataset(dataset, path) == [path, Path(tmp) / "d.jsonl.columns.npz"][:1 + exact]
+        assert write_dataset(dataset, path) == [path, core.beside(path, core.COLUMNS_SUFFIX)][:1 + exact]
         with mock.patch.object(core, "dataset_from_lines", wraps=core.dataset_from_lines) as parse:
             got = read_dataset(path)
         assert parse.call_count == 1 - exact

@@ -9,18 +9,22 @@ import builtins
 import gc
 import hashlib
 import io
+import json
 import logging
+import math
 import tempfile
 import tracemalloc
 import warnings
+import zlib
 from dataclasses import replace
 from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from conftest import assert_same_reads, copied_records, make_record
 from proprank import (Box, DataError, Dataset, GroundTruthObject, ImageRecord, SynthConfig, dataset_from_lines,
@@ -140,7 +144,7 @@ def _unicode() -> Dataset:
 @pytest.mark.parametrize("build", [_geometric, _mixed, _unicode, lambda: Dataset()])
 def test_a_dataset_reads_from_its_columns_file_as_from_its_json_lines(tmp_path, build):
     path = tmp_path / "d.jsonl"
-    assert write_dataset(build(), path) == [path, tmp_path / "d.jsonl.columns.npz"]
+    assert write_dataset(build(), path) == [path, core.beside(path, core.COLUMNS_SUFFIX)]
     got, parses = _parsed(path)
     assert parses == 0
     assert_same_reads(got, _json_read(path))
@@ -163,40 +167,128 @@ def test_a_value_the_columns_file_cannot_hold_exactly_leaves_none(tmp_path, reco
     assert core.dataset_to_lines(got) == core.dataset_to_lines(Dataset((record,)))
 
 
-def _saved(save, *args, **kwargs) -> bytes:
-    """The bytes np.save or np.savez writes of its arguments."""
+# The layout of a columns file, read here without core's reader: the magic,
+# the header's byte length, the JSON header padded to 8 bytes, the arrays'
+# bytes, and the CRC-32 of all of them.
+MAGIC = b"PRCOLS\x00\x01"
+
+
+def _layout(raw: bytes) -> tuple[dict, bytes]:
+    """The header of a columns file and the bytes of its arrays."""
+    assert raw[:8] == MAGIC
+    start = 16 + int.from_bytes(raw[8:16], "little")
+    return json.loads(raw[16:start]), raw[start:-4]
+
+
+def _with_crc(body: bytes) -> bytes:
+    return body + zlib.crc32(body).to_bytes(4, "little")
+
+
+def _framed(header, data: bytes) -> bytes:
+    """A columns file of header and data with a valid CRC-32."""
+    text = json.dumps(header).encode("ascii")
+    text += b" " * (-len(text) % 8)
+    return _with_crc(MAGIC + len(text).to_bytes(8, "little") + text + data)
+
+
+def _unpadded(raw: bytes) -> bytes:
+    """The columns file with a header not padded to 8 bytes, so that every
+    array lies off its alignment."""
+    header, data = _layout(raw)
+    text = json.dumps(header).encode("ascii")
+    text += b" " * (len(text) % 8 == 0)
+    return _with_crc(MAGIC + len(text).to_bytes(8, "little") + text + data)
+
+
+def _arrays(raw: bytes) -> dict[str, np.ndarray]:
+    """Writable copies of the arrays of a columns file, in file order."""
+    header, data = _layout(raw)
+    return {name: np.frombuffer(data, dtype, math.prod(shape), offset).reshape(shape).copy()
+            for name, (dtype, shape, offset) in header.items()}
+
+
+def _saved(arrays: dict[str, np.ndarray]) -> bytes:
+    """The bytes core's writer gives a columns file of arrays."""
+    return b"".join(core._columns_file_chunks(arrays))
+
+
+def _npz(arrays: dict[str, np.ndarray]) -> bytes:
+    """The bytes np.savez writes of arrays: the columns file's previous layout."""
     buffer = io.BytesIO()
-    save(buffer, *args, **kwargs)
+    np.savez(buffer, **arrays)
     return buffer.getvalue()
 
 
 def _edited(edit):
-    """The columns file with edit applied to its arrays."""
+    """The columns file with edit applied to its arrays, written again with a
+    valid CRC-32, so that the array checks meet it."""
     def corrupt(raw: bytes) -> bytes:
-        with np.load(io.BytesIO(raw)) as npz:
-            arrays = dict(npz)
+        arrays = _arrays(raw)
         edit(arrays)
-        return _saved(np.savez, **arrays)
+        return _saved(arrays)
     return corrupt
+
+
+def _reheaded(edit):
+    """The columns file with edit applied to its header, framed again with a
+    valid CRC-32."""
+    def corrupt(raw: bytes) -> bytes:
+        header, data = _layout(raw)
+        edit(header)
+        return _framed(header, data)
+    return corrupt
+
+
+def _flipped_in_features(raw: bytes) -> bytes:
+    """The columns file with the low byte of a feature flipped: the value
+    stays finite and the header intact, so only the CRC-32 tells."""
+    header, data = _layout(raw)
+    at = len(raw) - 4 - len(data) + header["features"][2]
+    return raw[:at] + bytes([raw[at] ^ 0x01]) + raw[at + 1:]
+
+
+def _setitem(key, index, value):
+    return lambda mapping: mapping[key].__setitem__(index, value)
 
 
 CORRUPT = {
     "empty": lambda raw: b"",
-    "not-a-zip": lambda raw: b"proprank" * 100,
-    "a-lone-npy": lambda raw: _saved(np.save, np.zeros(3)),
+    "no-magic": lambda raw: b"proprank" * 100,
+    "another-version": lambda raw: _with_crc(MAGIC[:-1] + b"\x02" + raw[8:-4]),
+    "the-old-npz-under-the-new-name": lambda raw: _npz(_arrays(raw)),
     **{f"truncated-to-{share}/8": (lambda share: lambda raw: raw[: len(raw) * share // 8])(share)
        for share in range(1, 8)},
     "a-flipped-byte": lambda raw: raw[:1000] + bytes([raw[1000] ^ 0xFF]) + raw[1001:],
-    "an-object-array": _edited(lambda a: a.update(ids=np.array(list(a["ids"]), dtype=object))),
+    "a-flipped-byte-in-features": _flipped_in_features,
+    "a-header-dtype-of-object": _reheaded(_setitem("ids", 0, "|O")),
+    "a-big-endian-float-dtype": _reheaded(_setitem("features", 0, ">f8")),
+    "a-missing-name": _reheaded(lambda h: h.pop("labels")),
+    "a-header-that-is-a-list": lambda raw: _framed(list(_layout(raw)[0].items()), _layout(raw)[1]),
+    "a-header-length-past-the-end": lambda raw: _with_crc(raw[:8] + len(raw).to_bytes(8, "little") + raw[16:-4]),
+    "a-header-not-padded-to-8-bytes": _unpadded,
+    "an-offset-not-a-multiple-of-8": _reheaded(lambda h: h["features"].__setitem__(2, h["features"][2] + 4)),
+    "an-offset-past-the-end": lambda raw: _reheaded(_setitem("source_index", 2, len(_layout(raw)[1]) + 8))(raw),
+    "an-array-past-the-end": _reheaded(lambda h: h["source_index"][1].__setitem__(0, h["source_index"][1][0] + 1)),
+    # -1 would read the last array's own bytes to the end of the data
+    "a-negative-length": _reheaded(lambda h: h["source_index"][1].__setitem__(0, -1)),
+    "a-length-beyond-int64": _reheaded(lambda h: h["source_index"][1].__setitem__(0, 2**64)),
+    "bytes-after-the-last-array": lambda raw: _framed(_layout(raw)[0], _layout(raw)[1] + bytes(8)),
+    "an-extra-array": _edited(lambda a: a.update(extra=np.zeros(1))),
     "boxes-of-the-wrong-shape": _edited(lambda a: a.update(boxes=a["boxes"].reshape(-1, 2))),
     "features-of-the-wrong-axes": _edited(lambda a: a.update(features=a["features"].reshape(-1, 1))),
+    "labels-of-two-axes": _edited(lambda a: a.update(labels=a["labels"].reshape(-1, 1))),
+    "gt_boxes-of-3-columns": _edited(lambda a: a.update(gt_boxes=a["gt_boxes"][:, :3])),
+    "gt_boxes-of-5-columns": _edited(lambda a: a.update(gt_boxes=np.hstack([a["gt_boxes"], a["gt_boxes"][:, :1]]))),
+    "gt_boxes-of-4-rows-and-no-columns": _edited(lambda a: a.update(gt_boxes=np.zeros((4, 0)))),
+    "sizes-of-3-columns": _edited(lambda a: a.update(sizes=np.hstack([a["sizes"], a["sizes"][:, :1]]))),
+    "widths-of-2-columns": _edited(lambda a: a.update(widths=a["widths"][:, :2])),
     "a-label-short": _edited(lambda a: a.update(labels=a["labels"][:-1])),
     "a-label-too-many": _edited(lambda a: a.update(labels=np.append(a["labels"], 0.5))),
     "a-record-short": _edited(lambda a: a.update(sizes=a["sizes"][:-1])),
     "float-counts": _edited(lambda a: a.update(candidates=a["candidates"].astype(np.float64))),
-    "a-label-out-of-range": _edited(lambda a: a["labels"].__setitem__(0, 2.0)),
-    "a-duplicate-id": _edited(lambda a: a["ids"].__setitem__(slice(None), ord("x"))),
-    "an-id-not-utf-8": _edited(lambda a: a["ids"].__setitem__(0, 0xFF)),
+    "a-label-out-of-range": _edited(_setitem("labels", 0, 2.0)),
+    "a-duplicate-id": _edited(_setitem("ids", slice(None), ord("x"))),
+    "an-id-not-utf-8": _edited(_setitem("ids", 0, 0xFF)),
     "no-sha256": _edited(lambda a: a.pop("sha256")),
     "another-sha256": _edited(lambda a: a["sha256"].__setitem__(0, a["sha256"][0] ^ 1)),
 }
@@ -216,6 +308,63 @@ def test_a_columns_file_that_does_not_build_the_dataset_is_passed_over(tmp_path,
     assert parses == 1
     assert [str(w.message) for w in caught if w.category is ResourceWarning] == []
     assert_same_reads(got, _json_read(path))
+
+
+def test_a_columns_file_of_the_previous_layout_is_passed_over_and_removed(tmp_path):
+    path = tmp_path / "d.jsonl"
+    dataset = _geometric()
+    columns = write_dataset(dataset, path)[1]
+    core.beside(path, ".columns.npz").write_bytes(_npz(_arrays(columns.read_bytes())))
+    columns.unlink()
+    got, parses = _parsed(path)
+    assert parses == 1
+    assert_same_reads(got, _json_read(path))
+    assert write_dataset(dataset, path) == [path, columns]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["d.jsonl", columns.name]
+
+
+def _table_arrays(**given) -> dict[str, np.ndarray]:
+    """An array of each name of the columns file's table, of its dtype and
+    trailing shape: the given one, or an empty one."""
+    return {name: np.asarray(given.get(name, np.zeros((0, *tail))), dtype).reshape(-1, *tail)
+            for name, (dtype, tail) in core._COLUMNS_FILE.items()}
+
+
+_ANY_TABLE_ARRAYS = st.fixed_dictionaries({
+    name: st.integers(0, 6).flatmap(lambda n, dtype=dtype, tail=tail: hnp.arrays(dtype, (n, *tail)))
+    for name, (dtype, tail) in core._COLUMNS_FILE.items()
+})
+
+
+@settings(max_examples=80, deadline=None)
+@given(_ANY_TABLE_ARRAYS)
+@example(_table_arrays())
+@example(_table_arrays(
+    features=[-0.0, 0.0, 5e-324, -np.inf, np.nan, np.finfo(float).max],
+    gt_boxes=[[-0.0, 1e-300, 1e300, 0.1]],
+    source_index=[-2**63, 2**63 - 1, 0, -1],
+    sizes=[[2**63 - 1, -2**63]],
+    ids=[0, 255],
+))
+def test_the_columns_file_gives_back_the_bits_of_any_arrays_it_holds(arrays):
+    raw = _saved(arrays)
+    assert _framed(*_layout(raw)) == raw  # the layout, its padding and its CRC-32 as documented
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "d.jsonl.columns"
+        path.write_bytes(raw)
+        got = core._load_columns_file(path)
+    assert list(got) == list(arrays)
+    for name, array in arrays.items():
+        assert (got[name].dtype, got[name].shape) == (array.dtype, array.shape), name
+        assert got[name].tobytes() == array.tobytes(), name
+        assert got[name].flags.aligned and not got[name].flags.writeable, name
+
+
+def test_the_columns_file_is_little_endian_whatever_the_arrays_byte_order():
+    # As on a big-endian host, whose native arrays are big-endian.
+    arrays = _table_arrays(features=[1.5, -0.0], sizes=[[640, 480]], ids=[97])
+    swapped = {name: array.astype(array.dtype.newbyteorder(">")) for name, array in arrays.items()}
+    assert _saved(swapped) == _saved(arrays)
 
 
 def test_a_stale_columns_file_is_passed_over_and_a_bad_line_still_named(tmp_path, caplog):
@@ -432,7 +581,7 @@ def test_a_source_of_one_record_more_or_fewer_than_lines_is_never_copied_from(tm
     extra = make_record("extra", labels=[0.5], cand_boxes=[[0, 0, 1, 1]])
     forged = Dataset(source.records[:-1] if records == "one fewer" else source.records + (extra,))
     arrays = core._columns_file_arrays(forged, bytes.fromhex(source.source_sha256))  # the lines' own SHA-256
-    core.beside(path, core.COLUMNS_SUFFIX).write_bytes(_saved(np.savez, **arrays))
+    core.beside(path, core.COLUMNS_SUFFIX).write_bytes(_saved(arrays))
     source = read_dataset(path)
     assert source._source_path is not None and len(source) == len(forged)
     built = copied_records(monkeypatch)
