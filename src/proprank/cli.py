@@ -152,7 +152,7 @@ def cmd_featurize(args: argparse.Namespace) -> Paths:
     featurized, failures = featurize_dataset(dataset, images, config)
     for failure in failures:
         logger.warning("featurize: %s", failure)
-    written = write_dataset(featurized, args.output, dataset)
+    written = write_dataset(featurized, args.output)
     meta_path = beside(args.output, ".meta.json")
     atomic_write_text(meta_path, json.dumps({"hog_config": config.to_dict()}, indent=2) + "\n")
     logger.info(

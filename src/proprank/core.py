@@ -846,12 +846,13 @@ def dataset_to_lines(dataset: Dataset, source: Dataset | None = None) -> list[st
 
     source is the dataset this one was derived from, if any. While its JSON
     Lines may be copied (see Copying the source's text), they are read once,
-    start to end, and each candidate's box, iou_label and features take
-    their text from the source's line of the same image_id wherever it
-    holds a value with the same bits; only the other numbers are formatted,
-    and counted towards forking. If the lines read do not hash to the
+    start to end, and each line is built in the caller, its candidates' box,
+    iou_label and features taking their text from the source's line of the
+    same image_id wherever it holds a value with the same bits; only the
+    other numbers are formatted. If the lines read do not hash to the
     source's sha256, or are not one per source record, every number is
-    formatted. The lines are the same with and without the source.
+    formatted on the lanes. The lines are the same with and without the
+    source.
     """
     lines = None if source is None else _copied_lines(dataset, source)
     if lines is None:
@@ -1117,18 +1118,22 @@ def read_dataset(path: str | Path) -> Dataset:
 # and different texts). When read_dataset built a dataset from its columns
 # file, which recorded the SHA-256 of the JSON Lines beside it,
 # dataset_to_lines of a dataset derived from it reads the source's JSON
-# Lines once, from start to end: each line is hashed as it goes by, and the
-# value texts of a record written from it are taken from it then. They are
-# used only if the whole file turns out to have one line per source record
-# and to hash to source_sha256; otherwise every record is formatted. So
+# Lines once, from start to end, in the caller: each line is hashed as it
+# goes by, and the line of a record written from it is built then, with the
+# value texts taken from it. Those lines are kept only if the whole file
+# turns out to have one line per source record and to hash to
+# source_sha256; otherwise every record is formatted on the codec lanes. So
 # every copied text comes from bytes that, together, hash to the SHA-256
 # read_dataset checked the columns file against, and no more than one source
-# line is held at a time. A record's boxes are matched row by row to the
-# source record's by their bits once, whatever the rows' order, so
-# permuted, dropped or repeated candidates find their text; its labels and
-# features are compared bitwise under that match, and only the rows that
-# differ are searched for on their own. The values no source row holds are
-# formatted.
+# line is held at a time. The lines of records with no source line are
+# formatted in the caller after the pass. label and rerank write their sets
+# this way; featurize, whose new features are nearly all of a line's
+# numbers, writes its set as a new one, formatted on the codec lanes.
+# A record's boxes are matched row by row to the source record's by their
+# bits once, whatever the rows' order, so permuted, dropped or repeated
+# candidates find their text; its labels and features are compared bitwise
+# under that match, and only the rows that differ are searched for on their
+# own. The values no source row holds are formatted.
 
 _NEXT_CANDIDATE = '}, {"box": '
 # The optional candidate columns with the text before their value on a line, in line order.
@@ -1160,10 +1165,10 @@ def _copies(bits: np.ndarray, source_bits: np.ndarray | None, guess: np.ndarray 
     return index
 
 
-def _plan(record: ImageRecord, source: ImageRecord) -> tuple[dict[str, np.ndarray | None], int]:
+def _plan(record: ImageRecord, source: ImageRecord) -> dict[str, np.ndarray | None]:
     """Where each of record's box, iou_label and features values finds its
-    text in source's line, by column, as _copies gives it, and how many
-    numbers are left to format. Both records have candidates."""
+    text in source's line, by column, as _copies gives it. Both records have
+    candidates."""
     cands, source_cands = record.candidates, source.candidates
     rows = _copies(_bits(cands.boxes), _bits(source_cands.boxes))
     guess = np.arange(len(cands)) if rows is None else rows
@@ -1171,11 +1176,7 @@ def _plan(record: ImageRecord, source: ImageRecord) -> tuple[dict[str, np.ndarra
     for name in ("labels", "features"):
         if getattr(cands, name) is not None:
             copies[name] = _copies(_bits(getattr(cands, name)), _bits(getattr(source_cands, name)), guess)
-    numbers = 4 * len(record.groundtruth) + sum(
-        int(np.count_nonzero(index < 0)) * (getattr(cands, name).size // len(cands))
-        for name, index in copies.items() if index is not None
-    )
-    return copies, numbers
+    return copies
 
 
 def _present(cands: Candidates) -> list[str]:
@@ -1234,11 +1235,10 @@ def _source_texts(source: Candidates, line: bytes) -> dict[str, list[str]] | Non
     }
 
 
-def _copied_line(item: tuple) -> str:
-    """The canonical JSON line of a record, given as (record, its _plan
-    copies, its source line's _source_texts): each value's text copied where
-    copies finds a row with the same bits, formatted otherwise."""
-    record, copies, source_texts = item
+def _copied_line(record: ImageRecord, copies: dict, source_texts: dict[str, list[str]] | None) -> str:
+    """The canonical JSON line of record, given its _plan copies and its
+    source line's _source_texts: each value's text copied where copies finds
+    a row with the same bits, formatted otherwise."""
     if source_texts is None:
         return _line(record)
     parts = []
@@ -1252,26 +1252,18 @@ def _copied_line(item: tuple) -> str:
 def _copied_lines(dataset: Dataset, source: Dataset) -> list[str] | None:
     """dataset_to_lines(dataset) with the text of the values source's JSON
     Lines hold copied from them, in one pass over those lines; None if they
-    may not be copied.
-
-    A write that forks the codec lanes takes each record's texts as its
-    source line goes by and builds the lines on the lanes after the pass;
-    any other builds each line as its source line goes by."""
+    may not be copied. Each line is built in the caller as its source line
+    goes by, and the lines of records with none after the pass."""
     path = source._source_path
     if path is None:
         return None
     records, position = dataset.records, {rec.image_id: i for i, rec in enumerate(source.records)}
-    items: list = [(rec, None, None) for rec in records]  # each becomes its line, or the lanes' item for it
-    wanted, numbers = {}, 0  # source line -> (record written from it, its copies); numbers to format
+    lines: list[str | None] = [None] * len(records)
+    wanted = {}  # source line -> (record written from it, its copies)
     for j, rec in enumerate(records):
         i = position.get(rec.image_id)
-        if i is None or not len(rec.candidates) or not len(source.records[i].candidates):
-            numbers += _values(rec)
-        else:
-            copies, count = _plan(rec, source.records[i])
-            wanted[i] = j, copies
-            numbers += count
-    forks = _lanes(len(records), numbers) > 1
+        if i is not None and len(rec.candidates) and len(source.records[i].candidates):
+            wanted[i] = j, _plan(rec, source.records[i])
     digest, lines_read = hashlib.sha256(), 0
     try:
         with open(path, "rb", buffering=1 << 20) as file:
@@ -1280,16 +1272,12 @@ def _copied_lines(dataset: Dataset, source: Dataset) -> list[str] | None:
                 lines_read = i + 1
                 if i in wanted:
                     j, copies = wanted[i]
-                    items[j] = (records[j], copies, _source_texts(source.records[i].candidates, line))
-                    if not forks:
-                        items[j] = _copied_line(items[j])
+                    lines[j] = _copied_line(records[j], copies, _source_texts(source.records[i].candidates, line))
     except OSError:
         return None
     if lines_read != len(source.records) or digest.hexdigest() != source.source_sha256:
         return None
-    if forks:
-        return _lane_map(_copied_line, items, numbers)
-    return [item if isinstance(item, str) else _copied_line(item) for item in items]
+    return [_line(rec) if line is None else line for rec, line in zip(records, lines)]
 
 
 def atomic_write_text(path: str | Path, text: str | bytes | Iterable[bytes]) -> None:
@@ -1310,36 +1298,44 @@ def atomic_write_text(path: str | Path, text: str | bytes | Iterable[bytes]) -> 
 
 
 def write_dataset(dataset: Dataset, path: str | Path, source: Dataset | None = None) -> list[Path]:
-    """Write the canonical JSON Lines of dataset, whose SHA-256 becomes its
-    cached dataset_digest, then its columns file beside them; return the
-    paths written. A dataset with a value the columns file cannot hold
-    exactly (an integer beyond int64, text that is not UTF-8) gets none, and
-    a columns file left beside path by an earlier write is removed; a
-    .columns.npz, the layout before this one, always is.
+    """Write the columns file of dataset beside path, then its canonical
+    JSON Lines at path, whose SHA-256 becomes its cached dataset_digest;
+    return the paths written. A dataset with a value the columns file cannot
+    hold exactly (an integer beyond int64, text that is not UTF-8) gets
+    none, and a columns file left beside path by an earlier write is
+    removed; a .columns.npz, the layout before this one, always is. So a
+    columns write that fails leaves path as it was, and a JSON Lines write
+    that fails removes the new columns file.
 
-    source is the dataset that dataset was derived from, as label, rerank
-    and featurize derive theirs. If read_dataset built it from its columns
-    file, the JSON Lines beside that file are read and hashed once, and the
-    text of each candidate value that still has the bits source had is
-    taken from its line as the line goes by. That text is copied, rather
-    than formatted again, only if the whole file still hashes to source's
-    sha256. The bytes written are the same: a value's text there is
-    json.dumps of the same bits. The source is read in full before the file
-    at path is replaced, so path may be the source's own."""
+    source is the dataset that dataset was derived from, as label and
+    rerank derive theirs. If read_dataset built it from its columns file,
+    the JSON Lines beside that file are read and hashed once, and each line
+    written from one of theirs is built from it as it goes by, its text
+    taken from there for each candidate value that still has the bits
+    source had. That text is copied, rather than formatted again, only if
+    the whole file still hashes to source's sha256. The bytes written are
+    the same: a value's text there is json.dumps of the same bits. The
+    source is read in full before either file is replaced, so path may be
+    the source's own."""
     path = Path(path)
     data = "\n".join([*dataset_to_lines(dataset, source), ""]).encode("utf-8")  # no second copy of each line
-    atomic_write_text(path, data)
     digest = hashlib.sha256(data)
     object.__setattr__(dataset, "_digest", digest.hexdigest())
-    columns_path = beside(path, COLUMNS_SUFFIX)
+    columns_path, written = beside(path, COLUMNS_SUFFIX), [path]
     beside(path, ".columns.npz").unlink(missing_ok=True)
     try:
         arrays = _columns_file_arrays(dataset, digest.digest())
     except (OverflowError, UnicodeEncodeError):
         columns_path.unlink(missing_ok=True)
-        return [path]
-    atomic_write_text(columns_path, _columns_file_chunks(arrays))
-    return [path, columns_path]
+    else:
+        atomic_write_text(columns_path, _columns_file_chunks(arrays))
+        written.append(columns_path)
+    try:
+        atomic_write_text(path, data)
+    except BaseException:
+        columns_path.unlink(missing_ok=True)  # it records lines that were not written
+        raise
+    return written
 
 
 def dataset_digest(dataset: Dataset) -> str:

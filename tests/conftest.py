@@ -2,9 +2,6 @@
 
 from __future__ import annotations
 
-import os
-import tempfile
-
 from proprank import Box, Dataset, GroundTruthObject, core
 from proprank.core import dataset_to_lines, record_from_columns
 
@@ -51,9 +48,8 @@ def assert_same_reads(got: Dataset, want: Dataset) -> None:
 def copied_records(monkeypatch) -> list:
     """The image ids of the lines each dataset_to_lines built from its
     source's text: those for which _column_texts took some value's text from
-    the source line, in the caller or in a forked codec lane, in a pass that
-    found the whole file intact."""
-    built, used, log = [], [], []
+    the source line, in a pass that found the whole file intact."""
+    built, used, ids = [], [], []
     column_texts, copied_line, copied_lines = core._column_texts, core._copied_line, core._copied_lines
 
     def texts_spy(values, index, source_texts):
@@ -61,20 +57,18 @@ def copied_records(monkeypatch) -> list:
             used.append(1)
         return column_texts(values, index, source_texts)
 
-    def line_spy(item):
+    def line_spy(record, copies, source_texts):
         used.clear()
-        line = copied_line(item)
+        line = copied_line(record, copies, source_texts)
         if used:
-            os.write(log[0].fileno(), item[0].image_id.encode() + b"\n")
+            ids.append(record.image_id)
         return line
 
     def lines_spy(dataset, source):
-        with tempfile.TemporaryFile(buffering=0) as file:  # a forked lane's list dies with it, its writes do not
-            log[:] = [file]
-            lines = copied_lines(dataset, source)
-            file.seek(0)
-            if lines is not None:
-                built.extend(file.read().decode().split())
+        ids.clear()
+        lines = copied_lines(dataset, source)
+        if lines is not None:
+            built.extend(ids)
         return lines
 
     monkeypatch.setattr(core, "_column_texts", texts_spy)

@@ -404,7 +404,9 @@ def test_a_command_writes_the_same_bytes_with_and_without_a_columns_file(
     bare = tmp_path / source  # the same JSON Lines, with no columns file beside them
     bare.write_bytes((chain / source).read_bytes())
     extra = [chain / arg if arg in ("model.json", "imgs") else arg for arg in extra]
-    for given, out, lines_copied in ((chain / source, "copied.jsonl", 3), (bare, "parsed.jsonl", 0)):
+    # featurize writes a new set: its features are nearly all of each line's numbers.
+    copies = 0 if command == "featurize" else 3
+    for given, out, lines_copied in ((chain / source, "copied.jsonl", copies), (bare, "parsed.jsonl", 0)):
         copied.clear()
         assert run(capsys, command, given, tmp_path / out, *extra)[0] == 0
         assert len(copied) == lines_copied
@@ -476,6 +478,27 @@ def test_a_failed_write_leaves_no_partial_file(chain, tmp_path, capsys, monkeypa
     monkeypatch.setattr(Path, "write_bytes", full_disk)
     assert run(capsys, "label", chain / "geo.jsonl", tmp_path / "out.jsonl")[0] == 2
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["synth", "{out}", "--num-images", 2, "--candidates", 4, "--feature-dim", 3],
+    ["label", "{d}/geo.jsonl", "{out}"],
+    ["featurize", "{d}/labeled.jsonl", "{out}", "--images", "{d}/imgs", "--resize-w", 16, "--resize-h", 16],
+    ["rerank", "{d}/labeled.jsonl", "{out}", "--model", "{d}/model.json"],
+], ids=operator.itemgetter(0))
+def test_a_failed_columns_write_leaves_the_output_as_it_was(chain, tmp_path, capsys, monkeypatch, argv):
+    out, before = tmp_path / "out.jsonl", b"what an earlier run left\n"
+    out.write_bytes(before)
+    chunks = core._columns_file_chunks
+
+    def full_disk(arrays):
+        yield from list(chunks(arrays))[:3]  # the magic, the header's length and the header
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    monkeypatch.setattr(core, "_columns_file_chunks", full_disk)
+    assert run(capsys, *(str(a).format(d=chain, out=out) for a in argv))[0] == 2
+    assert out.read_bytes() == before
+    assert not list(tmp_path.glob("*.manifest.json")) and not list(tmp_path.glob("*.tmp"))
 
 
 def test_a_null_optional_model_field_takes_its_default(chain, tmp_path):

@@ -247,6 +247,12 @@ def _flipped_in_features(raw: bytes) -> bytes:
     return raw[:at] + bytes([raw[at] ^ 0x01]) + raw[at + 1:]
 
 
+def _first_record_alone(raw: bytes) -> bytes:
+    """The columns file of _geometric()'s first record alone, recording the
+    SHA-256 that raw records: each per-record array has one row."""
+    return _saved(core._columns_file_arrays(Dataset(_geometric().records[:1]), _arrays(raw)["sha256"].tobytes()))
+
+
 def _setitem(key, index, value):
     return lambda mapping: mapping[key].__setitem__(index, value)
 
@@ -272,6 +278,8 @@ CORRUPT = {
     # -1 would read the last array's own bytes to the end of the data
     "a-negative-length": _reheaded(lambda h: h["source_index"][1].__setitem__(0, -1)),
     "a-length-beyond-int64": _reheaded(lambda h: h["source_index"][1].__setitem__(0, 2**64)),
+    # true == 1, the length it stands for here, but a length is a JSON integer
+    "a-length-of-true": lambda raw: _reheaded(lambda h: h["sizes"][1].__setitem__(0, True))(_first_record_alone(raw)),
     "bytes-after-the-last-array": lambda raw: _framed(_layout(raw)[0], _layout(raw)[1] + bytes(8)),
     "an-extra-array": _edited(lambda a: a.update(extra=np.zeros(1))),
     "boxes-of-the-wrong-shape": _edited(lambda a: a.update(boxes=a["boxes"].reshape(-1, 2))),
